@@ -1259,7 +1259,7 @@ let () =
     args;
   let commands =
     List.filter
-      (fun a -> not (String.length a >= 2 && String.sub a 0 2 = "--"))
+      (fun a -> not (String.starts_with ~prefix:"--" a))
       (List.tl args)
   in
   let run = function

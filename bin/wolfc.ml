@@ -206,8 +206,7 @@ let print_parallel_report (pipeline : Wolf_compiler.Pipeline.compiled option) =
   | Some c ->
     let entries =
       List.filter
-        (fun (k, _) ->
-           String.length k >= 8 && String.sub k 0 8 = "parloop.")
+        (fun (k, _) -> String.starts_with ~prefix:"parloop." k)
         c.Wolf_compiler.Pipeline.program.Wolf_compiler.Wir.pmeta
     in
     if entries = [] then print_endline "(no loops considered)"

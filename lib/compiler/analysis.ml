@@ -253,29 +253,150 @@ let incoming_jumps f label =
 
 (* Does every value reaching position [pos] of [label] over non-latch edges
    come from an integer constant >= [bound]?  Follows forwarding block
-   parameters (e.g. a preheader introduced by LICM) a bounded number of
-   steps. *)
-let rec entry_consts_ge f ~latches ~label ~pos ~bound ~depth =
-  depth < 3
-  && List.for_all
-       (fun (src, (j : jump)) ->
-          List.mem src latches
-          || (match j.jargs.(pos) with
-              | Oconst (Cint k) -> k >= bound
-              | Oconst _ -> false
-              | Ovar v ->
-                let src_block = find_block f src in
-                (match
-                   Array.to_list src_block.bparams
-                   |> List.mapi (fun q p -> (q, p))
-                   |> List.find_opt (fun (_, p) -> p.vid = v.vid)
-                 with
-                 | Some (q, _) ->
-                   (* forwarded parameter: check the forwarder's own edges *)
-                   entry_consts_ge f ~latches:[] ~label:src ~pos:q ~bound
-                     ~depth:(depth + 1)
-                 | None -> false)))
-       (incoming_jumps f label)
+   parameters (e.g. a preheader introduced by LICM) up to three levels. *)
+let entry_consts_ge f ~latches ~label ~pos ~bound =
+  let rec go ~latches ~label ~pos depth =
+    depth < 3
+    && List.for_all
+         (fun (src, (j : jump)) ->
+            List.mem src latches
+            || (match j.jargs.(pos) with
+                | Oconst (Cint k) -> k >= bound
+                | Oconst _ -> false
+                | Ovar v ->
+                  (* forwarded parameter: check the forwarder's own edges *)
+                  let params = (find_block f src).bparams in
+                  (match Array.find_index (fun p -> p.vid = v.vid) params with
+                   | Some q -> go ~latches:[] ~label:src ~pos:q (depth + 1)
+                   | None -> false)))
+         (incoming_jumps f label)
+  in
+  go ~latches ~label ~pos 0
+
+(* ---- the counted-loop view ---- *)
+
+let loop_defs f l =
+  let t = Hashtbl.create 32 in
+  List.iter
+    (fun b ->
+       if loop_contains l b.label then begin
+         Array.iter (fun v -> Hashtbl.replace t v.vid ()) b.bparams;
+         List.iter
+           (fun i -> List.iter (fun v -> Hashtbl.replace t v.vid ()) (instr_defs i))
+           b.instrs
+       end)
+    f.blocks;
+  t
+
+type counted_loop = {
+  defs : (int, unit) Hashtbl.t;
+  invariant : operand -> bool;
+  def_of : (int, instr) Hashtbl.t;
+  guard : var;
+  guard_prim : callee;
+  strict : bool;
+  iv : var;
+  iv_pos : int;
+  bound : operand;
+  on_true : jump;
+  on_false : jump;
+  exits : bool;
+  guard_in_header : bool;
+  guard_single_use : bool;
+  steps_by_one : bool;
+  starts_at_least : int -> bool;
+}
+
+let sibling callee base =
+  match callee with
+  | Resolved { base = b; mangled } ->
+    let lb = String.length b in
+    let suffix = String.sub mangled lb (String.length mangled - lb) in
+    Resolved { base; mangled = base ^ suffix }
+  | Prim _ | Func _ | Indirect _ -> invalid_arg "Analysis.sibling: unresolved callee"
+
+let count_uses f vid =
+  let n = ref 0 in
+  let bump = function Ovar v when v.vid = vid -> incr n | _ -> () in
+  List.iter
+    (fun b ->
+       List.iter (fun i -> List.iter bump (instr_uses i)) b.instrs;
+       List.iter bump (term_uses b.term))
+    f.blocks;
+  !n
+
+let is_int64 (v : var) =
+  match v.vty with Some t -> Types.equal t Types.int64 | None -> false
+
+let counted_loop f (l : loop) =
+  let hdr = find_block f l.lheader in
+  match hdr.term with
+  | Branch { cond = Ovar c; if_true; if_false } when loop_contains l if_true.target -> (
+    let def_of = def_table f in
+    let defs = loop_defs f l in
+    let invariant = function
+      | Oconst _ -> true
+      | Ovar v -> not (Hashtbl.mem defs v.vid)
+    in
+    (* the bound must be an integer: a Real64 one would give the rewritten
+       loop (chunk arithmetic, parallel ranges) mixed-type integer results *)
+    let integer_bound = function
+      | Oconst (Cint _) -> true
+      | Ovar v as op -> invariant op && is_int64 v
+      | Oconst _ -> false
+    in
+    match Hashtbl.find_opt def_of c.vid with
+    | Some
+        (Call
+           { callee =
+               Resolved { base = ("binary_less" | "binary_less_equal") as base; _ }
+               as guard_prim;
+             args = [| Ovar iv0; bound |];
+             _ })
+      when integer_bound bound -> (
+      let iv = chase_copies def_of iv0 in
+      match Array.find_index (fun p -> p.vid = iv.vid) hdr.bparams with
+      | None -> Error "guard does not test a loop carry"
+      | Some iv_pos ->
+        let steps_by_one =
+          List.for_all
+            (fun (src, (j : jump)) ->
+               (not (List.mem src l.latches))
+               ||
+               match j.jargs.(iv_pos) with
+               | Ovar s -> (
+                 match resolved_def def_of s with
+                 | Some
+                     (Call
+                        { callee = Resolved { base = "checked_binary_plus"; _ };
+                          args = [| Ovar i'; Oconst (Cint 1) |];
+                          _ }) ->
+                   (chase_copies def_of i').vid = iv.vid
+                 | _ -> false)
+               | Oconst _ -> false)
+            (incoming_jumps f l.lheader)
+        in
+        Ok
+          { defs; invariant; def_of;
+            guard = c;
+            guard_prim;
+            strict = base = "binary_less";
+            iv; iv_pos; bound;
+            on_true = if_true;
+            on_false = if_false;
+            exits = not (loop_contains l if_false.target);
+            guard_in_header =
+              List.exists
+                (fun i -> List.exists (fun v -> v.vid = c.vid) (instr_defs i))
+                hdr.instrs;
+            guard_single_use = count_uses f c.vid = 1;
+            steps_by_one;
+            starts_at_least =
+              (fun k ->
+                 entry_consts_ge f ~latches:l.latches ~label:l.lheader ~pos:iv_pos
+                   ~bound:k) })
+    | _ -> Error "not a counted loop")
+  | _ -> Error "no counted exit test"
 
 let op_var_ids ops =
   List.filter_map (function Ovar v -> Some v.vid | Oconst _ -> None) ops

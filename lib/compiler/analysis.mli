@@ -1,7 +1,8 @@
 (** CFG analyses shared by the optimisation and obligation passes:
     dominators (Cooper–Harvey–Kennedy), the loop headers derived from back
-    edges (used by {!Abort_pass}, paper §4.5), and per-block liveness (used
-    by {!Memory_pass} and {!Mutability_pass}). *)
+    edges (used by {!Abort_pass}, paper §4.5), per-block liveness (used
+    by {!Memory_pass} and {!Mutability_pass}), and the counted-loop view
+    the loop optimisations share. *)
 
 type cfg = {
   order : int array;                  (** reverse postorder of block labels *)
@@ -51,13 +52,49 @@ val resolved_def : (int, Wir.instr) Hashtbl.t -> Wir.var -> Wir.instr option
 val incoming_jumps : Wir.func -> int -> (int * Wir.jump) list
 (** All (source label, jump) edges in the function targeting a label. *)
 
-val entry_consts_ge :
-  Wir.func -> latches:int list -> label:int -> pos:int -> bound:int ->
-  depth:int -> bool
-(** Does every value reaching parameter [pos] of [label] over non-[latches]
-    edges come from an integer constant [>= bound]?  Traces through
-    forwarding block parameters up to 3 - [depth] levels; call with
-    [~depth:0]. *)
+val loop_defs : Wir.func -> loop -> (int, unit) Hashtbl.t
+(** Ids defined in the loop: its blocks' parameters and instruction results. *)
+
+(** {2 Counted loops}
+
+    The one recogniser behind bounds-check elimination ({!Opt_licm}),
+    strip-mining ({!Opt_abort_stride}) and {!Opt_parloop}.  It matches a
+    loop whose header ends in [Branch c ? body : _] where [c] is defined as
+    [binary_less{,_equal}(i, n)]: [i] chases through copies to a header
+    parameter and [n] is an [Integer64] variable defined outside the loop or
+    an integer constant.  The integer-bound rule exists because every client
+    rewrites the loop with arithmetic on [n] at the guard's type suffix (chunk
+    limits, [Length]-relative ranges, parallel [hi]); a [Real64] bound would
+    make those primitives mixed-type with an [Integer64] result.  The other
+    facts are reported, not required: each pass adds its own conditions. *)
+
+type counted_loop = {
+  defs : (int, unit) Hashtbl.t;       (** {!loop_defs} *)
+  invariant : Wir.operand -> bool;    (** a constant, or defined outside the loop *)
+  def_of : (int, Wir.instr) Hashtbl.t;  (** {!def_table} of the function *)
+  guard : Wir.var;                    (** the header branch condition [c] *)
+  guard_prim : Wir.callee;            (** [c]'s resolved comparison *)
+  strict : bool;                      (** [i < n] rather than [i <= n] *)
+  iv : Wir.var;                       (** the header parameter [i] *)
+  iv_pos : int;                       (** [i]'s position among the header parameters *)
+  bound : Wir.operand;                (** [n] *)
+  on_true : Wir.jump;                 (** the header's arm into the body *)
+  on_false : Wir.jump;                (** the header's other arm *)
+  exits : bool;                       (** [on_false] leaves the loop *)
+  guard_in_header : bool;             (** [c] is computed in the header *)
+  guard_single_use : bool;            (** [c] has no use besides the branch *)
+  steps_by_one : bool;                (** every latch passes [i + 1] for [i] *)
+  starts_at_least : int -> bool;
+      (** [starts_at_least k]: every entry value of [i] is an integer
+          constant [>= k] (through up to three forwarding blocks) *)
+}
+
+val counted_loop : Wir.func -> loop -> (counted_loop, string) result
+(** Match [loop] once; [Error] says which part of the shape is missing. *)
+
+val sibling : Wir.callee -> string -> Wir.callee
+(** [sibling prim base]: the resolved primitive [base] at the same type
+    suffix as the resolved [prim]. *)
 
 val live_out : Wir.func -> (int, (int, unit) Hashtbl.t) Hashtbl.t
 (** Variable ids live out of each block. *)

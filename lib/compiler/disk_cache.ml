@@ -164,8 +164,7 @@ let entry_path t ~key ~kind =
 
 let tmp_serial = Atomic.make 0
 
-let is_tmp name =
-  String.length name >= 4 && String.sub name 0 4 = "tmp."
+let is_tmp name = String.starts_with ~prefix:"tmp." name
 
 (* every artifact and blob under the cache, as (path, size, mtime) *)
 let scan_files t =

@@ -8,8 +8,7 @@ let fresh_def = function
      | "constant_array_int2" | "constant_array_real2" | "array_take"
      | "to_character_code" | "array_reverse" | "array_join" | "array_append" ->
        true
-     | _ ->
-       String.length base >= 8 && String.sub base 0 8 = "part_set")
+     | _ -> String.starts_with ~prefix:"part_set" base)
   | _ -> false
 
 let run (p : program) =
@@ -47,8 +46,7 @@ let run (p : program) =
                 (fun i ->
                    match i with
                    | Call { dst; callee = Resolved { base; mangled }; args }
-                     when String.length base >= 8
-                       && String.sub base 0 8 = "part_set"
+                     when String.starts_with ~prefix:"part_set" base
                        && not (Filename.check_suffix mangled "_inplace") ->
                      let rec root_def v =
                        match Hashtbl.find_opt def_instr v with

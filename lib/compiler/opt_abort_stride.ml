@@ -5,11 +5,12 @@
    dominate tight scalar loops (the paper's FNV1a/Histogram gap).  This pass
    removes the per-iteration cost of qualifying loops in one of two ways:
 
-   1. Counted loops — [While[i <= n, ...; i = i + 1]] with a loop-invariant
-      bound, integer-constant starts >= 0 and a header-resident guard — are
-      strip-mined: the body runs in check-free chunks of at most [stride]
-      iterations under a tightened bound, and a new outer chunk loop runs
-      the real [Abort_check] once per chunk.  The hot path contains no
+   1. Counted loops ({!Analysis.counted_loop}) — [While[i <= n, ...;
+      i = i + 1]] with a loop-invariant integer bound, integer-constant
+      starts >= 0 and a header-resident guard — are strip-mined: the body
+      runs in check-free chunks of at most [stride] iterations under a
+      tightened bound, and a new outer chunk loop runs the real
+      [Abort_check] once per chunk.  The hot path contains no
       check instructions at all.
 
    2. Any other qualifying loop keeps a per-iteration instruction, but a
@@ -40,9 +41,10 @@ let has_call block =
 (* ------------------------------------------------------------------ *)
 (* Counted-loop strip-mining.
 
-   Shape recognised (hdr = loop header, already starting with Abort_check):
+   Shape recognised (hdr = loop header, already starting with Abort_check;
+   the counted-loop view plus a local guard, +1 steps and starts >= 0):
 
-     hdr(.., i, ..):  c = i <= n          (or i < n; n loop-invariant)
+     hdr(.., i, ..):  c = i <= n          (or i < n; n an invariant integer)
                       Branch c ? body : exit(xargs)
      latches:         jump hdr(.., i + 1, ..)
 
@@ -82,236 +84,171 @@ let has_call block =
    without executing the body. *)
 
 let strip_mine f (l : Analysis.loop) ~stride =
-  let hdr = find_block f l.lheader in
-  let in_body = Analysis.loop_contains l in
-  let def_of = Analysis.def_table f in
-  let loop_defs = Hashtbl.create 32 in
-  List.iter
-    (fun b ->
-       if in_body b.label then begin
-         Array.iter (fun v -> Hashtbl.replace loop_defs v.vid ()) b.bparams;
-         List.iter
-           (fun i ->
-              List.iter (fun v -> Hashtbl.replace loop_defs v.vid ()) (instr_defs i))
-           b.instrs
-       end)
-    f.blocks;
-  let invariant = function
-    | Oconst (Cint _) -> true
-    | Ovar v -> not (Hashtbl.mem loop_defs v.vid)
-    | Oconst _ -> false
-  in
-  match hdr.term with
-  | Branch { cond = Ovar c; if_true; if_false } when in_body if_true.target -> (
-    let uses = Analysis.use_counts f in
-    (* the guard must live in the header and feed only this branch, so
-       tightening its bound cannot leak into any other value *)
-    let guard_in_hdr =
-      List.exists
-        (fun i -> List.exists (fun v -> v.vid = c.vid) (instr_defs i))
-        hdr.instrs
+  match Analysis.counted_loop f l with
+  (* the guard must live in the header and feed only this branch, so
+     tightening its bound cannot leak into any other value *)
+  | Ok cl
+    when cl.guard_in_header && cl.guard_single_use && cl.steps_by_one
+         && cl.starts_at_least 0 ->
+    let hdr = find_block f l.lheader in
+    let c = cl.guard and iv = cl.iv and pos = cl.iv_pos and nv_op = cl.bound in
+    let guard = cl.guard_prim and resolved = Analysis.sibling cl.guard_prim in
+    let max_label =
+      List.fold_left (fun acc b -> max acc b.label) 0 f.blocks
     in
-    match Hashtbl.find_opt def_of c.vid with
-    | Some
-        (Call
-           { callee = Resolved { base = ("binary_less" | "binary_less_equal") as base;
-                                 mangled };
-             args = [| Ovar iv; nv_op |];
-             _ })
-      when guard_in_hdr
-           && Hashtbl.find_opt uses c.vid = Some 1
-           && invariant nv_op ->
-      let pos = ref (-1) in
-      Array.iteri (fun q p -> if p.vid = iv.vid then pos := q) hdr.bparams;
-      let steps_by_one =
-        !pos >= 0
-        && List.for_all
-             (fun (src, (j : jump)) ->
-                (not (List.mem src l.latches))
-                ||
-                match j.jargs.(!pos) with
-                | Ovar s -> (
-                  match Analysis.resolved_def def_of s with
-                  | Some
-                      (Call
-                         { callee = Resolved { base = "checked_binary_plus"; _ };
-                           args = [| Ovar i'; Oconst (Cint 1) |];
-                           _ }) ->
-                    (Analysis.chase_copies def_of i').vid = iv.vid
-                  | _ -> false)
-                | _ -> false)
-             (Analysis.incoming_jumps f l.lheader)
-      in
-      if
-        (not steps_by_one)
-        || not
-             (Analysis.entry_consts_ge f ~latches:l.latches ~label:l.lheader
-                ~pos:!pos ~bound:0 ~depth:0)
-      then false
-      else begin
-        let max_label =
-          List.fold_left (fun acc b -> max acc b.label) 0 f.blocks
-        in
-        let outer_l = max_label + 1 in
-        let setup_l = max_label + 2 in
-        let dead_l = max_label + 3 in
-        let back_l = max_label + 4 in
-        let op =
-          Array.map (fun v -> fresh_var ~name:v.vname ?ty:v.vty ()) hdr.bparams
-        in
-        let op_args = Array.map (fun v -> Ovar v) op in
-        let suffix =
-          String.sub mangled (String.length base)
-            (String.length mangled - String.length base)
-        in
-        let resolved b = Resolved { base = b; mangled = b ^ suffix } in
-        let c2 = fresh_var ~name:c.vname ?ty:c.vty () in
-        let c3 = fresh_var ~name:c.vname ?ty:c.vty () in
-        let rem = fresh_var ~name:"rem" ?ty:iv.vty () in
-        let stp = fresh_var ~name:"step" ?ty:iv.vty () in
-        let lim1 = fresh_var ~name:"lim" ?ty:iv.vty () in
-        let limp = fresh_var ~name:"lim" ?ty:iv.vty () in
-        (* i <= lim admits step+1 iterations per chunk; i < lim admits step *)
-        let chunk = if base = "binary_less_equal" then stride - 1 else stride in
-        let outer =
-          { label = outer_l;
-            bparams = op;
-            instrs =
-              [ Abort_check;
-                Call
-                  { dst = c2;
-                    callee = Resolved { base; mangled };
-                    args = [| Ovar op.(!pos); nv_op |] } ];
-            term =
-              Branch
-                { cond = Ovar c2;
-                  if_true = { target = setup_l; jargs = [||] };
-                  if_false = { target = dead_l; jargs = [||] } } }
-        in
-        let setup =
-          { label = setup_l;
-            bparams = [||];
-            instrs =
-              [ Call
-                  { dst = rem;
-                    callee = resolved "checked_binary_subtract";
-                    args = [| nv_op; Ovar op.(!pos) |] };
-                Call
-                  { dst = stp;
-                    callee = resolved "binary_min";
-                    args = [| Ovar rem; Oconst (Cint chunk) |] };
-                Call
-                  { dst = lim1;
-                    callee = resolved "checked_binary_plus";
-                    args = [| Ovar op.(!pos); Ovar stp |] } ];
-            term =
-              Jump
-                { target = l.lheader;
-                  jargs = Array.append op_args [| Ovar lim1 |] } }
-        in
-        let dead =
-          (* a bound that fails the tightened guard immediately: i - 1 for
-             <= (i >= 0, so no trap), i itself for < *)
-          if base = "binary_less_equal" then begin
-            let dl = fresh_var ~name:"lim" ?ty:iv.vty () in
-            { label = dead_l;
-              bparams = [||];
-              instrs =
-                [ Call
-                    { dst = dl;
-                      callee = resolved "checked_binary_subtract";
-                      args = [| Ovar op.(!pos); Oconst (Cint 1) |] } ];
-              term =
-                Jump
-                  { target = l.lheader;
-                    jargs = Array.append op_args [| Ovar dl |] } }
-          end
-          else
-            { label = dead_l;
-              bparams = [||];
-              instrs = [];
-              term =
-                Jump
-                  { target = l.lheader;
-                    jargs = Array.append op_args [| Ovar op.(!pos) |] } }
-        in
-        let back =
-          { label = back_l;
-            bparams = [||];
-            instrs =
-              [ Call
-                  { dst = c3;
-                    callee = Resolved { base; mangled };
-                    args = [| Ovar iv; nv_op |] } ];
-            term =
-              Branch
-                { cond = Ovar c3;
-                  if_true =
-                    { target = outer_l;
-                      jargs = Array.map (fun v -> Ovar v) hdr.bparams };
-                  if_false = if_false } }
-        in
-        (* entry edges now feed the chunk loop *)
-        List.iter
-          (fun b ->
-             if not (List.mem b.label l.latches) then begin
-               let retarget (j : jump) =
-                 if j.target = l.lheader then { j with target = outer_l } else j
-               in
-               b.term <-
-                 (match b.term with
-                  | Jump j -> Jump (retarget j)
-                  | Branch { cond; if_true; if_false } ->
-                    Branch
-                      { cond;
-                        if_true = retarget if_true;
-                        if_false = retarget if_false }
-                  | (Return _ | Unreachable) as t -> t)
-             end)
-          f.blocks;
-        (* latches forward the chunk bound unchanged *)
-        List.iter
-          (fun latch ->
-             let b = find_block f latch in
-             let extend (j : jump) =
-               if j.target = l.lheader then
-                 { j with jargs = Array.append j.jargs [| Ovar limp |] }
-               else j
-             in
-             b.term <-
-               (match b.term with
-                | Jump j -> Jump (extend j)
-                | Branch { cond; if_true; if_false } ->
-                  Branch
-                    { cond; if_true = extend if_true; if_false = extend if_false }
-                | (Return _ | Unreachable) as t -> t))
-          l.latches;
-        (* drop the header check, tighten the guard, reroute the exit *)
-        hdr.bparams <- Array.append hdr.bparams [| limp |];
-        hdr.instrs <-
-          List.filter_map
-            (fun i ->
-               match i with
-               | Abort_check -> None
-               | Call { dst; callee; args = [| a; _ |] } when dst.vid = c.vid ->
-                 Some (Call { dst; callee; args = [| a; Ovar limp |] })
-               | i -> Some i)
-            hdr.instrs;
-        hdr.term <-
+    let outer_l = max_label + 1 in
+    let setup_l = max_label + 2 in
+    let dead_l = max_label + 3 in
+    let back_l = max_label + 4 in
+    let op =
+      Array.map (fun v -> fresh_var ~name:v.vname ?ty:v.vty ()) hdr.bparams
+    in
+    let op_args = Array.map (fun v -> Ovar v) op in
+    let c2 = fresh_var ~name:c.vname ?ty:c.vty () in
+    let c3 = fresh_var ~name:c.vname ?ty:c.vty () in
+    let rem = fresh_var ~name:"rem" ?ty:iv.vty () in
+    let stp = fresh_var ~name:"step" ?ty:iv.vty () in
+    let lim1 = fresh_var ~name:"lim" ?ty:iv.vty () in
+    let limp = fresh_var ~name:"lim" ?ty:iv.vty () in
+    (* i <= lim admits step+1 iterations per chunk; i < lim admits step *)
+    let chunk = if cl.strict then stride else stride - 1 in
+    let outer =
+      { label = outer_l;
+        bparams = op;
+        instrs =
+          [ Abort_check;
+            Call
+              { dst = c2;
+                callee = guard;
+                args = [| Ovar op.(pos); nv_op |] } ];
+        term =
           Branch
-            { cond = Ovar c;
-              if_true;
-              if_false = { target = back_l; jargs = [||] } };
-        let rec insert = function
-          | [] -> [ outer; setup; dead ]
-          | b :: rest when b.label = l.lheader ->
-            outer :: setup :: dead :: b :: back :: rest
-          | b :: rest -> b :: insert rest
-        in
-        f.blocks <- insert f.blocks;
-        true
+            { cond = Ovar c2;
+              if_true = { target = setup_l; jargs = [||] };
+              if_false = { target = dead_l; jargs = [||] } } }
+    in
+    let setup =
+      { label = setup_l;
+        bparams = [||];
+        instrs =
+          [ Call
+              { dst = rem;
+                callee = resolved "checked_binary_subtract";
+                args = [| nv_op; Ovar op.(pos) |] };
+            Call
+              { dst = stp;
+                callee = resolved "binary_min";
+                args = [| Ovar rem; Oconst (Cint chunk) |] };
+            Call
+              { dst = lim1;
+                callee = resolved "checked_binary_plus";
+                args = [| Ovar op.(pos); Ovar stp |] } ];
+        term =
+          Jump
+            { target = l.lheader;
+              jargs = Array.append op_args [| Ovar lim1 |] } }
+    in
+    let dead =
+      (* a bound that fails the tightened guard immediately: i - 1 for
+         <= (i >= 0, so no trap), i itself for < *)
+      if not cl.strict then begin
+        let dl = fresh_var ~name:"lim" ?ty:iv.vty () in
+        { label = dead_l;
+          bparams = [||];
+          instrs =
+            [ Call
+                { dst = dl;
+                  callee = resolved "checked_binary_subtract";
+                  args = [| Ovar op.(pos); Oconst (Cint 1) |] } ];
+          term =
+            Jump
+              { target = l.lheader;
+                jargs = Array.append op_args [| Ovar dl |] } }
       end
-    | _ -> false)
+      else
+        { label = dead_l;
+          bparams = [||];
+          instrs = [];
+          term =
+            Jump
+              { target = l.lheader;
+                jargs = Array.append op_args [| Ovar op.(pos) |] } }
+    in
+    let back =
+      { label = back_l;
+        bparams = [||];
+        instrs =
+          [ Call
+              { dst = c3;
+                callee = guard;
+                args = [| Ovar iv; nv_op |] } ];
+        term =
+          Branch
+            { cond = Ovar c3;
+              if_true =
+                { target = outer_l;
+                  jargs = Array.map (fun v -> Ovar v) hdr.bparams };
+              if_false = cl.on_false } }
+    in
+    (* entry edges now feed the chunk loop *)
+    List.iter
+      (fun b ->
+         if not (List.mem b.label l.latches) then begin
+           let retarget (j : jump) =
+             if j.target = l.lheader then { j with target = outer_l } else j
+           in
+           b.term <-
+             (match b.term with
+              | Jump j -> Jump (retarget j)
+              | Branch { cond; if_true; if_false } ->
+                Branch
+                  { cond;
+                    if_true = retarget if_true;
+                    if_false = retarget if_false }
+              | (Return _ | Unreachable) as t -> t)
+         end)
+      f.blocks;
+    (* latches forward the chunk bound unchanged *)
+    List.iter
+      (fun latch ->
+         let b = find_block f latch in
+         let extend (j : jump) =
+           if j.target = l.lheader then
+             { j with jargs = Array.append j.jargs [| Ovar limp |] }
+           else j
+         in
+         b.term <-
+           (match b.term with
+            | Jump j -> Jump (extend j)
+            | Branch { cond; if_true; if_false } ->
+              Branch
+                { cond; if_true = extend if_true; if_false = extend if_false }
+            | (Return _ | Unreachable) as t -> t))
+      l.latches;
+    (* drop the header check, tighten the guard, reroute the exit *)
+    hdr.bparams <- Array.append hdr.bparams [| limp |];
+    hdr.instrs <-
+      List.filter_map
+        (fun i ->
+           match i with
+           | Abort_check -> None
+           | Call { dst; callee; args = [| a; _ |] } when dst.vid = c.vid ->
+             Some (Call { dst; callee; args = [| a; Ovar limp |] })
+           | i -> Some i)
+        hdr.instrs;
+    hdr.term <-
+      Branch
+        { cond = Ovar c;
+          if_true = cl.on_true;
+          if_false = { target = back_l; jargs = [||] } };
+    let rec insert = function
+      | [] -> [ outer; setup; dead ]
+      | b :: rest when b.label = l.lheader ->
+        outer :: setup :: dead :: b :: back :: rest
+      | b :: rest -> b :: insert rest
+    in
+    f.blocks <- insert f.blocks;
+    true
   | _ -> false
 
 let run ~stride (p : program) =

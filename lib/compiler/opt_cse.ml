@@ -24,8 +24,8 @@ let scalar_result v =
   | None -> false
 
 let pure_base base =
-  not (String.length base >= 6 && String.sub base 0 6 = "random")
-  && not (String.length base >= 8 && String.sub base 0 8 = "part_set")
+  not (String.starts_with ~prefix:"random" base)
+  && not (String.starts_with ~prefix:"part_set" base)
 
 let run (p : program) =
   let changed = ref false in

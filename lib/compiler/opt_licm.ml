@@ -9,16 +9,17 @@
    queries, ...).  Checked integer arithmetic (overflow/division traps) and
    element accesses (range traps) stay put.
 
-   BCE then looks for the canonical counting-loop shape
+   BCE then takes the counted loops of {!Analysis.counted_loop}
 
-     i = k (k >= 1); While[i <= n, ... t[[i]] ..., i = i + 1]
+     i = k (k >= 1); While[i <= n (or i < n), ... t[[i]] ..., i = i + 1]
 
-   where n = Length[t] (or StringLength[s]) is loop-invariant — after LICM
-   has hoisted it when needed — and rewrites the guarded accesses to their
-   _unchecked primitives.  Safety argument: i is an SSA header parameter, so
-   it is fixed within an iteration; the false arm of the guard leaves the
-   loop, so every body block executes only under i <= n; initial values on
-   all entry edges are integer constants >= 1 and every latch steps the
+   whose false arm leaves the loop and whose bound n = Length[t] (or
+   StringLength[s]) of a loop-invariant container — after LICM has hoisted
+   it when needed — and rewrites the guarded accesses to their _unchecked
+   primitives.  Safety argument: i is an SSA header parameter, so it is
+   fixed within an iteration; the false arm of the guard leaves the loop,
+   so every body block executes only under i <= n; initial values on all
+   entry edges are integer constants >= 1 and every latch steps the
    parameter by exactly +1, so 1 <= i <= Length holds at each rewritten
    access. *)
 
@@ -55,16 +56,7 @@ let scalar_result v =
 
 let licm_loop f (l : Analysis.loop) =
   let in_body label = Analysis.loop_contains l label in
-  let loop_defs = Hashtbl.create 32 in
-  List.iter
-    (fun b ->
-       if in_body b.label then begin
-         Array.iter (fun v -> Hashtbl.replace loop_defs v.vid ()) b.bparams;
-         List.iter
-           (fun i -> List.iter (fun v -> Hashtbl.replace loop_defs v.vid ()) (instr_defs i))
-           b.instrs
-       end)
-    f.blocks;
+  let loop_defs = Analysis.loop_defs f l in
   let hoisted_defs = Hashtbl.create 8 in
   let invariant_op = function
     | Oconst _ -> true
@@ -109,127 +101,51 @@ let licm_loop f (l : Analysis.loop) =
 (* ------------------------------------------------------------------ *)
 (* Bounds-check elimination. *)
 
-let chase def_of (v : var) _depth = Analysis.chase_copies def_of v
-let resolved_def def_of (v : var) = Analysis.resolved_def def_of v
-
 let bce_loop f (l : Analysis.loop) =
-  let in_body label = Analysis.loop_contains l label in
-  let def_of = Analysis.def_table f in
-  let loop_defs = Hashtbl.create 32 in
-  List.iter
-    (fun b ->
-       if in_body b.label then begin
-         Array.iter (fun v -> Hashtbl.replace loop_defs v.vid ()) b.bparams;
-         List.iter
-           (fun i -> List.iter (fun v -> Hashtbl.replace loop_defs v.vid ()) (instr_defs i))
-           b.instrs
-       end)
-    f.blocks;
-  let outside v = not (Hashtbl.mem loop_defs v.vid) in
-  let hdr = find_block f l.lheader in
-  match hdr.term with
-  | Branch { cond = Ovar c; if_true; if_false }
-    when in_body if_true.target && not (in_body if_false.target) ->
-    (match resolved_def def_of c with
-     | Some
-         (Call
-            { callee = Resolved { base = ("binary_less_equal" | "binary_less"); _ };
-              args = [| Ovar iv0; Ovar nv0 |];
-              _ }) ->
-       let iv = chase def_of iv0 0 in
-       let nv = chase def_of nv0 0 in
-       let pos = ref (-1) in
-       Array.iteri (fun q p -> if p.vid = iv.vid then pos := q) hdr.bparams;
-       if !pos < 0 || not (outside nv) then false
-       else begin
-         let container =
-           match resolved_def def_of nv with
-           | Some (Call { callee = Resolved { base = "array_length"; _ };
-                          args = [| Ovar tv |]; _ })
-             when outside (chase def_of tv 0) ->
-             Some (`Tensor (chase def_of tv 0))
-           | Some (Call { callee = Resolved { base = "string_length"; _ };
-                          args = [| Ovar sv |]; _ })
-             when outside (chase def_of sv 0) ->
-             Some (`Str (chase def_of sv 0))
-           | _ -> None
-         in
-         match container with
-         | None -> false
-         | Some container ->
-           let steps_by_one =
-             List.for_all
-               (fun latch ->
-                  List.for_all
-                    (fun (_, j) ->
-                       match j.jargs.(!pos) with
-                       | Ovar s ->
-                         (match resolved_def def_of s with
-                          | Some
-                              (Call
-                                 { callee = Resolved { base = "checked_binary_plus"; _ };
-                                   args = [| Ovar i'; Oconst (Cint 1) |];
-                                   _ }) ->
-                            (chase def_of i' 0).vid = iv.vid
-                          | _ -> false)
-                       | _ -> false)
-                    (List.filter (fun (src, _) -> src = latch)
-                       (Analysis.incoming_jumps f l.lheader)))
-               l.latches
-           in
-           if
-             (not steps_by_one)
-             || not
-                  (Analysis.entry_consts_ge f ~latches:l.latches ~label:l.lheader
-                     ~pos:!pos ~bound:1 ~depth:0)
-           then false
-           else begin
-             let changed = ref false in
-             let uncheck old_base old_mangled new_base =
-               let suffix =
-                 String.sub old_mangled (String.length old_base)
-                   (String.length old_mangled - String.length old_base)
-               in
-               Resolved { base = new_base; mangled = new_base ^ suffix }
-             in
-             List.iter
-               (fun b ->
-                  if in_body b.label && b.label <> l.lheader then
-                    b.instrs <-
-                      List.map
-                        (fun i ->
-                           match (i, container) with
-                           | ( Call
-                                 { dst;
-                                   callee = Resolved { base = "part_get_1"; mangled };
-                                   args = [| Ovar t'; Ovar i' |] },
-                               `Tensor tv )
-                             when (chase def_of t' 0).vid = tv.vid
-                               && (chase def_of i' 0).vid = iv.vid ->
-                             changed := true;
-                             Call
-                               { dst;
-                                 callee = uncheck "part_get_1" mangled "part_get_1_unchecked";
-                                 args = [| Ovar t'; Ovar i' |] }
-                           | ( Call
-                                 { dst;
-                                   callee = Resolved { base = "string_byte"; mangled };
-                                   args = [| Ovar s'; Ovar i' |] },
-                               `Str sv )
-                             when (chase def_of s' 0).vid = sv.vid
-                               && (chase def_of i' 0).vid = iv.vid ->
-                             changed := true;
-                             Call
-                               { dst;
-                                 callee = uncheck "string_byte" mangled "string_byte_unchecked";
-                                 args = [| Ovar s'; Ovar i' |] }
-                           | _ -> i)
-                        b.instrs)
-               f.blocks;
-             !changed
-           end
-       end
-     | _ -> false)
+  match Analysis.counted_loop f l with
+  | Ok v when v.exits && v.steps_by_one && v.starts_at_least 1 -> (
+    let chase = Analysis.chase_copies v.def_of in
+    (* the access primitive the bound covers, and its container *)
+    let covered =
+      match v.bound with
+      | Ovar n -> (
+        match Analysis.resolved_def v.def_of n with
+        | Some
+            (Call
+               { callee =
+                   Resolved { base = ("array_length" | "string_length") as len; _ };
+                 args = [| Ovar t |];
+                 _ })
+          when v.invariant (Ovar (chase t)) ->
+          Some ((if len = "array_length" then "part_get_1" else "string_byte"), chase t)
+        | _ -> None)
+      | Oconst _ -> None
+    in
+    match covered with
+    | None -> false
+    | Some (access, t) ->
+      let changed = ref false in
+      List.iter
+        (fun b ->
+           if Analysis.loop_contains l b.label && b.label <> l.lheader then
+             b.instrs <-
+               List.map
+                 (function
+                   | Call
+                       { dst;
+                         callee = Resolved { base; _ } as callee;
+                         args = [| Ovar t'; Ovar i' |] }
+                     when base = access && (chase t').vid = t.vid
+                          && (chase i').vid = v.iv.vid ->
+                     changed := true;
+                     Call
+                       { dst;
+                         callee = Analysis.sibling callee (access ^ "_unchecked");
+                         args = [| Ovar t'; Ovar i' |] }
+                   | i -> i)
+                 b.instrs)
+        f.blocks;
+      !changed)
   | _ -> false
 
 let run (p : program) =

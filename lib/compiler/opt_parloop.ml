@@ -3,10 +3,10 @@
 
    The pass runs once, after the scalar optimisation fixpoint and before the
    mutability/abort/memory obligation passes.  It looks for innermost
-   counted loops of the shape the macro expansions of [Table], [Map],
-   [Fold] and [Total] produce after inlining —
+   counted loops ({!Analysis.counted_loop}) of the shape the macro
+   expansions of [Table], [Map], [Fold] and [Total] produce after inlining —
 
-     header:  c = binary_less{,_equal}(iv, n)     (n loop-invariant)
+     header:  c = binary_less{,_equal}(iv, n)     (n an invariant integer)
               Branch c ? body : exit
      ...      one carried accumulator, stepped bodies, single latch
      latch:   iv' = checked_binary_plus(iv, 1); Jump header(iv', acc', ...)
@@ -65,7 +65,7 @@ let fingerprint (fn : func) =
   let s = Wir_print.func_to_string fn in
   let s =
     let ln = String.length fn.fname in
-    if String.length s >= ln && String.sub s 0 ln = fn.fname then
+    if String.starts_with ~prefix:fn.fname s then
       String.sub s ln (String.length s - ln)
     else s
   in
@@ -136,20 +136,14 @@ let kind_name = function Kmap -> "map" | Kreduce _ -> "reduce"
 
 type reco = {
   r_loop : Analysis.loop;
-  r_latch : int;
-  r_iv_pos : int;
+  r_view : Analysis.counted_loop;
   r_carry_pos : int;
-  r_guard_base : string;   (* binary_less | binary_less_equal *)
-  r_guard_mangled : string;
-  r_bound : operand;
   r_kind : kind;
   r_tainted : (int, unit) Hashtbl.t;
 }
 
 let recognize (f : func) (l : Analysis.loop) : (reco, string) result =
   try
-    let def_of = Analysis.def_table f in
-    let counts = Analysis.use_counts f in
     let hdr = find_block f l.lheader in
     let latch_label =
       match l.latches with [ x ] -> x | _ -> reject "multiple latches"
@@ -157,57 +151,19 @@ let recognize (f : func) (l : Analysis.loop) : (reco, string) result =
     if latch_label = l.lheader then reject "bottom-tested loop";
     let in_body lbl = Analysis.loop_contains l lbl in
     let body_blocks = List.filter (fun b -> in_body b.label) f.blocks in
-    (* loop-defined variable ids *)
-    let loop_defs = Hashtbl.create 32 in
-    List.iter
-      (fun b ->
-         Array.iter (fun v -> Hashtbl.replace loop_defs v.vid ()) b.bparams;
-         List.iter
-           (fun i ->
-              List.iter (fun v -> Hashtbl.replace loop_defs v.vid ()) (instr_defs i))
-           b.instrs)
-      body_blocks;
-    let invariant_op = function
-      | Oconst _ -> true
-      | Ovar v -> not (Hashtbl.mem loop_defs v.vid)
-    in
-    let is_hdr_param v = Array.exists (fun p -> p.vid = v.vid) hdr.bparams in
     (* guard: header exits the loop on a <=|< comparison of a header
-       parameter against an invariant bound *)
-    let guard_base, guard_mangled, iv, bound, exit_jump =
-      match hdr.term with
-      | Branch { cond = Ovar c; if_true; if_false }
-        when in_body if_true.target && not (in_body if_false.target) -> (
-        if Hashtbl.find_opt counts c.vid <> Some 1 then
-          reject "loop condition escapes";
-        match Hashtbl.find_opt def_of c.vid with
-        | Some
-            (Call
-               { callee =
-                   Resolved
-                     { base = ("binary_less" | "binary_less_equal") as base;
-                       mangled };
-                 args = [| Ovar iv0; bound |];
-                 _ })
-          when invariant_op bound ->
-          if
-            not
-              (List.exists
-                 (fun i -> List.exists (fun v -> v.vid = c.vid) (instr_defs i))
-                 hdr.instrs)
-          then reject "guard not computed in the header";
-          let iv = Analysis.chase_copies def_of iv0 in
-          if not (is_hdr_param iv) then
-            reject "guard does not test a loop carry";
-          (base, mangled, iv, bound, if_false)
-        | _ -> reject "not a counted loop")
-      | _ -> reject "no counted exit test"
+       parameter against an invariant integer bound *)
+    let cl =
+      match Analysis.counted_loop f l with
+      | Ok cl -> cl
+      | Error msg -> reject msg
     in
-    let iv_pos =
-      let p = ref (-1) in
-      Array.iteri (fun q v -> if v.vid = iv.vid then p := q) hdr.bparams;
-      !p
-    in
+    if not cl.exits then reject "no counted exit test";
+    if not cl.guard_single_use then reject "loop condition escapes";
+    if not cl.guard_in_header then reject "guard not computed in the header";
+    let def_of = cl.def_of and loop_defs = cl.defs and iv = cl.iv in
+    let iv_pos = cl.iv_pos and exit_jump = cl.on_false in
+    let is_hdr_param v = Array.exists (fun p -> p.vid = v.vid) hdr.bparams in
     (* all other body blocks stay inside the loop *)
     List.iter
       (fun b ->
@@ -228,18 +184,7 @@ let recognize (f : func) (l : Analysis.loop) : (reco, string) result =
       | Branch { if_false; _ } when if_false.target = l.lheader -> if_false
       | _ -> reject "irregular latch"
     in
-    (match latch_jump.jargs.(iv_pos) with
-     | Ovar s -> (
-       match Analysis.resolved_def def_of s with
-       | Some
-           (Call
-              { callee = Resolved { base = "checked_binary_plus"; _ };
-                args = [| Ovar iv'; Oconst (Cint 1) |];
-                _ })
-         when (Analysis.chase_copies def_of iv').vid = iv.vid ->
-         ()
-       | _ -> reject "induction step is not +1")
-     | _ -> reject "induction step is not +1");
+    if not cl.steps_by_one then reject "induction step is not +1";
     (* exactly one carried accumulator besides the induction variable *)
     let carried = ref [] in
     Array.iteri
@@ -306,8 +251,7 @@ let recognize (f : func) (l : Analysis.loop) : (reco, string) result =
                   | None -> false
                 then reject "aliases a managed value"
               | Call { callee = Resolved { base; _ }; _ } ->
-                if String.length base >= 8 && String.sub base 0 8 = "part_set"
-                then begin
+                if String.starts_with ~prefix:"part_set" base then begin
                   if base <> "part_set_1" then
                     reject ("unsupported write primitive " ^ base)
                 end
@@ -483,19 +427,10 @@ let recognize (f : func) (l : Analysis.loop) : (reco, string) result =
         | [] -> reject "accumulator is only copied"
         | _ -> reject "mixed reduction operators")
     in
-    let suffix_ok =
-      String.length guard_mangled >= String.length guard_base
-      && String.sub guard_mangled 0 (String.length guard_base) = guard_base
-    in
-    if not suffix_ok then reject "unexpected guard mangling";
     Ok
       { r_loop = l;
-        r_latch = latch_label;
-        r_iv_pos = iv_pos;
+        r_view = cl;
         r_carry_pos = carry_pos;
-        r_guard_base = guard_base;
-        r_guard_mangled = guard_mangled;
-        r_bound = bound;
         r_kind = kind;
         r_tainted = tainted }
   with Reject msg -> Error msg
@@ -513,19 +448,10 @@ let unique_fname p base counter =
 let transform (p : program) (f : func) (r : reco) counter =
   let l = r.r_loop in
   let hdr = find_block f l.lheader in
-  let iv = hdr.bparams.(r.r_iv_pos) in
+  let cl = r.r_view in
+  let iv = cl.iv in
   let carry = hdr.bparams.(r.r_carry_pos) in
-  let exit_jump =
-    match hdr.term with
-    | Branch { if_false; _ } -> if_false
-    | _ -> assert false
-  in
-  let suffix =
-    String.sub r.r_guard_mangled
-      (String.length r.r_guard_base)
-      (String.length r.r_guard_mangled - String.length r.r_guard_base)
-  in
-  let resolved b = Resolved { base = b; mangled = b ^ suffix } in
+  let resolved = Analysis.sibling cl.guard_prim in
   let pre_label =
     Analysis.ensure_preheader f ~header:l.lheader ~latches:l.latches
   in
@@ -537,15 +463,7 @@ let transform (p : program) (f : func) (r : reco) counter =
   in
   let in_body lbl = Analysis.loop_contains l lbl in
   let body_blocks = List.filter (fun b -> in_body b.label) f.blocks in
-  let loop_defs = Hashtbl.create 32 in
-  List.iter
-    (fun b ->
-       Array.iter (fun v -> Hashtbl.replace loop_defs v.vid ()) b.bparams;
-       List.iter
-         (fun i ->
-            List.iter (fun v -> Hashtbl.replace loop_defs v.vid ()) (instr_defs i))
-         b.instrs)
-    body_blocks;
+  let loop_defs = cl.defs in
   (* invariant variables used by the body (except through the exit edge)
      become closure captures, in deterministic first-use order *)
   let cap_order = ref [] in
@@ -574,7 +492,7 @@ let transform (p : program) (f : func) (r : reco) counter =
   (* entry values of passthrough parameters are also needed inside *)
   Array.iteri
     (fun q op ->
-       if q <> r.r_iv_pos && q <> r.r_carry_pos then note_use op)
+       if q <> cl.iv_pos && q <> r.r_carry_pos then note_use op)
     entry_jargs;
   let cap_vars = List.rev !cap_order in
   let carry_p = fresh_var ~name:"carry" ?ty:carry.vty () in
@@ -612,29 +530,15 @@ let transform (p : program) (f : func) (r : reco) counter =
     { target = Hashtbl.find label_map j.target;
       jargs = Array.map map_op j.jargs }
   in
-  let guard_vid =
-    match hdr.term with
-    | Branch { cond = Ovar c; _ } -> c.vid
-    | _ -> assert false
-  in
   let clone_instr i =
     match i with
-    | Call { dst; callee = Resolved { base = "part_set_1"; mangled }; args }
+    | Call { dst; callee = Resolved { base = "part_set_1"; _ } as callee; args }
       when Hashtbl.mem r.r_tainted dst.vid ->
-      let msuffix =
-        String.sub mangled (String.length "part_set_1")
-          (String.length mangled - String.length "part_set_1")
-      in
       Call
         { dst = clone_var dst;
-          callee =
-            Resolved
-              { base = "part_set_1_inplace";
-                mangled = "part_set_1_inplace" ^ msuffix };
+          callee = Analysis.sibling callee "part_set_1_inplace";
           args = Array.map map_op args }
-    | Call { dst; callee; args } when dst.vid = guard_vid ->
-      ignore callee;
-      ignore args;
+    | Call { dst; _ } when dst.vid = cl.guard.vid ->
       Call
         { dst = clone_var dst;
           callee = resolved "binary_less_equal";
@@ -694,7 +598,7 @@ let transform (p : program) (f : func) (r : reco) counter =
             jargs =
               Array.mapi
                 (fun q _ ->
-                   if q = r.r_iv_pos then Ovar lo_p
+                   if q = cl.iv_pos then Ovar lo_p
                    else if q = r.r_carry_pos then Ovar carry_p
                    else
                      match entry_jargs.(q) with
@@ -717,7 +621,7 @@ let transform (p : program) (f : func) (r : reco) counter =
   and run_l = max_label + 2
   and skip_l = max_label + 3
   and join_l = max_label + 4 in
-  let lo_op = entry_jargs.(r.r_iv_pos) in
+  let lo_op = entry_jargs.(cl.iv_pos) in
   let carry_op = entry_jargs.(r.r_carry_pos) in
   let c0 = fresh_var ~name:"c0" ~ty:Types.boolean () in
   let check_block =
@@ -726,10 +630,8 @@ let transform (p : program) (f : func) (r : reco) counter =
       instrs =
         [ Call
             { dst = c0;
-              callee =
-                Resolved
-                  { base = r.r_guard_base; mangled = r.r_guard_mangled };
-              args = [| lo_op; r.r_bound |] } ];
+              callee = cl.guard_prim;
+              args = [| lo_op; cl.bound |] } ];
       term =
         Branch
           { cond = Ovar c0;
@@ -743,13 +645,13 @@ let transform (p : program) (f : func) (r : reco) counter =
   in
   let opcode = match r.r_kind with Kmap -> 0 | Kreduce k -> k in
   let hi_instrs, hi_op =
-    if r.r_guard_base = "binary_less_equal" then ([], r.r_bound)
+    if not cl.strict then ([], cl.bound)
     else
       let last = fresh_var ~name:"last" ?ty:iv.vty () in
       ( [ Call
             { dst = last;
               callee = resolved "checked_binary_subtract";
-              args = [| r.r_bound; Oconst (Cint 1) |] } ],
+              args = [| cl.bound; Oconst (Cint 1) |] } ],
         Ovar last )
   in
   let clo_ty =
@@ -760,19 +662,19 @@ let transform (p : program) (f : func) (r : reco) counter =
   let clo = fresh_var ~name:"parfn" ?ty:clo_ty () in
   let res = fresh_var ~name:"parres" ?ty:carry.vty () in
   let post_instrs, iv_final =
-    if r.r_guard_base = "binary_less_equal" then
+    if not cl.strict then
       let ivf = fresh_var ~name:"ivf" ?ty:iv.vty () in
       ( [ Call
             { dst = ivf;
               callee = resolved "checked_binary_plus";
-              args = [| r.r_bound; Oconst (Cint 1) |] } ],
+              args = [| cl.bound; Oconst (Cint 1) |] } ],
         Ovar ivf )
-    else ([], r.r_bound)
+    else ([], cl.bound)
   in
   let join_args_of ~ivv ~carryv =
     Array.mapi
       (fun q _ ->
-         if q = r.r_iv_pos then ivv
+         if q = cl.iv_pos then ivv
          else if q = r.r_carry_pos then carryv
          else entry_jargs.(q))
       hdr.bparams
@@ -810,7 +712,7 @@ let transform (p : program) (f : func) (r : reco) counter =
     { label = join_l;
       bparams = Array.copy hdr.bparams;
       instrs = [];
-      term = Jump exit_jump }
+      term = Jump cl.on_false }
   in
   pre.term <- Jump { target = check_l; jargs = [||] };
   f.blocks <-

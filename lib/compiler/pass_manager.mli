@@ -7,7 +7,7 @@
 
     - wall-clock time (cumulative over repeated runs in a fixpoint),
     - before/after instruction- and basic-block-count deltas,
-    - post-pass {!Wir_lint} verification when linting is enabled,
+    - post-pass {!Wir_verify} verification when linting is enabled,
     - dump-IR-after-pass hooks ([--dump-after] in wolfc).
 
     Front-end stages that do not yet have a program (macro expansion,

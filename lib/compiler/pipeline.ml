@@ -154,8 +154,7 @@ let compile ?(options = Options.default) ?type_env ?macro_env ?(user_passes = []
       ("InlineLevel", string_of_int options.Options.inline_level);
       ("OptimizationLevel", string_of_int options.Options.opt_level) ]
     @ List.filter
-        (fun (k, _) ->
-           String.length k >= 8 && String.sub k 0 8 = "parloop.")
+        (fun (k, _) -> String.starts_with ~prefix:"parloop." k)
         prog.Wir.pmeta;
   {
     program = prog;

@@ -553,10 +553,8 @@ let count_parallelized cf =
       List.length
         (List.filter
            (fun (k, v) ->
-              String.length k >= 8
-              && String.sub k 0 8 = "parloop."
-              && String.length v >= 12
-              && String.sub v 0 12 = "parallelized")
+              String.starts_with ~prefix:"parloop." k
+              && String.starts_with ~prefix:"parallelized" v)
            p.Wolf_compiler.Pipeline.program.Wolf_compiler.Wir.pmeta)
     in
     if n > 0 then begin

@@ -31,13 +31,8 @@ let pmeta cf =
 let decisions cf =
   List.filter_map
     (fun (k, v) ->
-       if String.length k >= 8 && String.sub k 0 8 = "parloop." then Some v
-       else None)
+       if String.starts_with ~prefix:"parloop." k then Some v else None)
     (pmeta cf)
-
-let has_prefix ~prefix s =
-  String.length s >= String.length prefix
-  && String.sub s 0 (String.length prefix) = prefix
 
 let expect_real what e =
   match e with
@@ -76,7 +71,7 @@ let test_decisions () =
   in
   let check what src prefix =
     let d = one_decision what src in
-    if not (has_prefix ~prefix d) then
+    if not (String.starts_with ~prefix d) then
       Alcotest.failf "%s: expected %S…, got %S" what prefix d
   in
   check "plus-real reduce" sum_src "parallelized reduce";
@@ -109,9 +104,9 @@ let test_nested_decision () =
   let ds = decisions cf in
   Alcotest.(check int) "two decisions" 2 (List.length ds);
   Alcotest.(check bool) "inner parallelised" true
-    (List.exists (has_prefix ~prefix:"parallelized reduce") ds);
+    (List.exists (String.starts_with ~prefix:"parallelized reduce") ds);
   Alcotest.(check bool) "outer rejected" true
-    (List.exists (has_prefix ~prefix:"rejected:") ds)
+    (List.exists (String.starts_with ~prefix:"rejected:") ds)
 
 (* ------------------------------------------------------------------ *)
 (* Parallel == serial under every chunking                             *)

@@ -30,7 +30,7 @@ let fn_src =
 
 let test_lint_accepts_pipeline_output () =
   let c = compile fn_src in
-  match Wir_lint.check_program c.Pipeline.program with
+  match Wir_verify.check_program c.Pipeline.program with
   | Ok () -> ()
   | Error es -> Alcotest.failf "lint: %s" (String.concat "; " es)
 
@@ -45,7 +45,7 @@ let test_lint_catches_double_def () =
   in
   let f = { Wir.fname = "bad"; fparams = [||]; ret_ty = Some Types.int64;
             blocks = [ blk ]; finline = false; fsource = None } in
-  match Wir_lint.check_func f with
+  match Wir_verify.check_func f with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "double definition accepted"
 
@@ -59,7 +59,7 @@ let test_lint_catches_use_before_def () =
   in
   let f = { Wir.fname = "bad"; fparams = [||]; ret_ty = Some Types.int64;
             blocks = [ blk ]; finline = false; fsource = None } in
-  match Wir_lint.check_func f with
+  match Wir_verify.check_func f with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "use before definition accepted"
 
@@ -440,19 +440,6 @@ let test_licm_disabled () =
   Alcotest.(check bool) "multiply stays in the loop" true
     (count_in_labels (is_call "binary_times") main body >= 1)
 
-let test_bounds_check_elimination () =
-  (* i walks 1..Length[v]: the Part access needs no range check *)
-  let c =
-    compile
-      {|Function[{Typed[v, "PackedArray"["Integer64", 1]]},
-         Module[{s = 0, i = 1},
-          While[i <= Length[v], s = s + v[[i]]; i = i + 1]; s]]|}
-  in
-  Alcotest.(check bool) "unchecked access emitted" true
-    (count_instrs (is_call "part_get_1_unchecked") c.Pipeline.program >= 1);
-  Alcotest.(check int) "no checked access left" 0
-    (count_instrs (is_call "part_get_1") c.Pipeline.program)
-
 let test_optimization_off () =
   let options = { Options.default with Options.opt_level = 0 } in
   let c = compile ~options {|Function[{Typed[n, "MachineInteger"]}, n + (2 + 3*4)]|} in
@@ -512,23 +499,6 @@ let test_abort_placement () =
   Alcotest.(check int) "no polls on a counted loop" 0
     (count_instrs (function Wir.Abort_poll _ -> true | _ -> false) c.Pipeline.program)
 
-let test_abort_poll_fallback () =
-  (* a step-2 loop is not counted (strip-mining requires +1 steps), so its
-     header falls back to the strided countdown poll *)
-  let c =
-    compile
-      {|Function[{Typed[n, "MachineInteger"]},
-         Module[{s = 0, i = 1}, While[i <= n, s = s + i; i = i + 2]; s]]|}
-  in
-  let main = Wir.main c.Pipeline.program in
-  let cfg = Analysis.build_cfg main in
-  let loops = Analysis.natural_loops main cfg in
-  Alcotest.(check int) "one loop" 1 (List.length loops);
-  let hdr = Wir.find_block main (List.hd loops).Analysis.lheader in
-  Alcotest.(check bool) "header polls" true (has_poll hdr);
-  Alcotest.(check int) "one immediate check (prologue)" 1
-    (count_instrs (function Wir.Abort_check -> true | _ -> false) c.Pipeline.program)
-
 let test_abort_stride_disabled () =
   (* stride 1 disables coalescing: every header keeps the immediate check *)
   let options = { Options.default with Options.abort_stride = 1 } in
@@ -577,6 +547,193 @@ let test_abort_disabled () =
   let c = compile ~options fn_src in
   Alcotest.(check int) "no checks" 0
     (count_instrs (function Wir.Abort_check -> true | _ -> false) c.Pipeline.program)
+
+(* ---------------- counted loops ---------------- *)
+
+(* One table over the loop shapes {!Analysis.counted_loop} decides, checked
+   through its three clients: abort-stride (strip-mined, or a fallback
+   poll), bounds-check elimination, and the parloop decision at -O2 with
+   parallel loops on.  Every row also runs on Threaded and Jit at default
+   options and on Threaded with parallel loops, with no interpreter
+   fallback and the result of the -O0 compile. *)
+
+type counted_row = {
+  shape : string;
+  src : string;
+  args : string list;
+  strip_mined : bool;  (* false: the header falls back to an Abort_poll *)
+  bce : bool;
+  parloop : string;    (* prefix of the parloop decision *)
+  thread_joins : bool; (* reshape the CFG first (see [thread_joins]) *)
+}
+
+(* a Real64 sum of 0.5*i over a loop with the given start and guard *)
+let real_sum ~init ~guard =
+  Printf.sprintf
+    {|Function[{Typed[n, "MachineInteger"]},
+       Module[{s = 0.0, i = %d}, While[%s, s = s + 0.5*i; i = i + 1]; s]]|}
+    init guard
+
+(* Source has no way to spell a loop with two back edges: lowering always
+   joins the arms of an If before the latch.  This pass forwards every
+   empty join block to its successor, so each arm becomes a latch. *)
+let thread_joins (p : Wir.program) =
+  let open Wir in
+  List.iter
+    (fun f ->
+       List.iter
+         (fun b ->
+            match b.instrs, b.term with
+            | [], Jump fwd when Array.length b.bparams > 0 && fwd.target <> b.label ->
+              let subst args = function
+                | Ovar v as op ->
+                  (match Array.find_index (fun p -> p.vid = v.vid) b.bparams with
+                   | Some q -> args.(q)
+                   | None -> op)
+                | op -> op
+              in
+              List.iter
+                (fun p ->
+                   match p.term with
+                   | Jump j when j.target = b.label ->
+                     p.term <-
+                       Jump { target = fwd.target;
+                              jargs = Array.map (subst j.jargs) fwd.jargs }
+                   | _ -> ())
+                f.blocks
+            | _ -> ())
+         f.blocks;
+       (* drop the forwarders, now unreachable *)
+       let cfg = Analysis.build_cfg f in
+       f.blocks <- List.filter (fun b -> Hashtbl.mem cfg.Analysis.idom b.label) f.blocks)
+    p.funcs
+
+let counted_rows =
+  let row ?(bce = false) ?(thread_joins = false) ?(args = [ "10" ]) shape src
+      ~strip_mined ~parloop =
+    { shape; src; args; strip_mined; bce; parloop; thread_joins }
+  in
+  [ row "i <= n from 1" ~bce:true ~args:[ "{3, 1, 4, 1, 5}" ]
+      {|Function[{Typed[v, "PackedArray"["Integer64", 1]]},
+         Module[{s = 0, i = 1},
+          While[i <= Length[v], s = s + v[[i]]; i = i + 1]; s]]|}
+      ~strip_mined:true ~parloop:"rejected: integer overflow order is observable";
+    row "i < n from 0" (real_sum ~init:0 ~guard:"i < n")
+      ~strip_mined:true ~parloop:"parallelized reduce";
+    row "short-circuit && guard"
+      (real_sum ~init:0 ~guard:"i < n && s < 10.0")
+      ~strip_mined:true ~parloop:"rejected: no counted exit test";
+    row "step 2"
+      {|Function[{Typed[n, "MachineInteger"]},
+         Module[{s = 0, i = 1}, While[i <= n, s = s + i; i = i + 2]; s]]|}
+      ~strip_mined:false ~parloop:"rejected: induction step is not +1";
+    row "start -1" (real_sum ~init:(-1) ~guard:"i <= n")
+      ~strip_mined:false ~parloop:"parallelized reduce";
+    row "bound redefined in the body" ~args:[ "{3, 1, 4, 1, 5}" ]
+      {|Function[{Typed[v, "PackedArray"["Integer64", 1]]},
+         Module[{s = 0, i = 1, m = Length[v]},
+          While[i <= m, s = s + v[[i]]; m = m - 1; i = i + 1]; s]]|}
+      ~strip_mined:false ~parloop:"rejected: not a counted loop";
+    row "two latches" ~thread_joins:true
+      {|Function[{Typed[n, "MachineInteger"]},
+         Module[{s = 0.0, i = 1},
+          While[i <= n, If[EvenQ[i], s = s + 1.0; i = i + 1, s = s + 2.0; i = i + 1]];
+          s]]|}
+      ~strip_mined:true ~parloop:"rejected: multiple latches";
+    row "induction variable through a Copy"
+      {|Function[{Typed[n, "MachineInteger"]},
+         Module[{s = 0.0, i = 1, j = 1},
+          While[(j = i; j <= n), s = s + 0.5*j; i = i + 1]; s]]|}
+      ~strip_mined:true ~parloop:"parallelized reduce";
+    row "Real64 bound (Do)" ~args:[ "10.5" ]
+      {|Function[{Typed[x, "Real64"]}, Module[{s = 0}, Do[s = s + i, {i, x}]; s]]|}
+      ~strip_mined:false ~parloop:"rejected: not a counted loop";
+    row "Real64 bound (While)" ~args:[ "10.5" ]
+      {|Function[{Typed[x, "Real64"]},
+         Module[{s = 0.0, i = 1}, While[i <= x, s = s + 0.5*i; i = i + 1]; s]]|}
+      ~strip_mined:false ~parloop:"rejected: not a counted loop" ]
+
+let check_counted_row r () =
+  let fexpr = parse r.src and args = List.map parse r.args in
+  let reshape =
+    if r.thread_joins then [ { Pipeline.pass_name = "thread-joins"; pass_run = thread_joins } ]
+    else []
+  in
+  let run ~what ~options ?(user_passes = reshape) target =
+    let cf =
+      Wolfram.function_compile ~options:{ options with Options.use_cache = false }
+        ~user_passes ~target fexpr
+    in
+    let v = Wolfram.call cf args in
+    Alcotest.(check int) (what ^ ": no interpreter fallback") 0 (Wolfram.fallback_count cf);
+    (cf, v)
+  in
+  let _, reference =
+    run ~what:"-O0" ~options:{ Options.default with Options.opt_level = 0 } ~user_passes:[]
+      Wolfram.Threaded
+  in
+  let check_value what v =
+    let close =
+      match reference, v with
+      | Expr.Real a, Expr.Real b ->
+        Float.abs (a -. b) <= 1e-9 *. Float.max 1.0 (Float.abs a)
+      | a, b -> Expr.equal a b
+    in
+    if not close then
+      Alcotest.failf "%s: got %s, -O0 gives %s" what (Expr.to_string v)
+        (Expr.to_string reference)
+  in
+  let cf, v = run ~what:"threaded" ~options:Options.default Wolfram.Threaded in
+  check_value "threaded" v;
+  let _, v = run ~what:"jit" ~options:Options.default Wolfram.Jit in
+  check_value "jit" v;
+  let prog = (Option.get (Wolfram.pipeline_of cf)).Pipeline.program in
+  let main = Wir.main prog in
+  let loops = Analysis.natural_loops main (Analysis.build_cfg main) in
+  let hot_check_free =
+    List.exists
+      (fun (l : Analysis.loop) ->
+         let hdr = Wir.find_block main l.Analysis.lheader in
+         Analysis.innermost loops l && not (has_abort hdr || has_poll hdr))
+      loops
+  in
+  let polls = count_instrs (function Wir.Abort_poll _ -> true | _ -> false) prog in
+  Alcotest.(check bool) "strip-mined" r.strip_mined hot_check_free;
+  Alcotest.(check int) "fallback polls" (if r.strip_mined then 0 else 1) polls;
+  (* the prologue, plus the chunk header of a strip-mined loop *)
+  Alcotest.(check int) "immediate checks" (if r.strip_mined then 2 else 1)
+    (count_instrs (function Wir.Abort_check -> true | _ -> false) prog);
+  let accesses suffix =
+    count_instrs
+      (fun i -> is_call ("part_get_1" ^ suffix) i || is_call ("string_byte" ^ suffix) i)
+      prog
+  in
+  let unchecked = accesses "_unchecked" and checked = accesses "" in
+  Alcotest.(check bool) "bounds checks removed" r.bce (unchecked > 0);
+  if r.bce then Alcotest.(check int) "no checked access left" 0 checked;
+  (* parloop runs before user passes, so a reshaped row runs it as the user
+     pass after the reshape *)
+  let par = { Options.default with Options.opt_level = 2; parallel_loops = true } in
+  let cf, v =
+    if r.thread_joins then
+      let parloop =
+        { Pipeline.pass_name = "parloop"; pass_run = (fun p -> ignore (Opt_parloop.run p)) }
+      in
+      run ~what:"parallel loops" ~options:{ par with Options.parallel_loops = false }
+        ~user_passes:(reshape @ [ parloop ]) Wolfram.Threaded
+    else run ~what:"parallel loops" ~options:par Wolfram.Threaded
+  in
+  check_value "parallel loops" v;
+  let decisions =
+    List.filter_map
+      (fun (k, d) -> if String.starts_with ~prefix:"parloop." k then Some d else None)
+      (Option.get (Wolfram.pipeline_of cf)).Pipeline.program.Wir.pmeta
+  in
+  match decisions with
+  | [ d ] when String.starts_with ~prefix:r.parloop d -> ()
+  | ds ->
+    Alcotest.failf "parloop decisions [%s], want one starting %S"
+      (String.concat "; " ds) r.parloop
 
 let test_memory_pass_balance () =
   let c =
@@ -684,9 +841,7 @@ let tests =
     Alcotest.test_case "declared functions inline" `Quick test_inlining_of_declared_function;
     Alcotest.test_case "loop-invariant code motion" `Quick test_licm_hoists_invariant;
     Alcotest.test_case "licm can be disabled" `Quick test_licm_disabled;
-    Alcotest.test_case "bounds-check elimination" `Quick test_bounds_check_elimination;
     Alcotest.test_case "abort checks at loop heads + prologue" `Quick test_abort_placement;
-    Alcotest.test_case "non-counted loops fall back to polls" `Quick test_abort_poll_fallback;
     Alcotest.test_case "abort stride 1 keeps immediate checks" `Quick test_abort_stride_disabled;
     Alcotest.test_case "abort stride spares outer headers" `Quick test_abort_stride_outer_keeps_check;
     Alcotest.test_case "abort handling off" `Quick test_abort_disabled;
@@ -696,3 +851,6 @@ let tests =
     Alcotest.test_case "aliased update stays checked" `Quick test_mutability_blocked_by_alias;
     Alcotest.test_case "user pass injection (§4.7)" `Quick test_user_pass_injection;
     Alcotest.test_case "per-pass timings (E8)" `Quick test_pass_timings_recorded ]
+  @ List.map
+      (fun r -> Alcotest.test_case ("counted loop: " ^ r.shape) `Quick (check_counted_row r))
+      counted_rows

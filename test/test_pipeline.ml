@@ -127,7 +127,7 @@ let check_case { cname; program; args; wvm } =
   let vals = Array.map Rtval.of_expr args_a in
   List.iter
     (fun lvl ->
-       (* lint forced on: every pass run is verified by Wir_lint *)
+       (* lint forced on: every pass run is verified by Wir_verify *)
        let options = { Options.default with Options.opt_level = lvl; lint = true } in
        let c = Pipeline.compile ~options ~name:cname fexpr in
        let native = B.Native.compile c in
