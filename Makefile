@@ -165,9 +165,10 @@ bench-tier-json: build
 # executables and require stdout byte-identical to the interpreter, check
 # the argv-usage exit code (2), then replay a fixed-seed differential
 # campaign through the binary oracle arm (300 generated programs built with
-# cc, run out-of-process, compared to the interpreter) and a quick E16
+# cc, run out-of-process, compared to the interpreter), the same through the
+# c arm (150 programs, arguments baked into the emitted main) and a quick E16
 # bench pass.  Degrades to a skip message when no C compiler is on PATH
-# (the fuzz arm and the bench self-skip on their own).
+# (the fuzz arms and the bench self-skip on their own).
 build-smoke: build
 	@if dune exec bin/wolfc.exe -- build \
 	    -e 'Function[{Typed[n, "Integer64"]}, Module[{s = 0}, Do[s = s + i*i, {i, n}]; s]]' \
@@ -195,6 +196,7 @@ build-smoke: build
 	    || { cat /tmp/wolf_build_smoke.err; exit 1; }; \
 	fi
 	dune exec bin/wolfc.exe -- fuzz --seed 7 --count 300 --quiet --backends binary
+	dune exec bin/wolfc.exe -- fuzz --seed 7 --count 150 --quiet --backends c
 	dune exec bench/main.exe -- build --quick
 
 # full-size E16 run refreshing the machine-readable record

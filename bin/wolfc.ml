@@ -21,14 +21,13 @@ let read_program expr_opt file_opt =
     s
   | None, None -> failwith "provide a program with -e or a FILE argument"
 
-let options_of ~no_abort ~no_inline ~opt_level ~self ~dump_after ~verify_each =
+let options_of ~no_abort ~no_inline ~opt_level ~self ~dump_after =
   { Wolf_compiler.Options.default with
     abort_handling = not no_abort;
     inline_level = (if no_inline then 0 else 1);
     opt_level;
     self_name = self;
-    dump_after;
-    verify_each }
+    dump_after }
 
 (* shared flags *)
 let expr_arg =
@@ -48,11 +47,6 @@ let dump_after_arg =
   Arg.(value & opt_all string [] & info [ "dump-after" ] ~docv:"PASS"
          ~doc:"Dump the IR to stderr after $(docv) (repeatable; 'all' = every pass).")
 
-let verify_each_arg =
-  Arg.(value & flag & info [ "verify-each" ]
-         ~doc:"Run the full IR verifier after every pass and report its time \
-               per pass (see --timings).")
-
 let stage_arg =
   let stages =
     [ ("ast", `Ast); ("wir", `Wir); ("twir", `Twir); ("bytecode", `Bytecode);
@@ -62,13 +56,10 @@ let stage_arg =
          ~doc:"Representation to print: ast, wir, twir, bytecode, c, ocaml.")
 
 let emit_cmd =
-  let run stage expr file no_abort no_inline opt_level self dump_after
-      verify_each =
+  let run stage expr file no_abort no_inline opt_level self dump_after =
     Wolfram.init ();
     let src = read_program expr file in
-    let options =
-      options_of ~no_abort ~no_inline ~opt_level ~self ~dump_after ~verify_each
-    in
+    let options = options_of ~no_abort ~no_inline ~opt_level ~self ~dump_after in
     (match stage with
      | `Ast -> print_endline (Wolfram.compile_to_ast ~options src)
      | `Wir -> print_string (Wolfram.compile_to_ir ~options ~optimize:false src)
@@ -88,7 +79,7 @@ let emit_cmd =
   Cmd.v
     (Cmd.info "emit" ~doc:"Print an intermediate representation (CompileToAST/CompileToIR/FunctionCompileExportString).")
     Term.(const run $ stage_arg $ expr_arg $ file_arg $ no_abort $ no_inline
-          $ opt_level $ self $ dump_after_arg $ verify_each_arg)
+          $ opt_level $ self $ dump_after_arg)
 
 let parse_call_args s =
   if s = "" then []
@@ -271,7 +262,7 @@ let print_program_stats (c : Wolf_compiler.Pipeline.compiled) =
 let run_cmd =
   let run expr file args target tier tier_threshold disk_cache parallel_loops
       parallel_report no_abort
-      no_inline opt_level self dump_after verify_each timings stats json
+      no_inline opt_level self dump_after timings stats json
       repeat profile profile_out trace_out metrics_out metrics_format =
     Wolfram.init ();
     let target = if tier then Wolfram.Tier else target in
@@ -281,8 +272,7 @@ let run_cmd =
     let profiling = profile || profile_out <> None in
     let options =
       apply_parallel_loops parallel_loops
-        { (options_of ~no_abort ~no_inline ~opt_level ~self ~dump_after
-             ~verify_each)
+        { (options_of ~no_abort ~no_inline ~opt_level ~self ~dump_after)
           with Wolf_compiler.Options.profile = profiling }
     in
     if profiling then Wolf_obs.Profile.set_enabled true;
@@ -447,7 +437,7 @@ let run_cmd =
     Term.(const run $ expr_arg $ file_arg $ args_arg $ target_arg $ tier_flag
           $ tier_threshold_arg $ disk_cache_arg $ parallel_loops_arg
           $ parallel_report_arg $ no_abort
-          $ no_inline $ opt_level $ self $ dump_after_arg $ verify_each_arg
+          $ no_inline $ opt_level $ self $ dump_after_arg
           $ timings_arg $ stats_arg $ json_arg $ repeat_arg $ profile_arg
           $ profile_out_arg $ trace_out_arg $ metrics_out_arg
           $ metrics_format_arg)
@@ -464,12 +454,10 @@ let eval_cmd =
 
 let build_cmd =
   let run expr file output cc cflags keep_c no_abort no_inline opt_level self
-      dump_after verify_each =
+      dump_after =
     Wolfram.init ();
     let src = read_program expr file in
-    let options =
-      options_of ~no_abort ~no_inline ~opt_level ~self ~dump_after ~verify_each
-    in
+    let options = options_of ~no_abort ~no_inline ~opt_level ~self ~dump_after in
     let output =
       match output, file with
       | Some o, _ -> o
@@ -532,7 +520,7 @@ let build_cmd =
              self-contained.")
     Term.(const run $ expr_arg $ file_arg $ output_arg $ cc_arg $ cflags_arg
           $ keep_c_arg $ no_abort $ no_inline $ opt_level $ self
-          $ dump_after_arg $ verify_each_arg)
+          $ dump_after_arg)
 
 let jobs_arg =
   Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N"
@@ -543,55 +531,61 @@ let resolve_jobs j = if j <= 0 then Wolf_parallel.Pool.default_jobs () else j
 
 let fuzz_cmd =
   let run seed count max_size backends serve_socket no_strings corpus quiet
-      jobs trace_out metrics_out metrics_format =
+      show jobs trace_out metrics_out metrics_format =
+    let open Wolf_fuzz in
     Wolfram.init ();
     with_obs ~trace_out ~metrics_out ~metrics_format @@ fun () ->
-    let backends =
-      match Wolf_fuzz.Oracle.backends_of_string backends with
+    let arms =
+      match Oracle.arms_of_string backends with
       | Ok [] -> prerr_endline "fuzz: no backends selected"; exit 2
-      | Ok bs -> bs
+      | Ok arms -> arms
       | Error e -> prerr_endline e; exit 2
     in
-    Wolf_fuzz.Oracle.serve_socket := serve_socket;
+    Oracle.serve_socket := serve_socket;
     let cfg =
-      { Wolf_fuzz.Driver.default_config with
-        Wolf_fuzz.Driver.seed;
-        count;
-        max_size;
-        strings = not no_strings;
-        backends;
+      { Driver.default_config with
+        Driver.seed; count; max_size; strings = not no_strings; arms;
         corpus_dir = corpus;
         log = (if quiet then ignore else prerr_endline);
         jobs = resolve_jobs jobs }
     in
-    let report = Wolf_fuzz.Driver.run cfg in
-    Printf.printf "fuzz: %d programs, %d disagreement(s)\n"
-      report.Wolf_fuzz.Driver.generated report.Wolf_fuzz.Driver.disagreements;
-    let par_selected = List.mem Wolf_fuzz.Oracle.Par backends in
+    let print_case (case : Ast.case) header =
+      Printf.printf "%s\n%s\n" header (Ast.to_source case.fn)
+    in
+    if show then begin
+      for i = 0 to count - 1 do
+        let case = Driver.case_for cfg i in
+        print_case case
+          (Printf.sprintf "(* program %d, size %d, args: {%s} *)" i (Ast.size case.fn)
+             (String.concat ", " (List.map Ast.arg_source case.args)));
+        print_newline ()
+      done;
+      0
+    end
+    else
+    let report = Driver.run cfg in
+    Printf.printf "fuzz: %d programs, %d disagreement(s)\n" report.generated
+      report.disagreements;
+    let par_selected = List.exists (fun a -> a.Oracle.name = "par") arms in
     if par_selected then
       Printf.printf "fuzz: par arm parallelised %d loop(s) in %d program(s)\n"
-        report.Wolf_fuzz.Driver.par_loops
-        report.Wolf_fuzz.Driver.par_programs;
+        report.par_loops report.par_programs;
     List.iter
       (fun (i, case, fs) ->
-         Printf.printf "\n== program %d (shrunk to %d nodes) ==\n%s\n" i
-           (Wolf_fuzz.Ast.size case.Wolf_fuzz.Ast.fn)
-           (Wolf_fuzz.Ast.to_source case.Wolf_fuzz.Ast.fn);
+         print_case case
+           (Printf.sprintf "\n== program %d (shrunk to %d nodes) ==" i (Ast.size case.Ast.fn));
          List.iter
            (fun f ->
-              Printf.printf "  %s:\n    expected %s\n    got      %s\n"
-                f.Wolf_fuzz.Oracle.fwhere f.Wolf_fuzz.Oracle.fexpected
-                f.Wolf_fuzz.Oracle.fgot)
+              Printf.printf "  %s:\n    expected %s\n    got      %s\n" f.Oracle.fwhere
+                f.fexpected f.fgot)
            fs)
-      report.Wolf_fuzz.Driver.failures;
-    if report.Wolf_fuzz.Driver.disagreements <> 0 then 1
-    else if par_selected && count >= 300 && report.Wolf_fuzz.Driver.par_loops = 0
-    then begin
+      report.failures;
+    if report.disagreements <> 0 then 1
+    else if par_selected && count >= 300 && report.par_loops = 0 then begin
       (* a sizeable par campaign that never parallelised anything means the
          pass is rejecting every loop — that is a failure of the arm, not a
          clean run *)
-      prerr_endline
-        "fuzz: par arm parallelised zero loops in a >=300-program campaign";
+      prerr_endline "fuzz: par arm parallelised zero loops in a >=300-program campaign";
       1
     end
     else 0
@@ -610,15 +604,12 @@ let fuzz_cmd =
   in
   let backends_arg =
     Arg.(value & opt string "threaded,wvm" & info [ "backends" ] ~docv:"B,B"
-           ~doc:"Backends to check differentially: threaded, jit, wvm, c, \
-                 binary (wolfc-build executables run end-to-end: argv \
-                 parsing, the refcounted C tensor runtime, InputForm \
-                 printing and exit codes; skipped without a C toolchain), \
-                 serve (replay through an embedded wolfd daemon; point \
-                 programs at an external one with $(b,--serve-socket)), \
-                 tier, par (compile with --parallel-loops and compare \
-                 jobs=1 vs jobs=4 vs forced dynamic chunking, including \
-                 mid-loop abort injection).")
+           ~doc:("Comma-separated arms to check differentially: "
+                 ^ String.concat ", " (List.map (fun a -> a.Wolf_fuzz.Oracle.name)
+                                         Wolf_fuzz.Oracle.arms)
+                 ^ ".  The c and binary arms skip without a C toolchain; \
+                    serve replays through an embedded wolfd unless \
+                    $(b,--serve-socket) names one."))
   in
   let no_strings_arg =
     Arg.(value & flag & info [ "no-strings" ]
@@ -631,6 +622,11 @@ let fuzz_cmd =
   let quiet_arg =
     Arg.(value & flag & info [ "quiet" ] ~doc:"Suppress progress output.")
   in
+  let show_arg =
+    Arg.(value & flag & info [ "show" ]
+           ~doc:"Print the generated programs and their arguments instead of \
+                 fuzzing.")
+  in
   let serve_socket_arg =
     Arg.(value & opt (some string) None & info [ "serve-socket" ] ~docv:"PATH"
            ~doc:"With the serve backend: replay through the wolfd daemon at \
@@ -639,12 +635,12 @@ let fuzz_cmd =
   Cmd.v
     (Cmd.info "fuzz"
        ~doc:"Differentially fuzz the compiler: random typed programs are run \
-             on every selected backend at O0/O1/O2 with --verify-each, \
+             on every selected backend at O0/O1/O2 with the IR verifier on, \
              results compared against the interpreter, and failures shrunk \
              to minimal reproducers.")
     Term.(const run $ seed_arg $ count_arg $ max_size_arg $ backends_arg
           $ serve_socket_arg $ no_strings_arg $ corpus_arg $ quiet_arg
-          $ jobs_arg $ trace_out_arg $ metrics_out_arg $ metrics_format_arg)
+          $ show_arg $ jobs_arg $ trace_out_arg $ metrics_out_arg $ metrics_format_arg)
 
 let compile_cmd =
   let run files target no_abort no_inline opt_level jobs stats trace_out
@@ -655,7 +651,6 @@ let compile_cmd =
     let jobs = resolve_jobs jobs in
     let options =
       options_of ~no_abort ~no_inline ~opt_level ~self:None ~dump_after:[]
-        ~verify_each:false
     in
     let t0 = Unix.gettimeofday () in
     (* Each file compiles on its own domain; identical sources collapse to
@@ -665,7 +660,7 @@ let compile_cmd =
       Wolf_parallel.Pool.map_list ~jobs files (fun file ->
           match
             let src = read_program None (Some file) in
-            (* per-file compile name: the pipeline registry is name-keyed *)
+            (* the file's base name names the compiled function *)
             let name = Filename.remove_extension (Filename.basename file) in
             Wolfram.function_compile ~options ~target ~name (Parser.parse src)
           with

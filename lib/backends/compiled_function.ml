@@ -12,13 +12,14 @@ type t = {
   compiler_version : string;
   engine_version : string;
   fallbacks : int Atomic.t;  (* incremented from any domain calling this function *)
+  pipeline : Pipeline.compiled option;
 }
 
 let versions = ("1.0.1.0", "12.0")
 
 let quiet = ref false
 
-let wrap ~name ~source ~arg_tys ~ret_ty entry =
+let wrap ?pipeline ~name ~source ~arg_tys ~ret_ty entry =
   let compiler_version, engine_version = versions in
   {
     cf_name = name;
@@ -29,6 +30,7 @@ let wrap ~name ~source ~arg_tys ~ret_ty entry =
     compiler_version;
     engine_version;
     fallbacks = Atomic.make 0;
+    pipeline;
   }
 
 (* Check and coerce one unboxed argument against its declared type. *)

@@ -24,6 +24,9 @@ type t = {
   compiler_version : string;
   engine_version : string;
   fallbacks : int Atomic.t;          (** soft-failure reverts so far *)
+  pipeline : Pipeline.compiled option;
+      (** the compile that produced [entry], for tooling; [None] when it
+          was revived from the disk cache *)
 }
 
 val versions : string * string
@@ -31,8 +34,8 @@ val versions : string * string
     checked at call time like the paper's CompiledFunction header. *)
 
 val wrap :
-  name:string -> source:Expr.t -> arg_tys:Types.t array -> ret_ty:Types.t ->
-  Rtval.closure -> t
+  ?pipeline:Pipeline.compiled -> name:string -> source:Expr.t ->
+  arg_tys:Types.t array -> ret_ty:Types.t -> Rtval.closure -> t
 
 val call : t -> Expr.t array -> Expr.t
 (** Evaluate on expressions, with unbox/typecheck/soft-fallback semantics.

@@ -6,7 +6,6 @@ type t = {
   static_constants : bool;
   memory_management : bool;
   lint : bool;
-  verify_each : bool;
   self_name : string option;
   target_system : string;
   dump_after : string list;
@@ -25,7 +24,6 @@ let default = {
   static_constants = true;
   memory_management = true;
   lint = true;
-  verify_each = false;
   self_name = None;
   target_system = "LLVM";
   dump_after = [];
@@ -52,7 +50,6 @@ let fingerprint t =
       "consts=" ^ string_of_bool t.static_constants;
       "mem=" ^ string_of_bool t.memory_management;
       "lint=" ^ string_of_bool t.lint;
-      "verify=" ^ string_of_bool t.verify_each;
       "self=" ^ Option.value ~default:"" t.self_name;
       "target=" ^ t.target_system;
       "dump=" ^ String.concat "," t.dump_after;

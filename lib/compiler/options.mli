@@ -9,11 +9,9 @@ type t = {
   static_constants : bool;   (** false = re-materialise constant arrays per
                                  call (the paper's PrimeQ 1.5× issue, E7) *)
   memory_management : bool;  (** insert acquire/release (F7) *)
-  lint : bool;               (** run the SSA linter after each pass *)
-  verify_each : bool;        (** run the full {!Wir_verify} IR verifier after
-                                 every pass and record its time per pass
-                                 (wolfc [--verify-each]; always on in fuzz
-                                 mode) *)
+  lint : bool;               (** run the full {!Wir_verify} IR verifier after
+                                 every pass that changes the IR and record
+                                 its time per pass (on by default) *)
   self_name : string option; (** name for recursive self-reference (cfib) *)
   target_system : string;    (** e.g. "LLVM", "WVM", "C"; macros may condition on it *)
   dump_after : string list;  (** dump IR after these passes ("all" = every pass) *)

@@ -34,7 +34,6 @@ type acc = {
 
 type t = {
   lint : bool;
-  verify : bool;
   dump_after : string list;
   dump : string -> Wir.program -> unit;
   accs : (string, acc) Hashtbl.t;
@@ -54,9 +53,8 @@ let block_count (prog : Wir.program) =
 let default_dump name prog =
   Printf.eprintf "; ---- IR after %s ----\n%s\n%!" name (Wir_print.program_to_string prog)
 
-let create ?(lint = false) ?(verify = false) ?(dump_after = []) ?(dump = default_dump)
-    () =
-  { lint; verify; dump_after; dump; accs = Hashtbl.create 16; order = [];
+let create ?(lint = false) ?(dump_after = []) ?(dump = default_dump) () =
+  { lint; dump_after; dump; accs = Hashtbl.create 16; order = [];
     timeline = [] }
 
 (* Registry instruments shared by every pass-manager instance: the central
@@ -86,12 +84,11 @@ let acc_of t name =
 
 let wants_dump t name = List.mem name t.dump_after || List.mem "all" t.dump_after
 
-(* Post-pass invariant checking: [lint] and [verify] both run the full
-   {!Wir_verify} checker (the lint grew into it); the time is attributed to
-   the pass that produced the IR so [--verify-each] overhead is visible in
-   the report. *)
+(* Post-pass invariant checking: [lint] runs the full {!Wir_verify}
+   checker; the time is attributed to the pass that produced the IR so the
+   verifier's overhead is visible in the report. *)
 let run_check t a name prog =
-  if t.lint || t.verify then begin
+  if t.lint then begin
     let t0 = Unix.gettimeofday () in
     Fun.protect
       ~finally:(fun () ->
@@ -165,7 +162,7 @@ let checkpoint t name prog =
      boundaries without one (e.g. "lower") get a zero-run row — so the
      per-pass verify column always sums to the verifier total in the
      report footer (asserted by a unit test). *)
-  if t.lint || t.verify then run_check t (acc_of t name) name prog;
+  if t.lint then run_check t (acc_of t name) name prog;
   if wants_dump t name then t.dump name prog
 
 let stats t =

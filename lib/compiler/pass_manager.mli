@@ -49,14 +49,12 @@ type t
 
 val create :
   ?lint:bool ->
-  ?verify:bool ->
   ?dump_after:string list ->
   ?dump:(string -> Wir.program -> unit) ->
   unit ->
   t
-(** [lint] and [verify] (both default false) each run the full
-    {!Wir_verify.assert_ok} after every pass — [verify] is the explicit
-    [--verify-each] switch and is reported per pass in {!stats}.
+(** [lint] (default false) runs the full {!Wir_verify.assert_ok} after
+    every pass, timed per pass in {!stats} ([Options.lint]).
     [dump_after] names passes after which [dump] fires; the name ["all"]
     matches every pass.  The default [dump] prints the IR to stderr. *)
 

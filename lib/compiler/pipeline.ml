@@ -49,19 +49,13 @@ let opt_passes ~(options : Options.t) =
 let fixpoint_budget (options : Options.t) =
   if options.Options.opt_level >= 2 then 32 else 16
 
-let optimize ~options ~lint prog =
-  let mgr = Pass_manager.create ~lint ~verify:options.Options.verify_each () in
-  ignore (Pass_manager.run_fixpoint ~budget:(fixpoint_budget options) mgr
-            (opt_passes ~options) prog)
-
 let compile ?(options = Options.default) ?type_env ?macro_env ?(user_passes = []) ~name
     fexpr =
   let env = match type_env with Some e -> e | None -> Stdlib_decls.env () in
   let menv = match macro_env with Some m -> m | None -> Macro.functional_env () in
   let lint = options.Options.lint in
   let mgr =
-    Pass_manager.create ~lint ~verify:options.Options.verify_each
-      ~dump_after:options.Options.dump_after
+    Pass_manager.create ~lint ~dump_after:options.Options.dump_after
       ~dump:(fun n p -> !dump_hook n p) ()
   in
   let expanded, prog =
@@ -171,8 +165,7 @@ let compile_to_ast ?(options = Options.default) ?macro_env fexpr =
   let menv = match macro_env with Some m -> m | None -> Macro.builtin_env () in
   Mexpr.of_expr (Macro.expand menv ~options:(Options.to_macro_options options) fexpr)
 
-let compile_to_wir ?(options = Options.default) ?type_env ?macro_env ~name fexpr =
-  ignore type_env;
+let compile_to_wir ?(options = Options.default) ?macro_env ~name fexpr =
   let menv = match macro_env with Some m -> m | None -> Macro.builtin_env () in
   let _, prog = front ~options ~macro_env:menv ~name fexpr in
   prog

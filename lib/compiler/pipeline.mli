@@ -36,9 +36,6 @@ val opt_passes : options:Options.t -> Pass_manager.pass list
 (** The optimisation-fixpoint members for the given options (level ≥ 2
     widens the inlining budget). *)
 
-val optimize : options:Options.t -> lint:bool -> Wir.program -> unit
-(** Run the optimisation fixpoint alone on an already-typed program. *)
-
 val compile :
   ?options:Options.t ->
   ?type_env:Type_env.t ->
@@ -55,7 +52,7 @@ val compile_to_ast :
 (** The artifact's [CompileToAST]: macro expansion only. *)
 
 val compile_to_wir :
-  ?options:Options.t -> ?type_env:Type_env.t -> ?macro_env:Macro.env ->
-  name:string -> Expr.t -> Wir.program
+  ?options:Options.t -> ?macro_env:Macro.env -> name:string -> Expr.t ->
+  Wir.program
 (** The artifact's [CompileToIR[…, "OptimizationLevel" -> None]]: untyped
     WIR before inference. *)

@@ -41,5 +41,5 @@ val check_program : Wir.program -> (unit, string list) result
 val assert_ok : string -> Wir.program -> unit
 (** Raise [Wolf_base.Errors.Compile_error] naming [pass] when
     [check_program] fails — the hook {!Pass_manager} runs after every pass
-    under [--verify-each] so a pass that breaks an invariant is named in
+    under [Options.lint] so a pass that breaks an invariant is named in
     the error. *)

@@ -226,59 +226,3 @@ let size f =
   List.length f.params
   + List.fold_left (fun a l -> a + 1 + expr_size l.linit) 0 (f.withs @ f.locals)
   + stmts_size f.body + expr_size f.result
-
-(* ---- WVM representability ------------------------------------------- *)
-
-let rec expr_strings e =
-  match e with
-  | Str _ | StrJoin _ -> true
-  | Un (("StringLength" | "Chars"), _, _) -> true
-  | Int _ | Real _ | Bool _ | Arr _ | Var _ -> false
-  | Bin (_, _, a, b) | Cmp (_, _, a, b) | And (a, b) | Or (a, b) ->
-    expr_strings a || expr_strings b
-  | Un (_, _, a) | Part (_, a) | ConstArr (a, _) -> expr_strings a
-  | If (_, c, t, f) -> expr_strings c || expr_strings t || expr_strings f
-  | MapArr (_, b, a) -> expr_strings b || expr_strings a
-  | FoldMM (_, _, _, i, a) -> expr_strings i || expr_strings a
-
-let rec stmt_strings s =
-  match s with
-  | Assign (_, _, e) -> expr_strings e
-  | PartSet (_, i, e) -> expr_strings i || expr_strings e
-  | PartSetIv (_, _, e) -> expr_strings e
-  | SIf (c, ts, fs) ->
-    expr_strings c || List.exists stmt_strings ts || List.exists stmt_strings fs
-  | While (_, _, body) | DoLoop (_, _, body) -> List.exists stmt_strings body
-
-let uses_strings f =
-  List.exists (fun (_, t) -> t = TStr) f.params
-  || List.exists (fun l -> l.lty = TStr || expr_strings l.linit) (f.withs @ f.locals)
-  || List.exists stmt_strings f.body
-  || expr_strings f.result
-
-(* [Map]/[Fold] with an explicit [Function] literal: representable by the
-   compiler pipeline (the closure is promoted to a direct call) but not by
-   the legacy bytecode compiler, which has no function values *)
-let rec expr_closures e =
-  match e with
-  | MapArr _ | FoldMM _ -> true
-  | Int _ | Real _ | Bool _ | Str _ | Arr _ | Var _ -> false
-  | Bin (_, _, a, b) | Cmp (_, _, a, b) | And (a, b) | Or (a, b)
-  | StrJoin (a, b) ->
-    expr_closures a || expr_closures b
-  | Un (_, _, a) | Part (_, a) | ConstArr (a, _) -> expr_closures a
-  | If (_, c, t, f) -> expr_closures c || expr_closures t || expr_closures f
-
-let rec stmt_closures s =
-  match s with
-  | Assign (_, _, e) | PartSetIv (_, _, e) -> expr_closures e
-  | PartSet (_, i, e) -> expr_closures i || expr_closures e
-  | SIf (c, ts, fs) ->
-    expr_closures c || List.exists stmt_closures ts
-    || List.exists stmt_closures fs
-  | While (_, _, body) | DoLoop (_, _, body) -> List.exists stmt_closures body
-
-let uses_closures f =
-  List.exists (fun l -> expr_closures l.linit) (f.withs @ f.locals)
-  || List.exists stmt_closures f.body
-  || expr_closures f.result

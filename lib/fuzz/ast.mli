@@ -73,12 +73,3 @@ val size : fn -> int
 (** Node count (statements + expressions); the shrinker must never grow it. *)
 
 val expr_size : expr -> int
-
-val uses_strings : fn -> bool
-(** True when the program touches strings anywhere — such programs are not
-    WVM-representable (L1). *)
-
-val uses_closures : fn -> bool
-(** True when the program contains a [Function] literal ([MapArr]/[FoldMM]) —
-    the legacy bytecode compiler has no function values, so such programs
-    are not WVM-representable either. *)

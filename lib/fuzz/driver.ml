@@ -5,7 +5,7 @@ type config = {
   count : int;
   max_size : int;
   strings : bool;
-  backends : Oracle.backend list;
+  arms : Oracle.arm list;
   levels : int list;
   corpus_dir : string option;
   log : string -> unit;
@@ -14,7 +14,7 @@ type config = {
 
 let default_config =
   { seed = 0; count = 200; max_size = 60; strings = true;
-    backends = [ Oracle.Threaded; Oracle.Wvm ]; levels = [ 0; 1; 2 ];
+    arms = Result.get_ok (Oracle.arms_of_string "threaded,wvm"); levels = [ 0; 1; 2 ];
     corpus_dir = None; log = ignore; jobs = 1 }
 
 type report = {
@@ -43,8 +43,6 @@ let write_corpus ~dir ~name ~note (case : Ast.case) =
   Printf.fprintf oc "(* %s *)\n" note;
   Printf.fprintf oc "(* args: {%s} *)\n"
     (String.concat ", " (List.map Ast.arg_source case.Ast.args));
-  if Ast.uses_strings case.Ast.fn || Ast.uses_closures case.Ast.fn then
-    Printf.fprintf oc "(* wvm: false *)\n";
   output_string oc (Ast.to_source case.Ast.fn);
   output_char oc '\n';
   close_out oc;
@@ -54,51 +52,35 @@ type corpus_entry = {
   ce_path : string;
   ce_source : string;
   ce_args : Expr.t list;
-  ce_wvm : bool;
   ce_note : string;
 }
 
-let strip_prefix ~prefix s =
-  if String.length s >= String.length prefix
-     && String.sub s 0 (String.length prefix) = prefix
-  then Some (String.sub s (String.length prefix)
-               (String.length s - String.length prefix))
-  else None
-
+(* leading [(* … *)] lines are headers: [args:] gives the arguments, the
+   first other one is the note *)
 let read_corpus_file path =
   let ic = open_in path in
-  let n = in_channel_length ic in
-  let text = really_input_string ic n in
+  let text = really_input_string ic (in_channel_length ic) in
   close_in ic;
-  let lines = String.split_on_char '\n' text in
-  let note = ref "" and args = ref None and wvm = ref true in
+  let note = ref "" and args = ref None in
   let rec headers = function
-    | line :: rest
-      when String.length (String.trim line) >= 2
-           && String.length (String.trim line) >= 4
-           && String.sub (String.trim line) 0 2 = "(*" ->
+    | line :: rest when String.starts_with ~prefix:"(*" (String.trim line) ->
       let body = String.trim line in
       let inner = String.trim (String.sub body 2 (String.length body - 4)) in
-      (match strip_prefix ~prefix:"args:" inner with
-       | Some a -> args := Some (String.trim a)
-       | None ->
-         (match strip_prefix ~prefix:"wvm:" inner with
-          | Some w -> wvm := String.trim w <> "false"
-          | None -> if !note = "" then note := inner));
+      if String.starts_with ~prefix:"args:" inner then
+        args := Some (String.trim (String.sub inner 5 (String.length inner - 5)))
+      else if !note = "" then note := inner;
       headers rest
     | rest -> rest
   in
-  let body_lines = headers lines in
-  let source = String.trim (String.concat "\n" body_lines) in
+  let source = String.trim (String.concat "\n" (headers (String.split_on_char '\n' text))) in
   match !args with
   | None -> Error (path ^ ": missing (* args: {...} *) header")
   | Some a ->
     (match Parser.parse_opt a with
      | Error e -> Error (Printf.sprintf "%s: bad args %S: %s" path a e)
-     | Ok (Expr.Normal (Expr.Sym l, items))
-       when Symbol.name l = "List" ->
-       Ok { ce_path = path; ce_source = source;
-            ce_args = Array.to_list items; ce_wvm = !wvm; ce_note = !note }
+     | Ok (Expr.Normal (Expr.Sym l, items)) when Symbol.name l = "List" ->
+       Ok { ce_path = path; ce_source = source; ce_args = Array.to_list items;
+            ce_note = !note }
      | Ok _ -> Error (path ^ ": args header is not a {…} list"))
 
 let read_corpus_dir dir =
@@ -110,61 +92,17 @@ let read_corpus_dir dir =
       | Ok e -> e
       | Error m -> failwith m)
 
-let scalar_param = function
-  | Expr.Normal (Expr.Sym t, [| _; tye |]) when Symbol.name t = "Typed" ->
-    (match tye with
-     | Expr.Str ("MachineInteger" | "Integer64" | "Real64" | "Boolean") -> true
-     | _ -> false)
-  | _ -> false
+let check_source ?(arms = default_config.arms) ?(levels = default_config.levels) source
+    args =
+  match Parser.parse_opt source with
+  | Ok fn -> Oracle.check ~arms ~levels fn (Array.of_list args)
+  | Error e -> [ { Oracle.fwhere = "parse"; fexpected = "parseable source"; fgot = e } ]
 
-(* parameter shapes the standalone driver can parse from argv: the scalar
-   set plus raw strings and rank-1 packed arrays as brace lists *)
-let binary_param = function
-  | Expr.Normal (Expr.Sym t, [| _; tye |]) when Symbol.name t = "Typed" ->
-    (match tye with
-     | Expr.Str
-         ("MachineInteger" | "Integer64" | "Real64" | "Boolean" | "String") ->
-       true
-     | Expr.Normal
-         (Expr.Str "PackedArray", [| Expr.Str ("Integer64" | "Real64"); Expr.Int 1 |])
-       ->
-       true
-     | _ -> false)
-  | _ -> false
+let check_entry ?arms ?levels e = check_source ?arms ?levels e.ce_source e.ce_args
 
-let check_entry ?backends ?levels entry =
-  match Parser.parse_opt entry.ce_source with
-  | Error e ->
-    [ { Oracle.fwhere = "parse"; fexpected = "parseable corpus program";
-        fgot = e } ]
-  | Ok fexpr ->
-    let has_function_literal =
-      (* an inner Function value is not representable in standalone C *)
-      let rec go = function
-        | Expr.Normal (Expr.Sym h, _) when Symbol.name h = "Function" -> true
-        | Expr.Normal (h, args) -> go h || Array.exists go args
-        | _ -> false
-      in
-      match fexpr with
-      | Expr.Normal (_, [| _; body |]) -> go body
-      | _ -> false
-    in
-    let c_ok =
-      (match fexpr with
-       | Expr.Normal (_, [| Expr.Normal (_, params); _ |]) ->
-         Array.for_all scalar_param params
-       | _ -> false)
-      && not has_function_literal
-    in
-    let binary_ok =
-      (match fexpr with
-       | Expr.Normal (_, [| Expr.Normal (_, params); _ |]) ->
-         Array.for_all binary_param params
-       | _ -> false)
-      && not has_function_literal
-    in
-    Oracle.check_parsed ?backends ?levels ~wvm_ok:entry.ce_wvm ~c_ok ~binary_ok
-      fexpr (Array.of_list entry.ce_args)
+let check_case cfg (case : Ast.case) =
+  check_source ~arms:cfg.arms ~levels:cfg.levels (Ast.to_source case.Ast.fn)
+    (List.map (fun a -> Parser.parse (Ast.arg_source a)) case.Ast.args)
 
 (* ---- the campaign ----------------------------------------------------- *)
 
@@ -174,55 +112,26 @@ let check_entry ?backends ?levels entry =
    kept out of the workers and done in the deterministic merge below. *)
 let check_one cfg ~progress i =
   let case = case_for cfg i in
-  let check c = Oracle.check_case ~backends:cfg.backends ~levels:cfg.levels c in
   let outcome =
-    match check case with
+    match check_case cfg case with
     | [] -> None
     | fs ->
       progress
         (Printf.sprintf "program %d DISAGREES (%s); shrinking …" i
            (String.concat ", " (List.map (fun f -> f.Oracle.fwhere) fs)));
-      let small = Shrink.shrink ~fails:(fun c -> check c <> []) case in
-      Some (small, check small)
+      let small = Shrink.shrink ~fails:(fun c -> check_case cfg c <> []) case in
+      Some (small, check_case cfg small)
   in
   progress "";  (* tick *)
   outcome
 
 let run cfg =
   (* Force one-time initialisation on this domain before sharding: kernel
-     builtins, the stdlib declarations, the cc probe.  Workers then only
-     touch state behind the locks/atomics of the domain-safe core. *)
+     builtins and the stdlib declarations.  Workers then only touch state
+     behind the locks/atomics of the domain-safe core. *)
   Wolfram.init ();
-  (* the serve arm needs a daemon: bootstrap an embedded one unless the
-     caller already pointed Oracle.serve_socket at an external process *)
-  let embedded =
-    if List.mem Oracle.Serve cfg.backends && !Oracle.serve_socket = None
-    then begin
-      let path =
-        Filename.concat (Filename.get_temp_dir_name ())
-          (Printf.sprintf "wolfd-fuzz-%d.sock" (Unix.getpid ()))
-      in
-      let srv =
-        Wolf_serve.Server.start
-          (Wolf_serve.Server.default_config ~socket_path:path ())
-      in
-      Oracle.serve_socket := Some path;
-      cfg.log (Printf.sprintf "embedded wolfd on %s" path);
-      Some srv
-    end
-    else None
-  in
-  let teardown () =
-    (* join the tier arm's background compile domains so a campaign never
-       leaks domains into the caller (tests run many campaigns in-process) *)
-    if List.mem Oracle.Tier cfg.backends then Wolfram.Tier.shutdown ();
-    match embedded with
-    | Some srv ->
-      Oracle.serve_socket := None;
-      Wolf_serve.Server.stop srv
-    | None -> ()
-  in
-  Fun.protect ~finally:teardown @@ fun () ->
+  let teardowns = List.map (fun a -> a.Oracle.setup cfg.log) cfg.arms in
+  Fun.protect ~finally:(fun () -> List.iter (fun f -> f ()) teardowns) @@ fun () ->
   Oracle.reset_par_stats ();
   let done_count = Atomic.make 0 in
   let progress msg =
@@ -265,10 +174,6 @@ let run cfg =
             cfg.log ("  wrote " ^ path)))
     outcomes;
   let par_programs, par_loops = Oracle.par_stats () in
-  if List.mem Oracle.Par cfg.backends then
-    cfg.log
-      (Printf.sprintf "  par: %d loop(s) parallelised across %d program(s)"
-         par_loops par_programs);
   { generated = cfg.count; disagreements = !disagreements;
     failures = List.rev !failures; written = List.rev !written;
     par_programs; par_loops }

@@ -8,16 +8,18 @@
     (* fuzz: <where the oracle disagreed> *)
     (* seed: 42/17 *)
     (* args: {1, {2, 3}} *)
-    (* wvm: false *)            <- only when not WVM-representable
     Function[{Typed[p1, "MachineInteger"]}, ...]
-    v} *)
+    v}
+
+    Which arms apply to an entry is decided from its program text by
+    {!Oracle.arm.applies}, exactly as for generated programs. *)
 
 type config = {
   seed : int;
   count : int;
   max_size : int;
   strings : bool;
-  backends : Oracle.backend list;
+  arms : Oracle.arm list;      (** each one's setup/teardown brackets {!run} *)
   levels : int list;
   corpus_dir : string option;  (** write shrunk failures here *)
   log : string -> unit;        (** progress/diagnostics sink *)
@@ -39,7 +41,7 @@ type report = {
   written : string list;           (** corpus files persisted *)
   par_programs : int;
       (** programs where the [par] arm parallelised >= 1 loop (0 when the
-          par backend was not selected) *)
+          par arm was not selected) *)
   par_loops : int;                 (** total loops parallelised by the arm *)
 }
 
@@ -56,7 +58,6 @@ type corpus_entry = {
   ce_path : string;
   ce_source : string;              (** program text *)
   ce_args : Wolf_wexpr.Expr.t list;
-  ce_wvm : bool;                   (** false when marked [(* wvm: false *)] *)
   ce_note : string;                (** first header comment *)
 }
 
@@ -69,6 +70,7 @@ val read_corpus_dir : string -> corpus_entry list
 (** All [*.wl] files, sorted by name; raises on malformed entries. *)
 
 val check_entry :
-  ?backends:Oracle.backend list -> ?levels:int list -> corpus_entry ->
+  ?arms:Oracle.arm list -> ?levels:int list -> corpus_entry ->
   Oracle.failure list
-(** Replay one corpus entry differentially. *)
+(** Replay one corpus entry differentially; [arms] and [levels] default to
+    {!default_config}'s. *)

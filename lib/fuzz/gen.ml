@@ -385,13 +385,3 @@ let case ?(config = default_config) rng =
   in
   let args = List.map (fun (_, t) -> gen_arg rng t) params in
   { fn; args }
-
-let rec stmt_loops = function
-  | While _ | DoLoop _ -> true
-  | SIf (_, ts, fs) -> List.exists stmt_loops ts || List.exists stmt_loops fs
-  | Assign _ | PartSet _ | PartSetIv _ -> false
-
-let has_loops f =
-  (* Map/Fold expressions desugar to counted loops too, so they count for
-     the abort-injection property *)
-  List.exists stmt_loops f.body || Ast.uses_closures f

@@ -16,6 +16,3 @@ val default_config : config
 
 val case : ?config:config -> Rng.t -> Ast.case
 (** Generate one program with matching literal arguments. *)
-
-val has_loops : Ast.fn -> bool
-(** Whether the driver should also run the abort-injection property. *)

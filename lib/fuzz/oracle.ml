@@ -1,44 +1,11 @@
 open Wolf_wexpr
 module B = Wolf_backends
+module A = Wolf_base.Abort_signal
 
 type outcome =
   | Value of Expr.t
   | Aborted
   | Failed of string
-
-type backend = Threaded | Jit | Wvm | C | Binary | Serve | Tier | Par
-
-let backend_name = function
-  | Threaded -> "threaded"
-  | Jit -> "jit"
-  | Wvm -> "wvm"
-  | C -> "c"
-  | Binary -> "binary"
-  | Serve -> "serve"
-  | Tier -> "tier"
-  | Par -> "par"
-
-let backends_of_string s =
-  let parts =
-    String.split_on_char ',' s |> List.map String.trim
-    |> List.filter (fun x -> x <> "")
-  in
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | "threaded" :: r -> go (Threaded :: acc) r
-    | "jit" :: r -> go (Jit :: acc) r
-    | "wvm" :: r -> go (Wvm :: acc) r
-    | "c" :: r -> go (C :: acc) r
-    | "binary" :: r -> go (Binary :: acc) r
-    | "serve" :: r -> go (Serve :: acc) r
-    | "tier" :: r -> go (Tier :: acc) r
-    | "par" :: r -> go (Par :: acc) r
-    | x :: _ ->
-      Error
-        (Printf.sprintf
-           "unknown backend %S (threaded,jit,wvm,c,binary,serve,tier,par)" x)
-  in
-  go [] parts
 
 type failure = {
   fwhere : string;
@@ -110,13 +77,13 @@ let outcome_str = function
   | Aborted -> "<aborted>"
   | Failed m -> "<failed: " ^ m ^ ">"
 
-(* ---- running --------------------------------------------------------- *)
+(* ---- shared machinery ------------------------------------------------ *)
 
 let guard f =
   match f () with
   | v -> Value v
-  | exception Wolf_base.Abort_signal.Aborted ->
-    Wolf_base.Abort_signal.clear ();
+  | exception A.Aborted ->
+    A.clear ();
     Aborted
   | exception Wolf_base.Errors.Runtime_error fl ->
     Failed (Wolf_base.Errors.describe_failure fl)
@@ -124,205 +91,217 @@ let guard f =
   | exception Wolf_base.Errors.Compile_error m -> Failed ("compile: " ^ m)
   | exception e -> Failed (Printexc.to_string e)
 
-let parse_case (case : Ast.case) =
-  let src = Ast.to_source case.Ast.fn in
-  match Parser.parse_opt src with
-  | Ok fexpr ->
-    let args =
-      List.map (fun a -> Parser.parse (Ast.arg_source a)) case.Ast.args
-    in
-    Ok (fexpr, Array.of_list args)
-  | Error e -> Error (Printf.sprintf "generated program does not parse: %s" e)
+type program = {
+  fn : Expr.t;
+  args : Expr.t array;
+  expected : outcome;
+  levels : int list;
+}
 
-let reference case =
-  match parse_case case with
-  | Error e -> Failed e
-  | Ok (fexpr, args) ->
-    guard (fun () -> Wolfram.interpret_expr (Expr.Normal (fexpr, args)))
+let mismatch p fwhere got =
+  if agree got p.expected then []
+  else [ { fwhere; fexpected = outcome_str p.expected; fgot = outcome_str got } ]
+
+let per_level p name run =
+  List.concat_map
+    (fun l -> mismatch p (Printf.sprintf "%s/O%d" name l) (run l))
+    p.levels
+
+(* Abort injection: a call with an abort scheduled after the [k]-th check
+   must either land on the expected value (the abort fired after the work,
+   or inside the interpreter fallback which re-raises and is itself
+   aborted) or observe the abort.  Check counts differ per backend and
+   level — the strided abort optimisation exists precisely to change them —
+   so exact agreement is not a sound property; membership is.  [after]
+   runs once the flag is cleared again, for arms with more to check. *)
+let abort_ks = [ 1; 5; 50 ]
+
+let under_aborts ?(after = fun _ -> []) p where run =
+  List.concat_map
+    (fun k ->
+       let where = Printf.sprintf "%s/k=%d" where k in
+       A.clear ();
+       A.abort_after k;
+       let got = Fun.protect ~finally:A.clear run in
+       (match got with
+        | Aborted -> []
+        | o when agree o p.expected -> []
+        | o ->
+          [ { fwhere = where; fexpected = outcome_str p.expected ^ " or <aborted>";
+              fgot = outcome_str o } ])
+       @ after where)
+    abort_ks
 
 let fuzz_options level =
   { Wolf_compiler.Options.default with
     Wolf_compiler.Options.opt_level = level;
-    verify_each = true;
     use_cache = false }
 
-let target_of = function
-  | Threaded -> Wolfram.Threaded
-  | Jit -> Wolfram.Jit
-  | Wvm -> Wolfram.Bytecode
-  | C | Binary | Serve | Tier | Par ->
-    Wolfram.Threaded  (* unused; these have own paths *)
+let call cf p = guard (fun () -> Wolfram.call cf (Array.to_list p.args))
 
-let run_native backend level fexpr args =
-  guard (fun () ->
-      let cf =
-        Wolfram.function_compile ~options:(fuzz_options level)
-          ~target:(target_of backend) fexpr
-      in
-      Wolfram.call cf (Array.to_list args))
+let run_native target level p =
+  match Wolfram.function_compile ~options:(fuzz_options level) ~target p.fn with
+  | cf -> call cf p
+  | exception e -> guard (fun () -> raise e)
 
-let run_wvm fexpr args =
-  guard (fun () ->
-      let w = B.Wvm.compile fexpr in
-      B.Wvm.call w args)
+(* ---- applicability, decided on the parsed [Function] ----------------- *)
 
-(* C export: compile the emitted translation unit with the system compiler
-   and run it; scalar params/results only (the driver prints one scalar). *)
-(* memoized probe; NOT a [lazy]: concurrent forcing of a lazy from two
-   domains raises CamlinternalLazy.Undefined.  0 = unknown, 1 = yes, 2 = no;
-   a duplicated probe during the race window is harmless. *)
-let have_cc_state = Atomic.make 0
+let rec contains pred e =
+  pred e
+  || match e with
+     | Expr.Normal (h, xs) -> contains pred h || Array.exists (contains pred) xs
+     | _ -> false
 
-let have_cc () =
-  match Atomic.get have_cc_state with
-  | 1 -> true
-  | 2 -> false
-  | _ ->
-    let yes = Sys.command "cc --version >/dev/null 2>&1" = 0 in
-    Atomic.set have_cc_state (if yes then 1 else 2);
-    yes
+let head_is name = function
+  | Expr.Normal (Expr.Sym h, _) -> Symbol.name h = name
+  | _ -> false
 
-(* A C-emitted program carries no interpreter, so unlike the in-process
-   arms it cannot revert to uncompiled evaluation when the compiled code
-   hits a runtime error (Wolfram.call's CompiledCodeFunction fallback).
-   When such a program panics cleanly (exit 3/4), the panic is correct
-   behaviour iff the very same compiled program also raises on the
-   in-process native backend with no fallback — then the arm skips (the
-   divergence from the interpreter reference is the fallback itself, by
-   design).  If the native run succeeds where the emitted C panicked,
-   that is an emitter bug and stays a reported failure. *)
+(* the parameter type annotations and the body of [Function[{…}, body]];
+   an untyped parameter reads as [Null] *)
+let signature fn =
+  match fn with
+  | Expr.Normal (_, [| Expr.Normal (_, params); body |]) ->
+    let ty = function
+      | Expr.Normal (_, [| _; ty |]) as p when head_is "Typed" p -> ty
+      | _ -> Expr.Sym (Symbol.intern "Null")
+    in
+    Some (Array.to_list (Array.map ty params), body)
+  | _ -> None
+
+let scalar_ty = function
+  | Expr.Str ("MachineInteger" | "Integer64" | "Real64" | "Boolean") -> true
+  | _ -> false
+
+(* parameter shapes the standalone driver can parse from argv: the scalar
+   set plus raw strings and rank-1 packed arrays as brace lists *)
+let argv_ty = function
+  | Expr.Str "String" -> true
+  | Expr.Normal
+      (Expr.Str "PackedArray", [| Expr.Str ("Integer64" | "Real64"); Expr.Int 1 |]) ->
+    true
+  | t -> scalar_ty t
+
+(* [ok] holds of every parameter type and the body has no [Function]
+   literal: the C emitter rejects residual function values (at O0 nothing
+   promotes a literal's closure to a direct call), and the legacy bytecode
+   compiler has no function values at all *)
+let plain ?(strings = true) ok fn =
+  match signature fn with
+  | Some (tys, body) ->
+    List.for_all ok tys
+    && not
+         (contains
+            (function
+              | Expr.Str _ -> not strings
+              | e -> head_is "Function" e)
+            body)
+  | None -> false
+
+(* strings are not WVM-representable (L1) *)
+let wvm_applies = plain ~strings:false (function Expr.Str "String" -> false | _ -> true)
+
+(* ---- c and binary arms: emitted C, built and run out of process ------
+
+   The c arm bakes the arguments into an emitted [main]; the binary arm is
+   the [wolfc build] product ([emit_standalone]) and passes them on the
+   command line (strings as raw bytes, everything else in InputForm), so
+   the run-time argument parsers and the exit-code protocol are inside the
+   tested surface.  A C program carries no interpreter, so unlike the
+   in-process arms it cannot revert to uncompiled evaluation when the
+   compiled code hits a runtime error.  A clean panic (exit 3/4) is correct
+   iff the same compiled program also raises on the in-process native
+   backend; then the arm skips.  If the native run succeeds where the C
+   program panicked, that is an emitter bug and stays a failure. *)
+
 let compiled_panics c args =
   match (B.Native.compile c).Wolf_runtime.Rtval.call
           (Array.map Wolf_runtime.Rtval.of_expr args)
   with
   | _ -> false
-  | exception Wolf_base.Abort_signal.Aborted ->
-    Wolf_base.Abort_signal.clear ();
-    false
+  | exception A.Aborted -> A.clear (); false
   | exception _ -> true
 
-let run_c level fexpr args =
-  let compiled =
-    match
-      Wolf_compiler.Pipeline.compile ~options:(fuzz_options level) ~name:"fz"
-        fexpr
-    with
-    | c -> Ok c
-    | exception e -> Error (guard (fun () -> raise e))
-  in
-  match compiled with
-  | Error outcome -> Some outcome
-  | Ok c ->
-    let rargs = Array.to_list (Array.map Wolf_runtime.Rtval.of_expr args) in
-    match B.C_emit.emit_with_driver c ~args:rargs with
-    | Error e -> Some (Failed ("compile: " ^ e))
-    | Ok emitted ->
-      let dir = Filename.temp_file "wolf_fuzz" "" in
-      Sys.remove dir;
-      Unix.mkdir dir 0o755;
-      let cfile = Filename.concat dir "fz.c" in
-      let exe = Filename.concat dir "fz" in
-      let oc = open_out cfile in
-      output_string oc emitted.B.C_emit.source;
-      close_out oc;
-      let rm () = ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote dir))) in
-      Fun.protect ~finally:rm (fun () ->
-          if Sys.command
-              (Printf.sprintf "cc -O1 -o %s %s -lm 2>%s.log" exe cfile exe)
-             <> 0
-          then Some (Failed "compile: cc failed on exported C")
-          else begin
-            (* the emitted program reports panics on stderr (correct for a
-               shipped binary, noise in a campaign): route them away, same
-               courtesy as [Compiled_function.quiet] for in-process arms *)
-            let ic = Unix.open_process_in (Filename.quote exe ^ " 2>/dev/null") in
-            let line = try input_line ic with End_of_file -> "" in
-            match Unix.close_process_in ic with
-            | Unix.WEXITED 0 ->
-              Some (guard (fun () -> Parser.parse (String.trim line)))
-            | Unix.WEXITED (3 | 4) when compiled_panics c args -> None
-            | Unix.WEXITED n ->
-              Some (Failed (Printf.sprintf "exported C exited with code %d" n))
-            | Unix.WSIGNALED n | Unix.WSTOPPED n ->
-              Some (Failed (Printf.sprintf "exported C killed by signal %d" n))
-          end)
+(* spawn without a shell (argument bytes must survive verbatim) and with
+   stderr routed away: the program reports panics there, which is right
+   for a shipped executable and noise in a campaign *)
+let spawn exe argv =
+  let out_r, out_w = Unix.pipe () in
+  let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  let pid = Unix.create_process exe (Array.append [| exe |] argv) Unix.stdin out_w devnull in
+  Unix.close out_w;
+  Unix.close devnull;
+  let ic = Unix.in_channel_of_descr out_r in
+  let line = try input_line ic with End_of_file -> "" in
+  (* drain the rest so the child never blocks on a full pipe *)
+  (try while true do ignore (input_line ic) done with End_of_file -> ());
+  close_in ic;
+  (snd (Unix.waitpid [] pid), line)
 
-(* Binary arm: the full [wolfc build] product, end to end.  Unlike the c
-   arm (which bakes the arguments into an emitted [main]), this one goes
-   through [emit_standalone] + [C_build.build] and passes the arguments on
-   the command line, so the run-time argument parsers, the exit-code
-   protocol and the shipped-binary printing all sit inside the tested
-   surface.  Arguments travel as their InputForm (strings as raw bytes —
-   the driver takes string parameters verbatim from argv). *)
+(* [returns] reads the compiled signature's result type; [emit] yields the
+   C source and the command line, or [Error] to skip the program *)
+let run_c ~returns ~emit p level =
+  match Wolf_compiler.Pipeline.compile ~options:(fuzz_options level) ~name:"fz" p.fn with
+  | exception e -> Some (guard (fun () -> raise e))
+  | c
+    when not
+           (Option.fold ~none:false ~some:returns
+              (Wolf_compiler.Wir.main c.Wolf_compiler.Pipeline.program).ret_ty) ->
+    None
+  | c ->
+    match emit c with
+    | Error skip -> skip
+    | Ok (source, argv) ->
+      let exe = Filename.temp_file "wolf_fuzz" "" in
+      Fun.protect ~finally:(fun () -> try Sys.remove exe with Sys_error _ -> ())
+      @@ fun () ->
+      match B.C_build.build ~cflags:[ "-O1" ] ~source ~output:exe () with
+      | Error e -> Some (Failed ("compile: cc failed: " ^ e))
+      | Ok () ->
+        match spawn exe argv with
+        | Unix.WEXITED 0, line -> Some (guard (fun () -> Parser.parse (String.trim line)))
+        | Unix.WEXITED 5, _ -> Some Aborted
+        | Unix.WEXITED (3 | 4), _ when compiled_panics c p.args -> None
+        | Unix.WEXITED n, _ -> Some (Failed (Printf.sprintf "exited with code %d" n))
+        | (Unix.WSIGNALED n | Unix.WSTOPPED n), _ ->
+          Some (Failed (Printf.sprintf "killed by signal %d" n))
 
-let argv_of_expr = function
-  | Expr.Str s -> s
-  | e -> Form.input_form e
+let c_levels name ~returns ~emit p =
+  if not (B.C_build.available ()) then []
+  else
+    List.concat_map
+      (fun l ->
+         match run_c ~returns ~emit p l with
+         | None -> []
+         | Some got -> mismatch p (Printf.sprintf "%s/O%d" name l) got)
+      p.levels
 
-let run_binary level fexpr args =
-  let compiled =
-    match
-      Wolf_compiler.Pipeline.compile ~options:(fuzz_options level) ~name:"fz"
-        fexpr
-    with
-    | c -> Ok c
-    | exception e -> Error (guard (fun () -> raise e))
-  in
-  match compiled with
-  | Error outcome -> Some outcome   (* a compile failure is an outcome *)
-  | Ok c ->
-    match B.C_emit.emit_standalone c with
-    | Error _ -> None
-    (* capability gap (e.g. a shape the emitter declares unsupported), not
-       a disagreement: the arm skips rather than fabricating a [Failed] the
-       reference cannot match *)
-    | Ok emitted ->
-      let dir = Filename.temp_file "wolf_fuzz_bin" "" in
-      Sys.remove dir;
-      Unix.mkdir dir 0o755;
-      let exe = Filename.concat dir "fz" in
-      let rm () =
-        ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote dir)))
-      in
-      Fun.protect ~finally:rm (fun () ->
-          match
-            B.C_build.build ~cflags:[ "-O1" ]
-              ~source:emitted.B.C_emit.source ~output:exe ()
-          with
-          | Error e ->
-            Some (Failed ("compile: cc failed on built binary: " ^ e))
-          | Ok () ->
-            let argv = Array.append [| exe |] (Array.map argv_of_expr args) in
-            (* spawn without a shell (argument bytes must survive verbatim)
-               and with stderr routed away: the binary reports panics there,
-               which is right for a shipped executable and noise here *)
-            let out_r, out_w = Unix.pipe () in
-            let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
-            let pid = Unix.create_process exe argv Unix.stdin out_w devnull in
-            Unix.close out_w;
-            Unix.close devnull;
-            let ic = Unix.in_channel_of_descr out_r in
-            let line = try input_line ic with End_of_file -> "" in
-            (* drain the rest so the child never blocks on a full pipe *)
-            (try
-               while true do
-                 ignore (input_line ic)
-               done
-             with End_of_file -> ());
-            let _, status = Unix.waitpid [] pid in
-            close_in ic;
-            match status with
-            | Unix.WEXITED 0 ->
-              Some (guard (fun () -> Parser.parse (String.trim line)))
-            | Unix.WEXITED 5 -> Some Aborted
-            (* 3 runtime panic / 4 OOM: no fallback interpreter inside a
-               shipped binary — correct iff the in-process native run of
-               the same compiled program panics too (see [compiled_panics]) *)
-            | Unix.WEXITED (3 | 4) when compiled_panics c args -> None
-            | Unix.WEXITED n ->
-              Some (Failed (Printf.sprintf "binary exited with code %d" n))
-            | Unix.WSIGNALED n | Unix.WSTOPPED n ->
-              Some (Failed (Printf.sprintf "binary killed by signal %d" n)))
+let scalar_result t =
+  match Wolf_compiler.Types.repr t with
+  | Wolf_compiler.Types.Con (("Integer64" | "Real64" | "Boolean"), [||]) -> true
+  | _ -> false
+
+(* the standalone driver has no escaped string printer *)
+let printable_result t =
+  match Wolf_compiler.Types.repr t with
+  | Wolf_compiler.Types.Con ("String", _) -> false
+  | _ -> true
+
+let check_c p =
+  c_levels "c" p ~returns:scalar_result ~emit:(fun c ->
+      let args = Array.to_list (Array.map Wolf_runtime.Rtval.of_expr p.args) in
+      match B.C_emit.emit_with_driver c ~args with
+      | Ok e -> Ok (e.B.C_emit.source, [||])
+      | Error e -> Error (Some (Failed ("compile: " ^ e))))
+
+let check_binary p =
+  c_levels "binary" p ~returns:printable_result ~emit:(fun c ->
+      match B.C_emit.emit_standalone c with
+      | Ok e ->
+        let argv = function Expr.Str s -> s | e -> Form.input_form e in
+        Ok (e.B.C_emit.source, Array.map argv p.args)
+      (* a capability gap (a shape the emitter declares unsupported), not a
+         disagreement: skip rather than fabricate a failure *)
+      | Error _ -> Error None)
 
 (* ---- serve arm: replay through a wolfd daemon ------------------------
 
@@ -367,70 +346,38 @@ let serve_eval source =
        (Domain.DLS.get serve_client_key) := None;
        Wolf_serve.Client.eval_string (serve_connect path) source)
 
-let check_serve fexpr args ref_outcome =
-  let source = Form.input_form (Expr.Normal (fexpr, args)) in
-  let fail fgot = [ { fwhere = "serve"; fexpected = outcome_str ref_outcome; fgot } ] in
-  match serve_eval source with
+let check_serve p =
+  let fail fgot = [ { fwhere = "serve"; fexpected = outcome_str p.expected; fgot } ] in
+  match serve_eval (Form.input_form (Expr.Normal (p.fn, p.args))) with
   | exception exn ->
-    [ { fwhere = "serve"; fexpected = "a daemon reply";
-        fgot = Printexc.to_string exn } ]
+    [ { fwhere = "serve"; fexpected = "a daemon reply"; fgot = Printexc.to_string exn } ]
   | Error (kind, msg) ->
-    (match ref_outcome with
+    (match p.expected with
      | Failed _ -> []   (* error reply <-> reference failure: same laxity as
                            Failed-vs-Failed between backends *)
      | _ -> fail (Printf.sprintf "<%s error: %s>" kind msg))
-  | Ok "$Aborted" ->
-    (match ref_outcome with Aborted -> [] | _ -> fail "$Aborted")
+  | Ok "$Aborted" -> (match p.expected with Aborted -> [] | _ -> fail "$Aborted")
   | Ok printed ->
-    (match ref_outcome with
+    (match p.expected with
      | Value v when Form.input_form v = printed -> []
      | _ -> fail printed)
 
-let scalar = function Ast.TInt | Ast.TReal | Ast.TBool -> true | _ -> false
-
-let c_applicable (case : Ast.case) =
-  scalar case.Ast.fn.Ast.ret
-  && List.for_all (fun (_, t) -> scalar t) case.Ast.fn.Ast.params
-  (* the C emitter rejects residual function values, and at O0 nothing
-     promotes a [Function] literal's closure to a direct call *)
-  && not (Ast.uses_closures case.Ast.fn)
-
-(* the standalone driver parses every generated parameter type (integers,
-   reals, booleans, raw strings, rank-1 brace lists) but has no escaped
-   string printer, so string-returning programs stay out of the arm *)
-let binary_applicable (case : Ast.case) =
-  case.Ast.fn.Ast.ret <> Ast.TStr
-  && not (Ast.uses_closures case.Ast.fn)
-
-(* ---- abort injection -------------------------------------------------
-
-   A compiled call with an abort scheduled after the [k]-th check must
-   either land on the reference value (the abort fired after the work, or
-   inside the interpreter fallback which re-raises and is itself aborted)
-   or observe the abort.  Check counts differ per backend and level — the
-   strided abort optimisation exists precisely to change them — so exact
-   agreement is not a sound property; membership is. *)
-let abort_ks = [ 1; 5; 50 ]
-
-let check_abort ~level fexpr args ref_outcome =
-  List.filter_map
-    (fun k ->
-       let module A = Wolf_base.Abort_signal in
-       A.clear ();
-       A.abort_after k;
-       let got =
-         Fun.protect ~finally:(fun () -> A.clear ())
-           (fun () -> run_native Threaded level fexpr args)
-       in
-       match got with
-       | Aborted -> None
-       | o when agree o ref_outcome -> None
-       | o ->
-         Some
-           { fwhere = Printf.sprintf "abort/threaded/O%d/k=%d" level k;
-             fexpected = outcome_str ref_outcome ^ " or <aborted>";
-             fgot = outcome_str o })
-    abort_ks
+(* bootstrap an embedded daemon unless the caller already pointed
+   [serve_socket] at an external process *)
+let serve_setup log =
+  if !serve_socket <> None then ignore
+  else begin
+    let path =
+      Filename.concat (Filename.get_temp_dir_name ())
+        (Printf.sprintf "wolfd-fuzz-%d.sock" (Unix.getpid ()))
+    in
+    let srv = Wolf_serve.Server.start (Wolf_serve.Server.default_config ~socket_path:path ()) in
+    serve_socket := Some path;
+    log (Printf.sprintf "embedded wolfd on %s" path);
+    fun () ->
+      serve_socket := None;
+      Wolf_serve.Server.stop srv
+  end
 
 (* ---- tier arm: the full promotion lifecycle on every program ---------
 
@@ -441,79 +388,54 @@ let check_abort ~level fexpr args ref_outcome =
    toolchain) and call again through the promoted closure — which must
    still match.  A promotion that ends [Failed] is legitimate only for
    programs whose compile legitimately fails; those keep interpreting,
-   and the second call must still agree. *)
+   and the second call must still agree.
 
-let fresh_tier fexpr =
+   Then [Abort[]] races a promotion: the abort may land mid-tier-0 (call
+   aborts), after the result (call agrees), or inside the background
+   compile (promotion retreats to Cold and retries).  Whatever the
+   interleaving: the settled function must still agree with the reference
+   and the abort flag must not leak past the protection scope. *)
+
+let fresh_tier p =
   let cf =
     Wolfram.tiered ~options:(fuzz_options 2) ~threshold:1
-      ~promote_target:Wolfram.Threaded ~name:"fz" fexpr
+      ~promote_target:Wolfram.Threaded ~name:"fz" p.fn
   in
   cf, Option.get (Wolfram.tier_of cf)
 
-let check_tier fexpr args ref_outcome =
-  let cf, t = fresh_tier fexpr in
-  let call () = guard (fun () -> Wolfram.call cf (Array.to_list args)) in
-  let mismatch where got =
-    if agree got ref_outcome then None
-    else
-      Some
-        { fwhere = where; fexpected = outcome_str ref_outcome;
-          fgot = outcome_str got }
-  in
-  let pre = call () in
+let state_where t = "tier/" ^ Wolfram.Tier.state_name (Wolfram.Tier.state t)
+
+let check_tier p =
+  let cf, t = fresh_tier p in
+  let pre = call cf p in
   let st = Wolfram.Tier.await_promotion ~timeout:60.0 t in
-  let post = call () in
-  Option.to_list (mismatch "tier/t0" pre)
+  let post = call cf p in
+  mismatch p "tier/t0" pre
   @ (match st with
      | Wolfram.Tier.Promoted | Wolfram.Tier.Failed -> []
      | s ->
        [ { fwhere = "tier/promotion"; fexpected = "promoted or failed";
            fgot = "<stuck in state " ^ Wolfram.Tier.state_name s ^ ">" } ])
-  @ Option.to_list
-      (mismatch
-         (Printf.sprintf "tier/%s"
-            (Wolfram.Tier.state_name (Wolfram.Tier.state t)))
-         post)
+  @ mismatch p (state_where t) post
 
-(* Abort[] racing a promotion: schedule an abort after the k-th check and
-   make the first call; the abort may land mid-tier-0 (call aborts), after
-   the result (call agrees), or inside the background compile (promotion
-   retreats to Cold and retries).  Whatever the interleaving: the settled
-   function must still agree with the reference and the abort flag must
-   not leak past the protection scope. *)
-let check_tier_abort fexpr args ref_outcome =
-  let module A = Wolf_base.Abort_signal in
-  List.filter_map
-    (fun k ->
-       let cf, t = fresh_tier fexpr in
-       let call () = guard (fun () -> Wolfram.call cf (Array.to_list args)) in
-       A.clear ();
-       A.abort_after k;
-       let got = Fun.protect ~finally:(fun () -> A.clear ()) call in
-       (* settle: a compile the abort shot down retries from Cold here *)
-       ignore (Wolfram.Tier.force_promote t);
-       let post = call () in
-       let leaked = A.requested () in
-       if leaked then A.clear ();
-       let where what = Printf.sprintf "tier-abort/k=%d/%s" k what in
-       if leaked then
-         Some
-           { fwhere = where "flag"; fexpected = "a clear abort flag";
-             fgot = "<leaked abort request>" }
-       else if not (agree post ref_outcome) then
-         Some
-           { fwhere = where (Wolfram.Tier.state_name (Wolfram.Tier.state t));
-             fexpected = outcome_str ref_outcome; fgot = outcome_str post }
-       else
-         match got with
-         | Aborted -> None
-         | o when agree o ref_outcome -> None
-         | o ->
-           Some
-             { fwhere = where "t0";
-               fexpected = outcome_str ref_outcome ^ " or <aborted>";
-               fgot = outcome_str o })
-    abort_ks
+let check_tier_aborts p =
+  let last = ref None in
+  under_aborts p "tier-abort"
+    (fun () ->
+       let cf, t = fresh_tier p in
+       last := Some (cf, t);
+       call cf p)
+    ~after:(fun where ->
+        let cf, t = Option.get !last in
+        (* settle: a compile the abort shot down retries from Cold here *)
+        ignore (Wolfram.Tier.force_promote t);
+        let post = call cf p in
+        if A.requested () then begin
+          A.clear ();
+          [ { fwhere = where ^ "/flag"; fexpected = "a clear abort flag";
+              fgot = "<leaked abort request>" } ]
+        end
+        else mismatch p (where ^ "/" ^ state_where t) post)
 
 (* ---- par arm: the parallel-loop backend ------------------------------
 
@@ -522,17 +444,12 @@ let check_tier_abort fexpr args ref_outcome =
    selection (exercises the measurement + cache path), and jobs=4 with a
    forced 16-way dynamic chunking (guarantees cross-domain chunked
    execution even when measurement would pick serial on this host).  All
-   three must agree with the interpreter reference.  With [abort] on, the
-   injected-abort membership property runs under forced chunking: a
-   domain-local abort scheduled after the k-th poll must land on the
-   reference value or <aborted> — the caller polls between chunk claims
-   and inside the chunks it runs itself, so a mid-loop abort kills the
-   parallel-for.  Unsafe loops (non-associative ops, cross-iteration
-   reads) are rejected by the pass and simply run serial here — same
-   property, no special-casing. *)
-
-let par_options level =
-  { (fuzz_options level) with Wolf_compiler.Options.parallel_loops = true }
+   three must agree with the interpreter reference.  Abort injection runs
+   under forced chunking: the caller polls between chunk claims and inside
+   the chunks it runs itself, so a mid-loop abort kills the parallel-for.
+   Unsafe loops (non-associative ops, cross-iteration reads) are rejected
+   by the pass and simply run serial here — same property, no
+   special-casing. *)
 
 (* campaign-wide coverage counters, so a par campaign can assert that the
    pass actually fired instead of silently rejecting everything *)
@@ -546,167 +463,82 @@ let reset_par_stats () =
 let par_stats () = (Atomic.get par_programs_seen, Atomic.get par_loops_seen)
 
 let count_parallelized cf =
+  let parallelized (k, v) =
+    String.starts_with ~prefix:"parloop." k && String.starts_with ~prefix:"parallelized" v
+  in
   match Wolfram.pipeline_of cf with
   | None -> ()
-  | Some p ->
-    let n =
-      List.length
-        (List.filter
-           (fun (k, v) ->
-              String.starts_with ~prefix:"parloop." k
-              && String.starts_with ~prefix:"parallelized" v)
-           p.Wolf_compiler.Pipeline.program.Wolf_compiler.Wir.pmeta)
-    in
+  | Some c ->
+    let meta = c.Wolf_compiler.Pipeline.program.Wolf_compiler.Wir.pmeta in
+    let n = List.length (List.filter parallelized meta) in
     if n > 0 then begin
       Atomic.incr par_programs_seen;
       ignore (Atomic.fetch_and_add par_loops_seen n)
     end
 
-let check_par ~level ~abort fexpr args ref_outcome =
-  let mismatch where got =
-    if agree got ref_outcome then None
-    else
-      Some
-        { fwhere = where; fexpected = outcome_str ref_outcome;
-          fgot = outcome_str got }
-  in
-  match
-    Wolfram.function_compile ~options:(par_options level)
-      ~target:Wolfram.Threaded fexpr
-  with
-  | exception e ->
-    let msg =
-      match e with
-      | Wolf_base.Errors.Compile_error m -> "compile: " ^ m
-      | Wolf_base.Errors.Eval_error m -> m
-      | e -> Printexc.to_string e
-    in
-    Option.to_list
-      (mismatch (Printf.sprintf "par/O%d/compile" level) (Failed msg))
+let check_par_level p level =
+  let module P = Wolf_runtime.Par_runtime in
+  let options = { (fuzz_options level) with Wolf_compiler.Options.parallel_loops = true } in
+  let where = Printf.sprintf "par/O%d/%s" level in
+  match Wolfram.function_compile ~options ~target:Wolfram.Threaded p.fn with
+  | exception e -> mismatch p (where "compile") (guard (fun () -> raise e))
   | cf ->
     count_parallelized cf;
-    let module P = Wolf_runtime.Par_runtime in
-    let call () = guard (fun () -> Wolfram.call cf (Array.to_list args)) in
-    let runs =
-      [ (Printf.sprintf "par/O%d/j1" level, fun () -> P.with_jobs 1 call);
-        (Printf.sprintf "par/O%d/j4" level, fun () -> P.with_jobs 4 call);
-        (Printf.sprintf "par/O%d/j4-dyn16" level,
-         fun () ->
-           P.with_jobs 4 (fun () ->
-               P.with_forced_schedule (P.Dynamic 16) call)) ]
+    let chunked n () =
+      P.with_jobs 4 (fun () -> P.with_forced_schedule (P.Dynamic n) (fun () -> call cf p))
     in
-    let fs = List.filter_map (fun (w, r) -> mismatch w (r ())) runs in
-    let afs =
-      if not abort then []
-      else
-        List.filter_map
-          (fun k ->
-             let module A = Wolf_base.Abort_signal in
-             A.clear ();
-             A.abort_after k;
-             let got =
-               Fun.protect
-                 ~finally:(fun () -> A.clear ())
-                 (fun () ->
-                    P.with_jobs 4 (fun () ->
-                        P.with_forced_schedule (P.Dynamic 8) call))
-             in
-             match got with
-             | Aborted -> None
-             | o when agree o ref_outcome -> None
-             | o ->
-               Some
-                 { fwhere = Printf.sprintf "par-abort/O%d/k=%d" level k;
-                   fexpected = outcome_str ref_outcome ^ " or <aborted>";
-                   fgot = outcome_str o })
-          abort_ks
-    in
-    fs @ afs
+    mismatch p (where "j1") (P.with_jobs 1 (fun () -> call cf p))
+    @ mismatch p (where "j4") (P.with_jobs 4 (fun () -> call cf p))
+    @ mismatch p (where "j4-dyn16") (chunked 16 ())
+    @ under_aborts p (Printf.sprintf "par-abort/O%d" level) (chunked 8)
 
-(* ---- the oracle ------------------------------------------------------ *)
+(* the parallel-loops pass is gated on opt_level > 0 *)
+let check_par p =
+  let levels = match List.filter (fun l -> l > 0) p.levels with [] -> [ 2 ] | ls -> ls in
+  List.concat_map (check_par_level p) levels
 
-let check_parsed ?(backends = [ Threaded; Wvm ]) ?(levels = [ 0; 1; 2 ])
-    ?(abort = true) ~wvm_ok ~c_ok ?(binary_ok = false) fexpr args =
+(* ---- the arm table --------------------------------------------------- *)
+
+type arm = {
+  name : string;
+  applies : Expr.t -> bool;
+  check : program -> failure list;
+  setup : (string -> unit) -> unit -> unit;
+}
+
+let arm ?(applies = fun _ -> true) ?(setup = fun _ () -> ()) name check =
+  { name; applies; check; setup }
+
+let arms =
+  [ arm "threaded" (fun p ->
+        per_level p "threaded" (fun l -> run_native Wolfram.Threaded l p)
+        @ List.concat_map
+            (fun l ->
+               under_aborts p (Printf.sprintf "abort/threaded/O%d" l) (fun () ->
+                   run_native Wolfram.Threaded l p))
+            [ 0; 2 ]);
+    arm "jit" (fun p -> per_level p "jit" (fun l -> run_native Wolfram.Jit l p));
+    arm "wvm" ~applies:wvm_applies (fun p ->
+        mismatch p "wvm" (guard (fun () -> B.Wvm.call (B.Wvm.compile p.fn) p.args)));
+    arm "c" ~applies:(plain scalar_ty) check_c;
+    arm "binary" ~applies:(plain argv_ty) check_binary;
+    arm "serve" ~setup:serve_setup check_serve;
+    arm "tier" ~setup:(fun _ () -> Wolfram.Tier.shutdown ()) (fun p ->
+        check_tier p @ check_tier_aborts p);
+    arm "par" check_par ]
+
+let arm_names = String.concat "," (List.map (fun a -> a.name) arms)
+
+let arms_of_string s =
+  let names = String.split_on_char ',' s |> List.map String.trim |> List.filter (( <> ) "") in
+  let find n = List.find_opt (fun a -> a.name = n) arms in
+  match List.find_opt (fun n -> find n = None) names with
+  | Some n -> Error (Printf.sprintf "unknown backend %S (%s)" n arm_names)
+  | None -> Ok (List.filter_map find names)
+
+let check ~arms ~levels fn args =
   Wolfram.init ();
   B.Compiled_function.quiet := true;
-  let ref_outcome =
-    guard (fun () -> Wolfram.interpret_expr (Expr.Normal (fexpr, args)))
-  in
-  let mismatch where got =
-    if agree got ref_outcome then None
-    else
-      Some
-        { fwhere = where; fexpected = outcome_str ref_outcome;
-          fgot = outcome_str got }
-  in
-  let failures =
-    List.concat_map
-      (fun b ->
-         match b with
-         | Wvm ->
-           if not wvm_ok then []
-           else Option.to_list (mismatch "wvm" (run_wvm fexpr args))
-         | C ->
-           if not c_ok || not (have_cc ()) then []
-           else
-             List.filter_map
-               (fun lvl ->
-                  Option.bind (run_c lvl fexpr args)
-                    (mismatch (Printf.sprintf "c/O%d" lvl)))
-               levels
-         | Binary ->
-           if not binary_ok || not (have_cc ()) then []
-           else
-             List.filter_map
-               (fun lvl ->
-                  Option.bind (run_binary lvl fexpr args)
-                    (mismatch (Printf.sprintf "binary/O%d" lvl)))
-               levels
-         | Serve -> check_serve fexpr args ref_outcome
-         | Tier -> check_tier fexpr args ref_outcome
-         | Par ->
-           (* the parallel-loops pass is gated on opt_level > 0 *)
-           let lvls =
-             match List.filter (fun l -> l > 0) levels with
-             | [] -> [ 2 ]
-             | ls -> ls
-           in
-           List.concat_map
-             (fun lvl -> check_par ~level:lvl ~abort fexpr args ref_outcome)
-             lvls
-         | Threaded | Jit ->
-           List.filter_map
-             (fun lvl ->
-                mismatch
-                  (Printf.sprintf "%s/O%d" (backend_name b) lvl)
-                  (run_native b lvl fexpr args))
-             levels)
-      backends
-  in
-  let abort_failures =
-    if abort && List.mem Threaded backends then
-      List.concat_map (fun lvl -> check_abort ~level:lvl fexpr args ref_outcome)
-        [ 0; 2 ]
-    else []
-  in
-  let tier_abort_failures =
-    if abort && List.mem Tier backends then
-      check_tier_abort fexpr args ref_outcome
-    else []
-  in
-  failures @ abort_failures @ tier_abort_failures
-
-let check_case ?backends ?levels ?abort (case : Ast.case) =
-  match parse_case case with
-  | Error e ->
-    [ { fwhere = "parse"; fexpected = "parseable source"; fgot = e } ]
-  | Ok (fexpr, args) ->
-    let abort =
-      match abort with Some a -> a | None -> Gen.has_loops case.Ast.fn
-    in
-    check_parsed ?backends ?levels ~abort
-      ~wvm_ok:
-        (not (Ast.uses_strings case.Ast.fn)
-         && not (Ast.uses_closures case.Ast.fn))
-      ~c_ok:(c_applicable case)
-      ~binary_ok:(binary_applicable case) fexpr args
+  let expected = guard (fun () -> Wolfram.interpret_expr (Expr.Normal (fn, args))) in
+  let p = { fn; args; expected; levels } in
+  List.concat_map (fun a -> if a.applies fn then a.check p else []) arms

@@ -79,20 +79,6 @@ let init () =
         end)
   end
 
-let pipelines : (string, Pipeline.compiled) Hashtbl.t = Hashtbl.create 16
-let pipelines_lock = Mutex.create ()
-
-let pipelines_put name c =
-  Mutex.lock pipelines_lock;
-  Hashtbl.replace pipelines name c;
-  Mutex.unlock pipelines_lock
-
-let pipelines_get name =
-  Mutex.lock pipelines_lock;
-  let r = Hashtbl.find_opt pipelines name in
-  Mutex.unlock pipelines_lock;
-  r
-
 (* The content-addressed compile cache (DESIGN.md "Pass manager & compile
    cache"): repeated Compile/run calls on identical (source, options,
    target, name) are near-free.  Only the plain path is cached — a custom
@@ -198,14 +184,19 @@ let rec function_compile ?options ?type_env ?macro_env ?user_passes
         in
         let ret_ty = Option.value ~default:Types.expression main.Wir.ret_ty in
         let wrapped =
-          Compiled_function.wrap ~name ~source:fexpr ~arg_tys ~ret_ty closure
+          (* tooling reads the IR, the pass stats and the in-place count;
+             the resolution table, the expanded source and the legacy
+             timings are dropped so cache entries do not retain them *)
+          let kept =
+            { c with Pipeline.resolution = Hashtbl.create 1; expanded = fexpr; timings = [] }
+          in
+          Compiled_function.wrap ~pipeline:kept ~name ~source:fexpr ~arg_tys ~ret_ty
+            closure
         in
         (match disk, key, jit_artifact with
          | Some d, Some k, Some (art, cmxs) ->
            Disk_store.store_jit d ~key:k ~art ~cmxs ~arg_tys ~ret_ty
          | _ -> ());
-        (* keep the pipeline result reachable for tooling *)
-        pipelines_put wrapped.Compiled_function.cf_name c;
         Native wrapped
   in
   match key with
@@ -320,7 +311,7 @@ let export_library ?options ?(name = "Main") ~path src =
   Jit.export_library c ~path
 
 let pipeline_of = function
-  | Native t -> pipelines_get t.Compiled_function.cf_name
+  | Native t -> t.Compiled_function.pipeline
   | Wvm _ | Tiered _ -> None
 
 let fallback_count = function

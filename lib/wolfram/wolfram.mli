@@ -98,7 +98,12 @@ val export_library :
 
 val pipeline_of : compiled -> Wolf_compiler.Pipeline.compiled option
 (** Pass timings, instrumentation stats, resolution table, IR — for tooling
-    and the E8 benchmark. *)
+    and the E8 benchmark.  The pipeline travels with the compiled function,
+    so it is this compile's own; [None] for WVM and tiered functions and
+    for a JIT function revived from the disk cache.  Only [program],
+    [stats], [inplace_updates], [coptions] and [source] are kept:
+    [resolution] is empty, [expanded] is the source and [timings] is
+    empty. *)
 
 val fallback_count : compiled -> int
 

@@ -12,8 +12,10 @@ let failure_str f =
   Printf.sprintf "%s: expected %s, got %s" f.Oracle.fwhere f.Oracle.fexpected
     f.Oracle.fgot
 
-let check_clean ?backends ?levels entry =
-  match Driver.check_entry ?backends ?levels entry with
+let arms names = Result.get_ok (Oracle.arms_of_string names)
+
+let check_clean ?arms ?levels entry =
+  match Driver.check_entry ?arms ?levels entry with
   | [] -> ()
   | fs ->
     Alcotest.failf "%s (%s): %s" entry.Driver.ce_path entry.Driver.ce_note
@@ -30,38 +32,85 @@ let test_corpus_present () =
 let test_corpus_replay () =
   List.iter check_clean (Lazy.force entries)
 
+let regressions () =
+  List.filter
+    (fun e -> String.starts_with ~prefix:"regress" (Filename.basename e.Driver.ce_path))
+    (Lazy.force entries)
+
 (* the shrunk miscompilation reproducers additionally run on the JIT, which
    shells out to ocamlopt and is therefore kept off the full-corpus sweep *)
 let test_regressions_on_jit () =
-  Lazy.force entries
-  |> List.filter (fun e ->
-      String.length (Filename.basename e.Driver.ce_path) >= 7
-      && String.sub (Filename.basename e.Driver.ce_path) 0 7 = "regress")
-  |> List.iter (fun e ->
-      check_clean ~backends:[ Oracle.Jit ] ~levels:[ 1; 2 ] e)
+  List.iter (check_clean ~arms:(arms "jit") ~levels:[ 1; 2 ]) (regressions ())
 
 (* the par arm is the only one that calls a single compiled function more
    than once, so it alone catches state leaking across calls (e.g. the
    pooled-constant mutation regression) *)
 let test_regressions_on_par () =
-  Lazy.force entries
-  |> List.filter (fun e ->
-      String.length (Filename.basename e.Driver.ce_path) >= 7
-      && String.sub (Filename.basename e.Driver.ce_path) 0 7 = "regress")
-  |> List.iter (fun e ->
-      check_clean ~backends:[ Oracle.Par ] ~levels:[ 1; 2 ] e)
+  List.iter (check_clean ~arms:(arms "par") ~levels:[ 1; 2 ]) (regressions ())
 
 (* the wolfc-build product: regression reproducers replayed end-to-end as
    standalone executables (emit_standalone + cc + argv); the oracle skips
    entries whose shapes the standalone driver cannot parse or print, and
    the whole arm self-skips without a C toolchain *)
 let test_regressions_on_binary () =
-  Lazy.force entries
-  |> List.filter (fun e ->
-      String.length (Filename.basename e.Driver.ce_path) >= 7
-      && String.sub (Filename.basename e.Driver.ce_path) 0 7 = "regress")
-  |> List.iter (fun e ->
-      check_clean ~backends:[ Oracle.Binary ] ~levels:[ 0; 2 ] e)
+  List.iter (check_clean ~arms:(arms "binary") ~levels:[ 0; 2 ]) (regressions ())
+
+(* ---- the arm table ----------------------------------------------------- *)
+
+let names = List.map (fun a -> a.Oracle.name)
+let all_names = String.concat "," (names Oracle.arms)
+
+let test_arm_names_roundtrip () =
+  List.iter
+    (fun a ->
+       Alcotest.(check (list string)) a.Oracle.name [ a.Oracle.name ]
+         (names (arms a.Oracle.name)))
+    Oracle.arms;
+  Alcotest.(check (list string)) "the whole table" (names Oracle.arms)
+    (names (arms all_names))
+
+let test_unknown_arm_lists_all () =
+  match Oracle.arms_of_string "threaded,nosuch" with
+  | Ok _ -> Alcotest.fail "an unknown arm name parsed"
+  | Error e ->
+    Alcotest.(check bool) (e ^ " lists every arm") true
+      (String.ends_with ~suffix:("(" ^ all_names ^ ")") e)
+
+(* WVM applicability is derived from the program itself; it must exclude
+   exactly the corpus files annotated as not WVM-representable *)
+let test_wvm_predicate () =
+  let wvm = List.find (fun a -> a.Oracle.name = "wvm") Oracle.arms in
+  let annotated e =
+    let ic = open_in e.Driver.ce_path in
+    let text = really_input_string ic (in_channel_length ic) in
+    close_in ic;
+    List.exists (fun l -> String.trim l = "(* wvm: false *)") (String.split_on_char '\n' text)
+  in
+  let base es = List.map (fun e -> Filename.basename e.Driver.ce_path) es in
+  let excluded =
+    List.filter
+      (fun e -> not (wvm.Oracle.applies (Wolf_wexpr.Parser.parse e.Driver.ce_source)))
+      (Lazy.force entries)
+  in
+  Alcotest.(check (list string)) "excluded = annotated"
+    (base (List.filter annotated (Lazy.force entries))) (base excluded);
+  Alcotest.(check int) "two annotated files" 2 (List.length excluded)
+
+(* the par arm's coverage counters read each compile's own pipeline, so a
+   sharded campaign counts exactly what a sequential one does *)
+let test_par_counts_jobs () =
+  let run jobs =
+    let r =
+      Driver.run
+        { Driver.default_config with
+          Driver.seed = 42; count = 100; arms = arms "par"; levels = [ 2 ]; jobs }
+    in
+    Alcotest.(check int) "no disagreements" 0 r.Driver.disagreements;
+    (r.Driver.par_programs, r.Driver.par_loops)
+  in
+  let seq = run 1 in
+  Alcotest.(check bool) "the pass fired" true (snd seq > 0);
+  Alcotest.(check (pair int int)) "jobs 4 counts = jobs 1 counts" seq (run 4)
 
 (* ---- shrinker properties --------------------------------------------- *)
 
@@ -133,5 +182,13 @@ let tests =
     Alcotest.test_case "regressions on par (repeated calls)" `Quick
       test_regressions_on_par;
     Alcotest.test_case "regressions as built binaries" `Slow
-      test_regressions_on_binary ]
+      test_regressions_on_binary;
+    Alcotest.test_case "arm names round-trip through --backends" `Quick
+      test_arm_names_roundtrip;
+    Alcotest.test_case "an unknown arm lists every arm" `Quick
+      test_unknown_arm_lists_all;
+    Alcotest.test_case "wvm applicability derived from the program" `Quick
+      test_wvm_predicate;
+    Alcotest.test_case "par counts equal at jobs 1 and 4" `Quick
+      test_par_counts_jobs ]
   @ qcheck_tests

@@ -607,7 +607,7 @@ let test_flight_ring_and_triggers () =
 
 let test_pass_totals () =
   let src = "Function[{Typed[n, \"Integer64\"]}, Module[{s = 0}, Do[s = s + i*i, {i, n}]; s]]" in
-  let options = { Options.default with Options.verify_each = true; use_cache = false } in
+  let options = { Options.default with Options.use_cache = false } in
   let c = Pipeline.compile ~options ~name:"ObsTotals" (Wolf_wexpr.Parser.parse src) in
   let stats = c.Pipeline.stats in
   let t = Pass_manager.totals stats in

@@ -334,6 +334,23 @@ let test_shared_compile_cache () =
   (* the second session's compile hits the entry the first one filled *)
   Alcotest.(check bool) "cache shared across sessions" true (after > before)
 
+(* a cache hit must report its own program's counts, not those of
+   whatever compiled last under the daemon's shared function name *)
+let test_compile_reply_counts () =
+  with_server @@ fun _srv path ->
+  let c = C.connect path in
+  Fun.protect ~finally:(fun () -> C.close c) @@ fun () ->
+  let compile src = ok_text "compile" (C.compile c src) in
+  let a = "Function[{Typed[x, \"MachineInteger\"]}, x * 91 + 17]" in
+  let b =
+    "Function[{Typed[n, \"MachineInteger\"]}, \
+     Module[{s = 0}, Do[s = s + i * 93, {i, n}]; s]]"
+  in
+  let a_miss = compile a in
+  let b_miss = compile b in
+  Alcotest.(check bool) "the two programs differ in size" true (a_miss <> b_miss);
+  Alcotest.(check string) "cache hit replies with A's counts" a_miss (compile a)
+
 (* ------------------------------------------------------------------ *)
 (* Metrics-source idempotency across restarts                           *)
 
@@ -400,7 +417,7 @@ let test_fuzz_serve_arm () =
     Wolf_fuzz.Driver.run
       { Wolf_fuzz.Driver.default_config with
         Wolf_fuzz.Driver.seed = 2; count = 15;
-        backends = [ Wolf_fuzz.Oracle.Serve ] }
+        arms = Result.get_ok (Wolf_fuzz.Oracle.arms_of_string "serve") }
   in
   Alcotest.(check int) "programs checked" 15
     report.Wolf_fuzz.Driver.generated;
@@ -492,6 +509,8 @@ let tests =
       test_concurrent_clients;
     Alcotest.test_case "cache: shared across sessions" `Quick
       test_shared_compile_cache;
+    Alcotest.test_case "cache: a hit replies with its own counts" `Quick
+      test_compile_reply_counts;
     Alcotest.test_case "metrics: sources idempotent across restarts" `Quick
       test_metrics_reregistration;
     Alcotest.test_case "fuzz: serve arm, 0 disagreements" `Quick
