@@ -43,10 +43,13 @@ smoke: build
 
 # fixed-seed differential fuzzing campaign: 200 generated programs run on
 # threaded + WVM at O0/O1/O2 against the interpreter, with the full IR
-# verifier after every pass; deterministic, so a failure here is replayable
-# with the same seed (see EXPERIMENTS.md "Fuzz triage")
+# verifier after every pass, then 100 more through the ocamlopt JIT (the
+# backend whose generated code inlines the abort check; ~30 s);
+# deterministic, so a failure here is replayable with the same seed (see
+# EXPERIMENTS.md "Fuzz triage")
 fuzz-smoke: build
 	dune exec bin/wolfc.exe -- fuzz --seed 1 --count 200 --quiet
+	dune exec bin/wolfc.exe -- fuzz --seed 3 --count 100 --quiet --backends jit
 
 # the same fixed-seed campaign sharded over 4 domains: exercises the
 # domain-safe core (locked intern/caches, atomic aborts, domain-local

@@ -413,7 +413,11 @@ let[@inline always] wolf_set2_real ~inplace t i k v =
   let t = wolf_cow ~inplace t in
   wolf_rwrite t (wolf_flat2 t i k) v; t
 
-let[@inline always] wolf_abort_check () = Wolf_base.Abort_signal.check ()
+(* Abort_signal.check written out: plugins see only .cmi files, so the
+   call would not be inlined across the module boundary *)
+let[@inline always] wolf_abort_check () =
+  if Atomic.get Wolf_base.Abort_signal.state <> 0 then
+    Wolf_base.Abort_signal.slow ()
 |}
 
 let fn_ocaml_name ctx name =

@@ -426,7 +426,7 @@ let install () =
   Eval.register "Continue" (fun _ _ -> raise Eval.Continue_loop);
   Eval.register "Abort" (fun _ _ ->
       Abort_signal.request ();
-      Abort_signal.check ();
+      Abort_signal.interp_check ();
       None);
   Eval.register "Hold" ~attrs:[ Attributes.Hold_all ] (fun _ _ -> None);
   Eval.register "HoldComplete" ~attrs:[ Attributes.Hold_all ] (fun _ _ -> None);

@@ -124,10 +124,15 @@ let thread_listable h args =
                          | _ -> a)
                       args ))))
 
+(* per-domain: a tier-0 call reads the delta on the domain running it *)
+let steps_key = Domain.DLS.new_key (fun () -> ref 0)
+let steps () = !(Domain.DLS.get steps_key)
+
 let rec eval_at depth e =
   if depth > !recursion_limit then
     Errors.eval_errorf "RecursionLimit exceeded at depth %d" depth;
-  Abort_signal.check ();
+  incr (Domain.DLS.get steps_key);
+  Abort_signal.interp_check ();
   match e with
   | Expr.Int _ | Expr.Big _ | Expr.Real _ | Expr.Str _ | Expr.Tensor _ -> e
   | Expr.Sym s ->

@@ -22,6 +22,11 @@ val eval : Expr.t -> Expr.t
 (** @raise Wolf_base.Abort_signal.Aborted on user abort
     @raise Wolf_base.Errors.Eval_error on exceeded recursion/iteration limits *)
 
+val steps : unit -> int
+(** Evaluation steps taken so far on the calling domain.  The interpreter
+    polls for aborts once per step, so this is also its poll count; tiered
+    execution reads its delta as a loop-backedge estimate. *)
+
 val recursion_limit : int ref
 val iteration_limit : int ref
 

@@ -1,6 +1,8 @@
 let on = Atomic.make false
 let enabled () = Atomic.get on
-let set_enabled b = Atomic.set on b
+let toggle_hook = ref ignore
+let on_toggle f = toggle_hook := f
+let set_enabled b = if Atomic.exchange on b <> b then !toggle_hook b
 
 type cell = {
   name : string;

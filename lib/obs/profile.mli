@@ -16,6 +16,11 @@
 val enabled : unit -> bool
 val set_enabled : bool -> unit
 
+val on_toggle : (bool -> unit) -> unit
+(** Install the one hook {!set_enabled} calls with the new value when it
+    flips the switch.  [Abort_signal] installs it to arm its slow path,
+    which is where compiled-code abort polls are counted. *)
+
 val reset : unit -> unit
 (** Zero every per-function cell and event counter. *)
 

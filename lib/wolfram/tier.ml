@@ -4,12 +4,11 @@
    A tiered function starts life as a thunk over [Hooks.eval] — creating
    one costs a hashtable insert, so time-to-first-result is the
    interpreter's.  Every tier-0 call contributes heat: one unit per
-   invocation plus a loop-backedge estimate read from the abort-poll
-   delta ([Abort_signal.checks_performed] — the interpreter polls once
-   per loop iteration, so the per-domain poll counter is a backedge
-   counter we already pay for).  Crossing the threshold submits one
-   compile job to a shared single-worker executor; the caller never
-   blocks on it.
+   invocation plus a loop-backedge estimate read from the interpreter's
+   step delta ([Eval.steps] — the interpreter takes at least one step per
+   loop iteration, so the per-domain step counter is a backedge counter).
+   Crossing the threshold submits one compile job to a shared
+   single-worker executor; the caller never blocks on it.
 
    Publication protocol: the callable is an [Atomic.t] closure slot.
    Callers read the slot exactly once per call, so an in-flight tier-0
@@ -55,8 +54,8 @@ let state_name = function
   | Promoted -> "promoted"
   | Failed -> "failed"
 
-(* one loop iteration ~ one abort poll; weight backedges so a single call
-   spinning a long loop promotes about as fast as many short calls *)
+(* one loop iteration ~ one interpreter step; weight backedges so a single
+   call spinning a long loop promotes about as fast as many short calls *)
 let backedge_weight = 64
 
 let default_threshold = Atomic.make 12
@@ -182,10 +181,10 @@ let call t args =
   let fn = Atomic.get t.slot in
   if Atomic.get t.st >= st_promoted then fn args
   else begin
-    let polls0 = Abort_signal.checks_performed () in
+    let steps0 = Wolf_kernel.Eval.steps () in
     let account () =
-      let polls = Abort_signal.checks_performed () - polls0 in
-      if polls > 0 then ignore (Atomic.fetch_and_add t.backedges polls);
+      let steps = Wolf_kernel.Eval.steps () - steps0 in
+      if steps > 0 then ignore (Atomic.fetch_and_add t.backedges steps);
       ignore (Atomic.fetch_and_add t.calls 1);
       if heat t >= t.tr_threshold then enqueue t
     in

@@ -4,9 +4,9 @@
     The callable lives in an atomic closure slot read once per call —
     in-flight tier-0 activations finish on the code they started with,
     new calls pick up the promoted closure; nothing ever pauses.  Heat =
-    invocations + loop backedges (estimated from the interpreter's
-    abort-poll count, which increments once per loop iteration).  See
-    DESIGN.md "Tiered execution". *)
+    invocations + loop backedges (estimated from the interpreter's step
+    count, {!Wolf_kernel.Eval.steps}, which grows with every loop
+    iteration).  See DESIGN.md "Tiered execution". *)
 
 type t
 

@@ -280,6 +280,72 @@ let test_abort_strided_loop () =
   let w = B.Wvm.compile (parse src) in
   run "wvm" (fun n -> B.Wvm.call_values w [| Rtval.Int n |])
 
+(* A real Abort[] — [request] from another domain, nothing armed — must
+   stop compiled code through the one-load fast path of the check.  Two
+   targets per backend: a spin loop, and a self-recursive function with no
+   loops, which only prologue checks can stop (on the WVM, which has no
+   prologue checks, the self-call escapes to the interpreter and its step
+   polls stop it).  Each target finishes in bounded time if the abort is
+   lost, so a broken fast path fails instead of hanging. *)
+let test_abort_request_fast_path () =
+  Wolfram.init ();
+  B.Compiled_function.quiet := true;
+  let spin_src =
+    {|Function[{Typed[n, "MachineInteger"]},
+       Module[{i = 0}, While[i < n, i = i + 1]; i]]|}
+  in
+  let rec_src name =
+    Printf.sprintf
+      {|Function[{Typed[n, "MachineInteger"]}, If[n < 1, 1, %s[n-1] + %s[n-2]]]|}
+      name name
+  in
+  let spin = Pipeline.compile ~name:"spin" (parse spin_src) in
+  let recur =
+    Pipeline.compile
+      ~options:{ Options.default with Options.self_name = Some "crec" }
+      ~name:"crec" (parse (rec_src "crec"))
+  in
+  let interrupt name entry =
+    Wolf_base.Abort_signal.clear ();
+    Alcotest.(check bool) (name ^ ": state word unarmed") false
+      (Wolf_base.Abort_signal.armed ());
+    let stopper =
+      Domain.spawn (fun () -> Unix.sleepf 0.01; Wolf_base.Abort_signal.request ())
+    in
+    let outcome =
+      match entry () with
+      | exception Wolf_base.Abort_signal.Aborted -> `Aborted
+      | _ -> `Finished
+    in
+    Domain.join stopper;
+    Wolf_base.Abort_signal.clear ();
+    Alcotest.(check bool) (name ^ ": stopped by a request") true
+      (outcome = `Aborted)
+  in
+  (* sizes: each target runs for a second or more on its backend *)
+  let on_backend backend ~spin ~recursion =
+    interrupt (backend ^ "/spin") spin;
+    interrupt (backend ^ "/recursion") recursion
+  in
+  let call1 (f : Rtval.closure) n () = f.Rtval.call [| Rtval.Int n |] in
+  on_backend "threaded"
+    ~spin:(call1 (B.Native.compile spin) (1 lsl 24))
+    ~recursion:(call1 (B.Native.compile recur) 31);
+  if Lazy.force jit_on then begin
+    match B.Jit.compile spin, B.Jit.compile recur with
+    | Ok js, Ok jr ->
+      on_backend "jit" ~spin:(call1 js (1 lsl 29)) ~recursion:(call1 jr 38)
+    | Error e, _ | _, Error e -> Alcotest.failf "jit: %s" e
+  end;
+  let wvm_rec =
+    Wolfram.function_compile ~target:Wolfram.Bytecode (parse (rec_src "wrec"))
+  in
+  Wolfram.install "wrec" wvm_rec;
+  let wvm_spin = B.Wvm.compile (parse spin_src) in
+  on_backend "wvm"
+    ~spin:(fun () -> B.Wvm.call_values wvm_spin [| Rtval.Int (1 lsl 25) |])
+    ~recursion:(fun () -> Wolfram.call_values wvm_rec [ Rtval.Int 28 ])
+
 let test_abort_disabled_runs_to_completion () =
   let options = { Options.default with Options.abort_handling = false } in
   let c =
@@ -472,6 +538,8 @@ let tests =
     Alcotest.test_case "part-error soft failure" `Quick test_part_error_soft_failure;
     Alcotest.test_case "abortable compiled loops (F3)" `Quick test_abort_compiled;
     Alcotest.test_case "strided polls stay abortable" `Quick test_abort_strided_loop;
+    Alcotest.test_case "Abort[] request via the unarmed fast path" `Quick
+      test_abort_request_fast_path;
     Alcotest.test_case "abort handling disabled" `Quick test_abort_disabled_runs_to_completion;
     Alcotest.test_case "WVM limitations (L1)" `Quick test_wvm_limitations;
     Alcotest.test_case "WVM interpreter escape" `Quick test_wvm_interpreter_escape;

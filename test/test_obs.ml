@@ -332,6 +332,33 @@ let test_profile_via_compile () =
   Alcotest.(check bool) "unprofiled compile stays unprofiled" true
     (List.for_all (fun s -> s.Profile.pf_calls = 0) (Profile.stats ()))
 
+(* runtime_abort_polls counts abort checks made by compiled code only: the
+   interpreter's per-step poll (here inside a kernel escape from code
+   compiled without checks) is not one of them, and with checks on each
+   call makes exactly its one prologue check *)
+let test_profile_abort_polls_compiled_only () =
+  let profiled_polls ~abort_handling src arg repeat =
+    let options =
+      { Options.default with Options.profile = true; abort_handling }
+    in
+    let cf = Wolfram.function_compile ~options (Wolf_wexpr.Parser.parse src) in
+    Profile.reset ();
+    Profile.set_enabled true;
+    Fun.protect ~finally:(fun () -> Profile.set_enabled false) (fun () ->
+        for _ = 1 to repeat do
+          ignore (Wolfram.call cf [ Wolf_wexpr.Expr.Int arg ])
+        done);
+    Profile.abort_polls ()
+  in
+  Alcotest.(check int) "interpreter steps are not compiled-code polls" 0
+    (profiled_polls ~abort_handling:false
+       {|Function[{Typed[x, "MachineInteger"]},
+          KernelFunction[Function[{y}, Total[Table[i^2, {i, y}]]]][x]]|}
+       500 1);
+  Alcotest.(check int) "one prologue poll per call" 10
+    (profiled_polls ~abort_handling:true
+       {|Function[{Typed[x, "MachineInteger"]}, x + 1]|} 5 10)
+
 (* ------------------------------------------------------------------ *)
 (* Compile-cache metrics source                                         *)
 
@@ -659,6 +686,8 @@ let tests =
     Alcotest.test_case "profile: self vs total time" `Quick test_profile_self_time;
     Alcotest.test_case "profile: disabled wrapper records nothing" `Quick test_profile_disabled_is_free;
     Alcotest.test_case "profile: end-to-end via Options.profile" `Quick test_profile_via_compile;
+    Alcotest.test_case "profile: abort polls count compiled code only" `Quick
+      test_profile_abort_polls_compiled_only;
     Alcotest.test_case "cache: metrics source incl. eviction + bytes" `Quick test_cache_metrics;
     Alcotest.test_case "cache: in-flight waits annotate, not skew" `Quick test_cache_waits_counted;
     Alcotest.test_case "timings: totals are the fold of the rows" `Quick test_pass_totals ]

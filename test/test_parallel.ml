@@ -242,6 +242,39 @@ let test_abort_hooks_domain_local () =
   Alcotest.(check int) "poll counter is domain-local" 2
     (Wolf_base.Abort_signal.checks_performed ())
 
+(* every hook that arms the abort state word gives its arm back: a leaked
+   arm would silently put every compiled check back on the slow path *)
+let test_abort_arming_scoped () =
+  let module A = Wolf_base.Abort_signal in
+  let unarmed what =
+    Alcotest.(check bool) (what ^ ": unarmed") false (A.armed ())
+  in
+  A.clear ();
+  unarmed "after clear";
+  A.abort_after 1;
+  Alcotest.(check bool) "abort_after arms" true (A.armed ());
+  Alcotest.(check bool) "an arm is not a request" false (A.requested ());
+  (match A.check () with
+   | exception A.Aborted -> ()
+   | () -> Alcotest.fail "scheduled abort did not fire");
+  A.clear ();
+  unarmed "fired abort_after, then clear";
+  A.abort_after 1_000_000;
+  A.check ();
+  A.clear ();
+  unarmed "unfired abort_after, then clear";
+  A.reset_stats ();
+  A.reset_stats ();
+  A.clear ();
+  unarmed "reset_stats twice, then clear";
+  Domain.join (Domain.spawn (fun () -> A.reset_stats (); A.abort_after 5));
+  unarmed "arms held by a domain that exited";
+  Wolf_obs.Profile.set_enabled true;
+  Wolf_obs.Profile.set_enabled true;
+  Alcotest.(check bool) "profiling arms" true (A.armed ());
+  Wolf_obs.Profile.set_enabled false;
+  unarmed "profiling on twice, then off"
+
 (* ------------------------------------------------------------------ *)
 (* The pool itself                                                      *)
 
@@ -294,6 +327,8 @@ let tests =
       test_cross_domain_abort;
     Alcotest.test_case "abort test hooks stay domain-local" `Quick
       test_abort_hooks_domain_local;
+    Alcotest.test_case "abort arming is scoped" `Quick
+      test_abort_arming_scoped;
     Alcotest.test_case "pool merge is deterministic" `Quick
       test_pool_deterministic;
     Alcotest.test_case "pool propagates task exceptions" `Quick
