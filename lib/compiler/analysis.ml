@@ -1,90 +1,103 @@
 open Wir
 
 type cfg = {
-  order : int array;
-  preds : (int, int list) Hashtbl.t;
-  succs : (int, int list) Hashtbl.t;
-  idom : (int, int) Hashtbl.t;
+  nodes : block array;
+  nreach : int;
+  index : (int, int) Hashtbl.t;
+  succs : int array array;
+  preds : int array array;
+  idom : int array;
 }
 
+(* Blocks are numbered in reverse postorder from the entry, then the
+   unreachable ones in list order; every other array is indexed by that
+   number.  Malformed IR is tolerated: a jump to a missing label is no edge,
+   an edge into the entry is an ordinary predecessor, and a duplicate label
+   names its first block (later ones are unreachable). *)
 let build_cfg f =
-  let succs = Hashtbl.create 16 and preds = Hashtbl.create 16 in
-  List.iter
-    (fun b ->
-       let ss = successors b.term in
-       Hashtbl.replace succs b.label ss;
-       List.iter
-         (fun s ->
-            let cur = Option.value ~default:[] (Hashtbl.find_opt preds s) in
-            Hashtbl.replace preds s (b.label :: cur))
-         ss)
-    f.blocks;
-  List.iter
-    (fun b ->
-       if not (Hashtbl.mem preds b.label) then Hashtbl.replace preds b.label [])
-    f.blocks;
-  (* reverse postorder from entry *)
-  let visited = Hashtbl.create 16 in
-  let post = ref [] in
-  let rec dfs l =
-    if not (Hashtbl.mem visited l) then begin
-      Hashtbl.replace visited l ();
-      List.iter dfs (Option.value ~default:[] (Hashtbl.find_opt succs l));
-      post := l :: !post
+  let all = Array.of_list f.blocks in
+  let total = Array.length all in
+  let index = Hashtbl.create (2 * total) in
+  Array.iteri
+    (fun k b -> if not (Hashtbl.mem index b.label) then Hashtbl.add index b.label k)
+    all;
+  let succ_pos =
+    Array.map (fun b -> List.filter_map (Hashtbl.find_opt index) (successors b.term)) all
+  in
+  (* postorder from the entry, consed up into reverse postorder *)
+  let seen = Array.make total false in
+  let rpo = ref [] in
+  let rec dfs k =
+    if not seen.(k) then begin
+      seen.(k) <- true;
+      List.iter dfs succ_pos.(k);
+      rpo := k :: !rpo
     end
   in
-  let entry_label = (entry f).label in
-  dfs entry_label;
-  let order = Array.of_list !post in
-  (* Cooper–Harvey–Kennedy iterative dominators *)
-  let rpo_index = Hashtbl.create 16 in
-  Array.iteri (fun i l -> Hashtbl.replace rpo_index l i) order;
-  let idom = Hashtbl.create 16 in
-  Hashtbl.replace idom entry_label entry_label;
-  let intersect a b =
-    let rec go a b =
-      if a = b then a
-      else begin
-        let ia = Hashtbl.find rpo_index a and ib = Hashtbl.find rpo_index b in
-        if ia > ib then go (Hashtbl.find idom a) b
-        else go a (Hashtbl.find idom b)
-      end
-    in
-    go a b
+  if total > 0 then dfs 0;
+  let num = Array.make total (-1) and count = ref 0 in
+  let number k =
+    num.(k) <- !count;
+    incr count
+  in
+  List.iter number !rpo;
+  let reached = !count in
+  Array.iteri (fun k _ -> if not seen.(k) then number k) all;
+  let nodes = Array.copy all in
+  Array.iteri (fun k b -> nodes.(num.(k)) <- b) all;
+  Hashtbl.filter_map_inplace (fun _ k -> Some num.(k)) index;
+  let succs = Array.make total [||] in
+  Array.iteri
+    (fun k ss -> succs.(num.(k)) <- Array.of_list (List.map (fun s -> num.(s)) ss))
+    succ_pos;
+  let npreds = Array.make total 0 in
+  Array.iter (Array.iter (fun s -> npreds.(s) <- npreds.(s) + 1)) succs;
+  let preds = Array.map (fun n -> Array.make n 0) npreds in
+  Array.iteri
+    (fun i ss ->
+       Array.iter
+         (fun s ->
+            let k = npreds.(s) - 1 in
+            npreds.(s) <- k;
+            preds.(s).(k) <- i)
+         ss)
+    succs;
+  (* Cooper–Harvey–Kennedy iterative dominators over RPO numbers: a
+     dominator always has the smaller number *)
+  let idom = Array.make total (-1) in
+  if reached > 0 then idom.(0) <- 0;
+  let rec intersect a b =
+    if a = b then a else if a > b then intersect idom.(a) b else intersect a idom.(b)
   in
   let changed = ref true in
   while !changed do
     changed := false;
-    Array.iter
-      (fun l ->
-         if l <> entry_label then begin
-           let ps =
-             List.filter (Hashtbl.mem idom) (Hashtbl.find preds l)
-             |> List.filter (Hashtbl.mem rpo_index)
-           in
-           match ps with
-           | [] -> ()
-           | first :: rest ->
-             let new_idom = List.fold_left intersect first rest in
-             if Hashtbl.find_opt idom l <> Some new_idom then begin
-               Hashtbl.replace idom l new_idom;
-               changed := true
-             end
-           end)
-      order
+    for i = 1 to reached - 1 do
+      let d =
+        Array.fold_left
+          (fun d p -> if idom.(p) < 0 then d else if d < 0 then p else intersect p d)
+          (-1) preds.(i)
+      in
+      if d <> idom.(i) then begin
+        idom.(i) <- d;
+        changed := true
+      end
+    done
   done;
-  { order; preds; succs; idom }
+  { nodes; nreach = reached; index; succs; preds; idom }
 
-let dominates cfg a b =
-  (* does a dominate b? *)
-  let rec go b =
-    if a = b then true
-    else
-      match Hashtbl.find_opt cfg.idom b with
-      | Some d when d <> b -> go d
-      | _ -> false
-  in
-  go b
+let number cfg label =
+  match Hashtbl.find_opt cfg.index label with
+  | Some i when i < cfg.nreach -> i
+  | _ -> -1
+
+let reachable cfg label = number cfg label >= 0
+
+let dominates_num cfg a b =
+  let rec go b = b = a || (b > a && go cfg.idom.(b)) in
+  a >= 0 && b >= 0 && go b
+
+let dominates cfg a b = a = b || dominates_num cfg (number cfg a) (number cfg b)
 
 let loop_headers f cfg =
   let headers = Hashtbl.create 8 in
@@ -115,7 +128,7 @@ let natural_loops f cfg =
   let by_header = Hashtbl.create 8 in
   List.iter
     (fun b ->
-       if Hashtbl.mem cfg.idom b.label then
+       if reachable cfg b.label then
          List.iter
            (fun succ ->
               if dominates cfg succ b.label then begin
@@ -133,9 +146,11 @@ let natural_loops f cfg =
          let rec walk l =
            if not (Hashtbl.mem body l) then begin
              Hashtbl.replace body l ();
-             List.iter
-               (fun p -> if Hashtbl.mem cfg.idom p then walk p)
-               (Option.value ~default:[] (Hashtbl.find_opt cfg.preds l))
+             let i = number cfg l in
+             if i >= 0 then
+               Array.iter
+                 (fun p -> if p < cfg.nreach then walk cfg.nodes.(p).label)
+                 cfg.preds.(i)
            end
          in
          List.iter walk latches;
@@ -414,23 +429,20 @@ let liveness f =
   while !changed do
     changed := false;
     (* iterate blocks in postorder (reverse of rpo) for fast convergence *)
-    for i = Array.length cfg.order - 1 downto 0 do
-      let l = cfg.order.(i) in
-      let b = Wir.find_block f l in
+    for i = cfg.nreach - 1 downto 0 do
+      let b = cfg.nodes.(i) in
+      let l = b.label in
       let out = Hashtbl.find live_out_t l in
-      List.iter
+      Array.iter
         (fun s ->
-           match Hashtbl.find_opt live_in s with
-           | Some si ->
-             Hashtbl.iter
-               (fun v () ->
-                  if not (Hashtbl.mem out v) then begin
-                    Hashtbl.replace out v ();
-                    changed := true
-                  end)
-               si
-           | None -> ())
-        (Hashtbl.find cfg.succs l);
+           Hashtbl.iter
+             (fun v () ->
+                if not (Hashtbl.mem out v) then begin
+                  Hashtbl.replace out v ();
+                  changed := true
+                end)
+             (Hashtbl.find live_in cfg.nodes.(s).label))
+        cfg.succs.(i);
       (* in = (out - defs) + uses, walking instructions backwards *)
       let live = Hashtbl.copy out in
       List.iter (fun v -> Hashtbl.replace live v ()) (op_var_ids (term_uses b.term));

@@ -4,15 +4,33 @@
     by {!Memory_pass} and {!Mutability_pass}), and the counted-loop view
     the loop optimisations share. *)
 
+(** The control-flow graph with blocks numbered in reverse postorder from
+    the entry (the entry is 0), followed by the unreachable blocks in list
+    order.  Every array is indexed by that number. *)
 type cfg = {
-  order : int array;                  (** reverse postorder of block labels *)
-  preds : (int, int list) Hashtbl.t;
-  succs : (int, int list) Hashtbl.t;
-  idom : (int, int) Hashtbl.t;        (** immediate dominators; entry maps to itself *)
+  nodes : Wir.block array;        (** the block with each number *)
+  nreach : int;                   (** numbers [0 .. nreach-1] are reachable *)
+  index : (int, int) Hashtbl.t;   (** label -> number *)
+  succs : int array array;        (** successors, in terminator order *)
+  preds : int array array;        (** predecessors, reachable or not *)
+  idom : int array;
+      (** immediate dominator; [idom.(0) = 0], [-1] when unreachable *)
 }
 
 val build_cfg : Wir.func -> cfg
+(** Cooper–Harvey–Kennedy dominators.  Never raises on malformed IR: a jump
+    to a missing label adds no edge, an edge into the entry is an ordinary
+    predecessor, and a duplicate label names its first block (the later
+    ones count as unreachable). *)
+
+val number : cfg -> int -> int
+(** The number of the reachable block with this label, or [-1]. *)
+
+val reachable : cfg -> int -> bool
+(** Whether the block with this label is reachable from the entry. *)
+
 val dominates : cfg -> int -> int -> bool
+(** The same on labels; a label always dominates itself. *)
 
 val loop_headers : Wir.func -> cfg -> int list
 (** Labels that are the target of a back edge (their source being dominated

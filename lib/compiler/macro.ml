@@ -17,6 +17,13 @@ type env = {
 
 let create_env ?parent name = { menv_name = name; parent; rules = Hashtbl.create 32 }
 
+(* Fresh tables and cells at every layer, so [register] on one copy is
+   invisible to the others; the rules themselves are immutable and shared. *)
+let rec copy_env env =
+  let rules = Hashtbl.copy env.rules in
+  Hashtbl.filter_map_inplace (fun _ cell -> Some (ref !cell)) rules;
+  { env with parent = Option.map copy_env env.parent; rules }
+
 let register env head ?condition pairs =
   let rules = List.map (fun (lhs, rhs) -> { lhs; rhs; condition }) pairs in
   match Hashtbl.find_opt env.rules head with
@@ -127,7 +134,7 @@ let expand env ?(options = []) expr =
 
 let p src = Parser.parse src
 
-let builtin_env () =
+let build_builtin () =
   let env = create_env "builtin-macros" in
   (* And/Or short-circuiting (the paper's worked example, §4.2) *)
   register env "And"
@@ -194,11 +201,14 @@ let builtin_env () =
        p "CompoundExpression[init, While[cond, incr]]") ];
   env
 
+let builtin_base = Once.make build_builtin
+let builtin_env () = copy_env (Once.get builtin_base)
+
 (* Functional constructs compile by desugaring to loops; Map keeps the
    element type (the a -> a form), which covers the common numeric uses.
    Separate from [builtin_env] so tools inspecting pure desugaring (and user
    environments layered on the builtins) are unaffected. *)
-let functional_env () =
+let build_functional () =
   let env = create_env ~parent:(builtin_env ()) "functional-macros" in
   register env "Nest"
     [ (p "Nest[f_, x0_, n_]",
@@ -216,3 +226,6 @@ let functional_env () =
             While[i$m <= n$m, out$m[[i$m]] = f[lst[[i$m]]]; i$m = i$m + 1]; \
             out$m]") ];
   env
+
+let functional_base = Once.make build_functional
+let functional_env () = copy_env (Once.get functional_base)

@@ -30,9 +30,14 @@ val expand : env -> ?options:options -> Expr.t -> Expr.t
 val builtin_env : unit -> env
 (** The default environment bundled with the compiler: And/Or
     short-circuiting, n-ary arithmetic flattening, increment/update
-    desugaring, comparison chains, and always-safe If/arithmetic folds. *)
+    desugaring, comparison chains, and always-safe If/arithmetic folds.
+    The rules are parsed once per process, under a lock, on the first call;
+    every call returns fresh tables and cells over them, so it behaves
+    exactly like a freshly built environment: [register] appends, and
+    nothing one caller registers is visible to another. *)
 
 val functional_env : unit -> env
 (** [builtin_env] extended with loop desugarings for the functional
     primitives ([Nest], [Fold], [Map] over packed arrays with
-    element-preserving functions); the pipeline's default. *)
+    element-preserving functions); the pipeline's default.  Built once and
+    copied per call, like [builtin_env]. *)

@@ -34,7 +34,6 @@ let run (p : program) =
        let cfg = Analysis.build_cfg f in
        (* available expressions propagate down the dominator tree: a value
           computed in a dominator is in scope at every dominated use *)
-       let avail_at : (int, (string, var) Hashtbl.t) Hashtbl.t = Hashtbl.create 8 in
        let replacements : (int, var) Hashtbl.t = Hashtbl.create 8 in
        let subst op =
          match op with
@@ -44,46 +43,37 @@ let run (p : program) =
             | None -> op)
          | Oconst _ -> op
        in
-       Array.iter
-         (fun label ->
-            let b = Wir.find_block f label in
-            let entry_label = (Wir.entry f).label in
-            let inherited =
-              if label = entry_label then Hashtbl.create 16
-              else
-                match Hashtbl.find_opt cfg.Analysis.idom label with
-                | Some idom when idom <> label ->
-                  (match Hashtbl.find_opt avail_at idom with
-                   | Some h -> Hashtbl.copy h
-                   | None -> Hashtbl.create 16)
-                | _ -> Hashtbl.create 16
-            in
-            let available = inherited in
-            b.instrs <-
-              List.map
-                (fun i ->
-                   let i = map_instr_operands subst i in
-                   match i with
-                   | Call { dst; callee = Resolved { mangled; base }; args }
-                     when pure_base base && scalar_result dst ->
-                     let key =
-                       mangled ^ "("
-                       ^ String.concat "," (Array.to_list (Array.map op_key args))
-                       ^ ")"
-                     in
-                     (match Hashtbl.find_opt available key with
-                      | Some prior ->
-                        (* keep a Copy so uses in later blocks stay defined *)
-                        Hashtbl.replace replacements dst.vid prior;
-                        changed := true;
-                        Copy { dst; src = Ovar prior }
-                      | None ->
-                        Hashtbl.replace available key dst;
-                        i)
-                   | _ -> i)
-                b.instrs;
-            b.term <- map_term_operands subst b.term;
-            Hashtbl.replace avail_at label available)
-         cfg.Analysis.order)
+       let avail_at = Array.make cfg.Analysis.nreach (Hashtbl.create 0) in
+       for n = 0 to cfg.Analysis.nreach - 1 do
+         let b = cfg.Analysis.nodes.(n) in
+         let available =
+           if n = 0 then Hashtbl.create 16 else Hashtbl.copy avail_at.(cfg.Analysis.idom.(n))
+         in
+         b.instrs <-
+           List.map
+             (fun i ->
+                let i = map_instr_operands subst i in
+                match i with
+                | Call { dst; callee = Resolved { mangled; base }; args }
+                  when pure_base base && scalar_result dst ->
+                  let key =
+                    mangled ^ "("
+                    ^ String.concat "," (Array.to_list (Array.map op_key args))
+                    ^ ")"
+                  in
+                  (match Hashtbl.find_opt available key with
+                   | Some prior ->
+                     (* keep a Copy so uses in later blocks stay defined *)
+                     Hashtbl.replace replacements dst.vid prior;
+                     changed := true;
+                     Copy { dst; src = Ovar prior }
+                   | None ->
+                     Hashtbl.replace available key dst;
+                     i)
+                | _ -> i)
+             b.instrs;
+         b.term <- map_term_operands subst b.term;
+         avail_at.(n) <- available
+       done)
     p.funcs;
   !changed

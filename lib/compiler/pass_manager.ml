@@ -133,16 +133,29 @@ let run_pass t pass prog =
 
 let run_list t passes prog = List.iter (fun p -> ignore (run_pass t p prog)) passes
 
+(* Stop as soon as every pass has run once, in a row, on the current IR
+   without reporting a change: the IR is then a fixed point of all of them.
+   That is one full cycle after the last change, wherever in a round it
+   fell, rather than the rest of that round plus one more round. *)
 let run_fixpoint ?(budget = 16) t passes prog =
+  let n = List.length passes in
   let any = ref false in
-  let budget = ref budget in
-  let changed = ref true in
-  while !changed && !budget > 0 do
-    decr budget;
-    changed := false;
-    List.iter (fun p -> if run_pass t p prog then changed := true) passes;
-    if !changed then any := true
-  done;
+  let quiet = ref 0 in
+  let rec round rounds_left =
+    if rounds_left > 0 then begin
+      List.iter
+        (fun p ->
+           if !quiet < n then
+             if run_pass t p prog then begin
+               any := true;
+               quiet := 0
+             end
+             else incr quiet)
+        passes;
+      if !quiet < n then round (rounds_left - 1)
+    end
+  in
+  round budget;
   !any
 
 let record t name f =

@@ -66,9 +66,10 @@ val run_list : t -> pass list -> Wir.program -> unit
 (** Run each pass once, in order. *)
 
 val run_fixpoint : ?budget:int -> t -> pass list -> Wir.program -> bool
-(** Iterate the pass list until no pass reports a change or [budget]
-    (default 16) rounds elapse; returns [true] if any run changed the
-    program. *)
+(** Iterate the pass list until every pass has run once in a row without
+    reporting a change (one full cycle after the last change, which may end
+    mid-round) or [budget] (default 16) rounds elapse; returns [true] if
+    any run changed the program. *)
 
 val record : t -> string -> (unit -> 'a) -> 'a
 (** Time a stage that is not a WIR-to-WIR pass (e.g. macro expansion +

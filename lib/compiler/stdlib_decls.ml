@@ -2,7 +2,7 @@ open Wolf_wexpr
 
 let p = Parser.parse
 
-let env () =
+let build () =
   let env = Type_env.create ~parent:(Type_env.builtin ()) "stdlib" in
   (* the paper's Min, verbatim modulo surface syntax (§4.4):
        tyEnv["declareFunction", Min,
@@ -60,3 +60,6 @@ let env () =
                  While[b != 0, t = Mod[a, b]; a = b; b = t];
                  a]]|});
   env
+
+let base = Wolf_base.Once.make build
+let env () = Type_env.copy (Wolf_base.Once.get base)

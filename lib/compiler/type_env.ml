@@ -21,6 +21,14 @@ type t = {
 let create ?parent name = { env_name = name; parent; decls = Hashtbl.create 64 }
 let name t = t.env_name
 
+(* Fresh tables and fresh cells at every layer: [declare] and a second copy
+   never see each other's changes.  The decl records are immutable and
+   shared. *)
+let rec copy t =
+  let decls = Hashtbl.copy t.decls in
+  Hashtbl.filter_map_inplace (fun _ cell -> Some (ref !cell)) decls;
+  { t with parent = Option.map copy t.parent; decls }
+
 let scheme_equal a b =
   (* conservative: identical printed form (schemes are closed) *)
   String.equal (Types.to_string a.Types.body) (Types.to_string b.Types.body)
@@ -114,7 +122,7 @@ let comparison env name prim =
   declare env name (fn [ i64; r64 ] bool_t) (Prim ("binary_" ^ prim));
   declare env name (fn [ r64; i64 ] bool_t) (Prim ("binary_" ^ prim))
 
-let builtin () =
+let build_builtin () =
   Type_class.install_builtin ();
   let env = create "builtin" in
   numeric_binary env "Plus" "plus";
@@ -282,3 +290,6 @@ let builtin () =
   declare env "ToExpression" (fn [ r64 ] expr_t) (Prim "real_to_expr");
   declare env "FromExpression" (fn [ expr_t ] i64) (Prim "expr_to_int");
   env
+
+let builtin_base = Wolf_base.Once.make build_builtin
+let builtin () = copy (Wolf_base.Once.get builtin_base)

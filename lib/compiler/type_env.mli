@@ -29,6 +29,11 @@ type t
 val create : ?parent:t -> string -> t
 val name : t -> string
 
+val copy : t -> t
+(** An independent copy of every layer: [declare] on the copy is invisible
+    to the original and the other way round.  Declarations themselves are
+    immutable and shared. *)
+
 val declare : t -> string -> ?inline:bool -> Types.scheme -> impl -> unit
 (** Overloads accumulate; redeclaring an identical scheme replaces. *)
 
@@ -42,5 +47,8 @@ val lookup : t -> string -> decl list
 
 val builtin : unit -> t
 (** The default environment bundled with the compiler: arithmetic,
-    comparisons, packed-array / string / expression primitives.  Fresh copy
-    each call so user extensions stay isolated. *)
+    comparisons, packed-array / string / expression primitives.  The
+    declarations are built once per process, under a lock, on the first
+    call; every call returns a {!copy} of them, which behaves exactly like a
+    freshly built environment: an identical-scheme [declare] replaces in
+    place, and nothing one caller declares is visible to another. *)

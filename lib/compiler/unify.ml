@@ -1,25 +1,29 @@
 open Types
 
-(* Trail entries remember the previous contents of each bound cell so that
-   speculative unification (AlternativeConstraint candidate testing) can be
-   rolled back exactly.
+(* Trail entries remember the previous contents of each cell bound inside
+   [speculate], so that speculative unification (AlternativeConstraint
+   candidate testing) can be rolled back exactly.  Bindings made outside any
+   speculation are never rolled back, so they are not recorded, and the
+   outermost commit drops its records: the trail is empty between
+   inferences instead of growing by every binding ever made.
 
-   The trail is domain-local: type variables are created per inference run
-   and never shared across domains, but the trail head itself was a process
-   global — two domains inferring concurrently would interleave their undo
-   records and roll back each other's bindings.  Domain.DLS gives every
-   domain its own trail at zero cost to the single-domain fast path. *)
-let trail_key : (tv ref * tv) list ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [])
+   The state is domain-local: type variables are created per inference run
+   and never shared across domains, but a process-global trail would let two
+   domains inferring concurrently interleave their undo records and roll
+   back each other's bindings.  Domain.DLS gives every domain its own state
+   at zero cost to the single-domain fast path. *)
+type state = {
+  mutable depth : int;                  (* nesting of [speculate] *)
+  mutable trail : (tv ref * tv) list;   (* newest first *)
+}
 
-let trail () = Domain.DLS.get trail_key
+let state_key : state Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> { depth = 0; trail = [] })
 
 let bind r t =
-  let trail = trail () in
-  trail := (r, !r) :: !trail;
+  let s = Domain.DLS.get state_key in
+  if s.depth > 0 then s.trail <- (r, !r) :: s.trail;
   r := Link t
-
-let commit_depth () = List.length !(trail ())
 
 let rec unify a b =
   let a = repr a and b = repr b in
@@ -76,13 +80,18 @@ and unify_all xs ys =
   go 0
 
 let speculate f =
-  let trail = trail () in
-  let saved = !trail in
-  trail := [];
+  let s = Domain.DLS.get state_key in
+  let saved = s.trail in
+  s.trail <- [];
+  s.depth <- s.depth + 1;
   let result = match f () with v -> v | exception _ -> None in
+  s.depth <- s.depth - 1;
   (match result with
-   | Some _ -> trail := !trail @ saved
+   | Some _ ->
+     (* an enclosing speculation may still roll these back; the outermost
+        commit is final *)
+     s.trail <- (if s.depth = 0 then [] else s.trail @ saved)
    | None ->
-     List.iter (fun (r, old) -> r := old) !trail;
-     trail := saved);
+     List.iter (fun (r, old) -> r := old) s.trail;
+     s.trail <- saved);
   result

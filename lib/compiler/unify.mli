@@ -6,7 +6,7 @@ val unify : Types.t -> Types.t -> (unit, string) result
 
 val speculate : (unit -> 'a option) -> 'a option
 (** Run a thunk; when it returns [None] (or raises), roll back all bindings
-    it made.  Used to test AlternativeConstraint candidates. *)
+    it made.  Used to test AlternativeConstraint candidates.  Only bindings
+    made inside a speculation are recorded, and the outermost commit drops
+    them, so nothing is retained between inferences. *)
 
-val commit_depth : unit -> int
-(** Current trail depth (diagnostics/tests). *)

@@ -124,6 +124,30 @@ let instr_uses = function
   | Kernel_call { args; _ } -> Array.to_list args
   | Mem_acquire op | Mem_release op -> [ op ]
 
+let iter_instr_defs f = function
+  | Load_argument { dst; _ } | Copy { dst; _ } | Call { dst; _ }
+  | New_closure { dst; _ } | Kernel_call { dst; _ } | Copy_value { dst; _ } ->
+    f dst
+  | Abort_check | Abort_poll _ | Mem_acquire _ | Mem_release _ -> ()
+
+let iter_instr_uses f = function
+  | Load_argument _ | Abort_check | Abort_poll _ -> ()
+  | Copy { src; _ } | Copy_value { src; _ } -> f src
+  | Call { callee; args; _ } ->
+    (match callee with Indirect op -> f op | Prim _ | Resolved _ | Func _ -> ());
+    Array.iter f args
+  | New_closure { captured = ops; _ } | Kernel_call { args = ops; _ } -> Array.iter f ops
+  | Mem_acquire op | Mem_release op -> f op
+
+let iter_term_uses f = function
+  | Jump j -> Array.iter f j.jargs
+  | Branch { cond; if_true; if_false } ->
+    f cond;
+    Array.iter f if_true.jargs;
+    Array.iter f if_false.jargs
+  | Return op -> f op
+  | Unreachable -> ()
+
 let jump_uses j = Array.to_list j.jargs
 
 let term_uses = function

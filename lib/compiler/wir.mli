@@ -98,6 +98,12 @@ val instr_uses : instr -> operand list
 val term_uses : terminator -> operand list
 val successors : terminator -> int list
 
+val iter_instr_defs : (var -> unit) -> instr -> unit
+val iter_instr_uses : (operand -> unit) -> instr -> unit
+val iter_term_uses : (operand -> unit) -> terminator -> unit
+(** The same variables and operands, in the same order, as [instr_defs],
+    [instr_uses] and [term_uses], without building lists. *)
+
 val map_instr_operands : (operand -> operand) -> instr -> instr
 val map_term_operands : (operand -> operand) -> terminator -> terminator
 

@@ -10,9 +10,11 @@
        and is never a jump target, [Load_argument] appears only in the entry
        block with an in-range index.}
     {- {b Dominance}: every use of an SSA variable is dominated by its
-       definition (computed as a definite-assignment dataflow over the
-       reachable CFG, which coincides with dominance for block-argument
-       SSA).}
+       definition: the definition comes earlier in the same block, or its
+       block dominates the use's block.  Checked in one walk of the
+       dominator tree of {!Analysis.build_cfg}, with each block's
+       definitions in scope over its subtree, so the cost is linear in the
+       size of the function.}
     {- {b Jump agreement}: every jump passes exactly as many arguments as
        the target declares parameters, and each argument's type agrees with
        the parameter's type wherever both are ground.}

@@ -137,8 +137,32 @@ let test_with_substitutes () =
   let a = analyze "Function[{n}, With[{c = 4}, n + c]]" in
   Alcotest.(check int) "no residual locals" 0 (List.length a.Binding.locals)
 
+(* The builtin rules are parsed once per process; each call returns tables
+   of its own.  A rule registered on one copy is appended there (after the
+   existing Power[x_, 1] rule) and seen by no other copy. *)
+let test_shared_env_isolation () =
+  let env = Macro.builtin_env () in
+  Macro.register env "Power" [ (parse "Power[x_, 2]", parse "Times[x, x]") ];
+  Alcotest.check expr "appended rule fires" (parse "Times[y, y]")
+    (Macro.expand env (parse "Power[y, 2]"));
+  Alcotest.check expr "earlier rule still first" (parse "y")
+    (Macro.expand env (parse "Power[y, 1]"));
+  List.iter
+    (fun (what, other) ->
+       Alcotest.check expr what (parse "Power[y, 2]")
+         (Macro.expand other (parse "Power[y, 2]")))
+    [ ("second builtin_env unaffected", Macro.builtin_env ());
+      ("functional_env unaffected", Macro.functional_env ()) ];
+  let fenv = Macro.functional_env () in
+  Macro.register fenv "Nest" [ (parse "Nest[f_, x_, 0]", parse "x") ];
+  Alcotest.check expr "functional copy: builtin rule reached" (parse "Times[a, b]")
+    (Macro.expand fenv (parse "Times[a, b]"));
+  Alcotest.(check bool) "second functional_env unaffected" false
+    (Expr.equal (parse "x") (Macro.expand (Macro.functional_env ()) (parse "Nest[f, x, 0]")))
+
 let tests =
   [ Alcotest.test_case "And desugaring (paper §4.2)" `Quick test_and_desugaring;
+    Alcotest.test_case "shared environments are isolated" `Quick test_shared_env_isolation;
     Alcotest.test_case "Or desugaring" `Quick test_or_desugaring;
     Alcotest.test_case "n-ary arithmetic" `Quick test_nary_arith;
     Alcotest.test_case "update operators" `Quick test_updates;

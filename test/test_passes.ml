@@ -224,6 +224,151 @@ let test_verify_accepts_every_corpus_stage () =
        | Error es -> Alcotest.failf "O%d: %s" lvl (String.concat "; " es))
     [ 0; 1; 2 ]
 
+(* ---------------- verifier: dominance rows ---------------- *)
+
+(* Each row is a hand-built function and the verifier's exact verdict:
+   [Ok ()] or the full list of messages.  Variable ids come from the
+   process-wide supply, so the messages are built from the row's vars. *)
+let int_var () = Wir.fresh_var ~ty:Types.int64 ()
+let copy dst src = Wir.Copy { dst; src }
+let cint k = Wir.Oconst (Wir.Cint k)
+let goto ?(args = [||]) target = Wir.Jump { target; jargs = args }
+
+let branch if_true if_false =
+  Wir.Branch { cond = Wir.Oconst (Wir.Cbool true);
+               if_true = { target = if_true; jargs = [||] };
+               if_false = { target = if_false; jargs = [||] } }
+
+let block ?(params = [||]) label instrs term =
+  { Wir.label; bparams = params; instrs; term }
+
+let not_dominated label where (v : Wir.var) =
+  Printf.sprintf "bad: b%d %s uses %%%d before its definition dominates it" label where
+    v.Wir.vid
+
+let dominance_rows () =
+  let v = int_var () and w = int_var () in
+  let same_block =
+    ( "use before its definition in the same block",
+      mk_f [ block 0 [ copy w (Wir.Ovar v); copy v (cint 1) ] (Wir.Return (Wir.Ovar w)) ],
+      Error [ not_dominated 0 "instr" v ] )
+  in
+  let v = int_var () and w = int_var () in
+  let other_arm =
+    ( "use in one diamond arm of a value defined in the other",
+      mk_f
+        [ block 0 [] (branch 1 2);
+          block 1 [ copy v (cint 1) ] (goto 3);
+          block 2 [ copy w (Wir.Ovar v) ] (goto 3);
+          block 3 [] (Wir.Return (cint 0)) ],
+      Error [ not_dominated 2 "instr" v ] )
+  in
+  let v = int_var () in
+  let join =
+    ( "use at the join of a value defined in one arm",
+      mk_f
+        [ block 0 [] (branch 1 2);
+          block 1 [ copy v (cint 1) ] (goto 3);
+          block 2 [] (goto 3);
+          block 3 [] (Wir.Return (Wir.Ovar v)) ],
+      Error [ not_dominated 3 "terminator" v ] )
+  in
+  let v = int_var () in
+  let orphan =
+    ( "use of a value defined only in an orphan block",
+      mk_f
+        [ block 0 [] (Wir.Return (Wir.Ovar v));
+          block 5 [ copy v (cint 1) ] (Wir.Return (Wir.Ovar v)) ],
+      Error
+        [ "bad: orphan block b5 is unreachable from the entry";
+          not_dominated 0 "terminator" v ] )
+  in
+  let i = int_var () and v = int_var () and w = int_var () in
+  let latch =
+    ( "latch use of a value defined in the header",
+      mk_f
+        [ block 0 [] (goto ~args:[| cint 0 |] 1);
+          block ~params:[| i |] 1 [ copy v (Wir.Ovar i) ] (branch 2 3);
+          block 2 [ copy w (Wir.Ovar v) ] (goto ~args:[| Wir.Ovar w |] 1);
+          block 3 [] (Wir.Return (Wir.Ovar v)) ],
+      Ok () )
+  in
+  let x = int_var () and y = int_var () and z = int_var () in
+  let irreducible =
+    ( "irreducible two-entry loop with every use dominated",
+      mk_f
+        [ block 0 [ copy x (cint 1) ] (branch 1 2);
+          block 1 [ copy y (Wir.Ovar x) ] (goto 2);
+          block 2 [ copy z (Wir.Ovar x) ] (branch 1 3);
+          block 3 [] (Wir.Return (Wir.Ovar x)) ],
+      Ok () )
+  in
+  [ same_block; other_arm; join; orphan; latch; irreducible ]
+
+let test_verify_dominance_rows () =
+  List.iter
+    (fun (what, f, expected) ->
+       Alcotest.(check (result unit (list string))) what expected (Wir_verify.check_func f))
+    (dominance_rows ())
+
+let test_cfg_tolerates_malformed_ir () =
+  (* a jump to a missing block, an edge into the entry and a duplicate
+     label: build_cfg must not raise, and the verifier reports each *)
+  let f =
+    mk_f
+      [ block 0 [] (branch 1 9);
+        block 1 [] (branch 0 2);
+        block 1 [] (Wir.Return (cint 1));
+        block 2 [] (Wir.Return (cint 0)) ]
+  in
+  let cfg = Analysis.build_cfg f in
+  Alcotest.(check int) "reachable blocks" 3 cfg.Analysis.nreach;
+  Alcotest.(check bool) "b2 reachable" true (Analysis.reachable cfg 2);
+  Alcotest.(check bool) "b9 absent" false (Analysis.reachable cfg 9);
+  Alcotest.(check bool) "entry dominates b2" true (Analysis.dominates cfg 0 2);
+  Alcotest.(check bool) "b1 dominates b2" true (Analysis.dominates cfg 1 2);
+  Alcotest.(check bool) "b2 does not dominate b1" false (Analysis.dominates cfg 2 1);
+  List.iter
+    (fun needle -> expect_error_mentions "malformed CFG" needle f)
+    [ "duplicate block b1"; "jumps to missing block b9"; "jumps to the entry block b0" ]
+
+(* The 600 programs of the benchmark corpus, each compiled with the verifier
+   after every pass: at -O1, and at -O2 with parallel loops. *)
+let test_verify_accepts_benchmark_corpus () =
+  let progs = Corpus_pool.programs () in
+  Alcotest.(check int) "corpus size" 600 (List.length progs);
+  let o2 = { Options.default with Options.opt_level = 2; parallel_loops = true } in
+  List.iter
+    (fun (tag, options) ->
+       let options = { options with Options.lint = true } in
+       List.iteri
+         (fun i e ->
+            match Pipeline.compile ~options ~name:"p" e with
+            | _ -> ()
+            | exception Wolf_base.Errors.Compile_error msg ->
+              Alcotest.failf "%s program %d: %s" tag i msg)
+         progs)
+    [ ("O1", Options.default); ("O2+parallel", o2) ]
+
+(* Nothing a compile leaves behind may accumulate; in particular the
+   unifier's undo trail must be empty between inferences (a trail that kept
+   every binding grew by about 850 live words per compile).  What remains
+   is the interning of gensyms by [Symbol.fresh], about 95 words per
+   compile, which the interpreter needs to find a [Module] symbol by
+   name. *)
+let test_live_heap_flat_over_compiles () =
+  let progs = List.filteri (fun i _ -> i < 100) (Corpus_pool.programs ()) in
+  let live_after_round () =
+    List.iter (fun e -> ignore (Pipeline.compile ~name:"p" e)) progs;
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let rounds = Array.init 5 (fun _ -> live_after_round ()) in
+  let per_compile = (rounds.(4) - rounds.(1)) / (3 * List.length progs) in
+  Alcotest.(check bool)
+    (Printf.sprintf "live words per compile, rounds 2 to 5: %d (< 300)" per_compile)
+    true (per_compile < 300)
+
 (* ---------------- CFG analyses ---------------- *)
 
 let test_loop_headers () =
@@ -605,7 +750,7 @@ let thread_joins (p : Wir.program) =
          f.blocks;
        (* drop the forwarders, now unreachable *)
        let cfg = Analysis.build_cfg f in
-       f.blocks <- List.filter (fun b -> Hashtbl.mem cfg.Analysis.idom b.label) f.blocks)
+       f.blocks <- List.filter (fun b -> Analysis.reachable cfg b.label) f.blocks)
     p.funcs
 
 let counted_rows =
@@ -826,6 +971,11 @@ let tests =
     Alcotest.test_case "verify rejects load-argument range" `Quick test_verify_load_argument_range;
     Alcotest.test_case "verify rejects call-arity mismatch" `Quick test_verify_call_arity_program;
     Alcotest.test_case "verify accepts pipeline output at O0/1/2" `Quick test_verify_accepts_every_corpus_stage;
+    Alcotest.test_case "verify dominance rows" `Quick test_verify_dominance_rows;
+    Alcotest.test_case "cfg tolerates malformed IR" `Quick test_cfg_tolerates_malformed_ir;
+    Alcotest.test_case "verify accepts the benchmark corpus" `Quick test_verify_accepts_benchmark_corpus;
+    Alcotest.test_case "live heap flat over repeated compiles" `Quick
+      test_live_heap_flat_over_compiles;
     Alcotest.test_case "loop headers" `Quick test_loop_headers;
     Alcotest.test_case "nested loop headers" `Quick test_nested_loop_headers;
     Alcotest.test_case "dominance" `Quick test_dominance;

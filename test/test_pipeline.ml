@@ -353,6 +353,38 @@ let test_opt_level2 () =
   Alcotest.check expr "O1 = O0" r0 (run 1);
   Alcotest.check expr "O2 = O0" r0 (run 2)
 
+(* The optimisation fixpoint stops once every pass has run once in a row
+   without a change, even mid-round; its budget still counts rounds. *)
+let test_fixpoint_quiet_cycle () =
+  let runs = ref [] in
+  let stub name changes =
+    let left = ref changes in
+    Pass_manager.mk name (fun _ ->
+        runs := name :: !runs;
+        if !left > 0 then (decr left; true) else false)
+  in
+  let prog = { Wir.funcs = []; pmeta = [] } in
+  let run ?budget passes =
+    runs := [];
+    let any = Pass_manager.run_fixpoint ?budget (Pass_manager.create ()) passes prog in
+    (any, List.rev !runs)
+  in
+  let check what (any, runs) (any', runs') =
+    Alcotest.(check bool) (what ^ ": changed") any' any;
+    Alcotest.(check (list string)) (what ^ ": runs") runs' runs
+  in
+  (* b changes twice; after its second change a, c and b itself run quiet *)
+  check "last change mid-round"
+    (run [ stub "a" 0; stub "b" 2; stub "c" 0 ])
+    (true, [ "a"; "b"; "c"; "a"; "b"; "c"; "a"; "b" ]);
+  check "quiet from the start" (run [ stub "a" 0; stub "b" 0 ]) (false, [ "a"; "b" ]);
+  check "change in the last pass"
+    (run [ stub "a" 0; stub "b" 1 ])
+    (true, [ "a"; "b"; "a"; "b" ]);
+  check "budget counts rounds"
+    (run ~budget:2 [ stub "a" 0; stub "b" 99 ])
+    (true, [ "a"; "b"; "a"; "b" ])
+
 let tests =
   corpus_tests
   @ [ Alcotest.test_case "cache: identical compile hits" `Quick test_cache_hit_identical;
@@ -360,6 +392,8 @@ let tests =
       Alcotest.test_case "cache: bypass paths" `Quick test_cache_bypass;
       Alcotest.test_case "cache: LRU eviction counters" `Quick test_cache_lru_eviction;
       Alcotest.test_case "pass manager: stats and deltas" `Quick test_pass_stats;
+      Alcotest.test_case "pass manager: fixpoint stops after a quiet cycle" `Quick
+        test_fixpoint_quiet_cycle;
       Alcotest.test_case "pass manager: dump-after hook" `Quick test_dump_after_hook;
       Alcotest.test_case "pass manager: user pass stats" `Quick test_user_pass_stats;
       Alcotest.test_case "opt level 2 preserves semantics" `Quick test_opt_level2 ]

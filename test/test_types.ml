@@ -153,6 +153,43 @@ let test_overload_choice () =
   Alcotest.(check bool) "checked int plus" true
     (contains text "checked_binary_plus_I64_I64")
 
+(* The builtin and stdlib declarations are built once per process; each
+   call returns tables of its own.  Redeclaring an identical scheme replaces
+   it in place, keeping the overload order, and no other copy sees it. *)
+let test_shared_env_isolation () =
+  let impls env name =
+    List.map
+      (fun d ->
+         match d.Type_env.impl with
+         | Type_env.Prim s -> s
+         | Type_env.Wolfram e -> Expr.to_string e
+         | Type_env.External s -> "external " ^ s)
+      (Type_env.lookup env name)
+  in
+  let env = Type_env.builtin () in
+  let before = impls env "Plus" in
+  Type_env.declare env "Plus" (Types.mono (Types.fn [ Types.int64; Types.int64 ] Types.int64))
+    (Type_env.Prim "my_plus");
+  Type_env.declare env "MyFn" (Types.mono (Types.fn [ Types.int64 ] Types.int64))
+    (Type_env.Prim "my_fn");
+  Alcotest.(check (list string)) "replaced in place" ("my_plus" :: List.tl before)
+    (impls env "Plus");
+  List.iter
+    (fun (what, other) ->
+       Alcotest.(check (list string)) (what ^ ": Plus") before (impls other "Plus");
+       Alcotest.(check (list string)) (what ^ ": MyFn") [] (impls other "MyFn"))
+    [ ("second builtin", Type_env.builtin ()); ("stdlib", Stdlib_decls.env ()) ];
+  let std = Stdlib_decls.env () in
+  let sign_before = impls std "Sign" in
+  Type_env.declare_wolfram std "Sign"
+    ~spec:(parse {|TypeSpecifier[{"Integer64"} -> "Integer64"]|})
+    ~body:(parse "Function[{x}, 0]");
+  Alcotest.(check (list string)) "stdlib Sign: replaced in place"
+    (Expr.to_string (parse "Function[{x}, 0]") :: List.tl sign_before)
+    (impls std "Sign");
+  Alcotest.(check (list string)) "second stdlib: Sign unchanged" sign_before
+    (impls (Stdlib_decls.env ()) "Sign")
+
 let tests =
   [ Alcotest.test_case "atomic TypeSpecifiers" `Quick test_atomic_specs;
     Alcotest.test_case "polymorphic TypeSpecifiers" `Quick test_polymorphic_specs;
@@ -161,6 +198,7 @@ let tests =
     Alcotest.test_case "variable binding" `Quick test_unify_var_binding;
     Alcotest.test_case "type-class qualifiers" `Quick test_class_qualifiers;
     Alcotest.test_case "speculation rollback" `Quick test_speculation_rolls_back;
+    Alcotest.test_case "shared environments are isolated" `Quick test_shared_env_isolation;
     Alcotest.test_case "mangling" `Quick test_mangle;
     Alcotest.test_case "inference results" `Quick test_inference_results;
     Alcotest.test_case "inference errors" `Quick test_inference_errors;
