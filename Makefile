@@ -44,9 +44,10 @@ smoke: build
 # fixed-seed differential fuzzing campaign: 200 generated programs run on
 # threaded + WVM at O0/O1/O2 against the interpreter, with the full IR
 # verifier after every pass, then 100 more through the ocamlopt JIT (the
-# backend whose generated code inlines the abort check; ~30 s);
-# deterministic, so a failure here is replayable with the same seed (see
-# EXPERIMENTS.md "Fuzz triage")
+# backend whose generated code inlines the abort check; ~30 s), which fails
+# if the emitter turned zero loops into while loops (drift guard, like
+# par-loop-smoke's); deterministic, so a failure here is replayable with the
+# same seed (see EXPERIMENTS.md "Fuzz triage")
 fuzz-smoke: build
 	dune exec bin/wolfc.exe -- fuzz --seed 1 --count 200 --quiet
 	dune exec bin/wolfc.exe -- fuzz --seed 3 --count 100 --quiet --backends jit

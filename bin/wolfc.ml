@@ -563,7 +563,20 @@ let fuzz_cmd =
       0
     end
     else
+    let jit_loops form =
+      Wolf_obs.Metrics.counter_value (Wolf_backends.Ocaml_emit.loop_forms_counter form)
+    in
+    let whiles_before = jit_loops "while" and blocks_before = jit_loops "blocks" in
+    let rejected_before = Wolf_backends.Jit.rejected () in
     let report = Driver.run cfg in
+    let jit_selected = List.exists (fun a -> a.Oracle.name = "jit") arms in
+    let jit_whiles = jit_loops "while" - whiles_before in
+    let jit_rejected = Wolf_backends.Jit.rejected () - rejected_before in
+    if jit_selected then
+      Printf.printf
+        "fuzz: jit arm emitted %d while loop(s), kept %d loop(s) as blocks; \
+         ocamlopt rejected %d module(s)\n"
+        jit_whiles (jit_loops "blocks" - blocks_before) jit_rejected;
     Printf.printf "fuzz: %d programs, %d disagreement(s)\n" report.generated
       report.disagreements;
     let par_selected = List.exists (fun a -> a.Oracle.name = "par") arms in
@@ -586,6 +599,20 @@ let fuzz_cmd =
          pass is rejecting every loop — that is a failure of the arm, not a
          clean run *)
       prerr_endline "fuzz: par arm parallelised zero loops in a >=300-program campaign";
+      1
+    end
+    else if jit_selected && jit_rejected > 0 then begin
+      (* a module ocamlopt rejects falls back to the threaded backend
+         without a word, so the arm would have compared threaded code *)
+      prerr_endline
+        "fuzz: ocamlopt rejected generated code (each module and its .ml.log are in \
+         $TMPDIR/wolfram-compiler-jit)";
+      1
+    end
+    else if jit_selected && count >= 100 && jit_whiles = 0 then begin
+      (* the same guard for the JIT emitter: a campaign in which no loop
+         became a while loop means the emitter rejects every loop *)
+      prerr_endline "fuzz: jit arm emitted zero while loops in a >=100-program campaign";
       1
     end
     else 0

@@ -63,6 +63,12 @@ let sessions_dir () =
 let available () =
   Dynlink.is_native && Option.is_some (include_dirs ()) && Option.is_some (ocamlopt ())
 
+let rejected_counter () =
+  Wolf_obs.Metrics.counter ~help:"JIT modules that ocamlopt rejected"
+    "jit_ocamlopt_failures_total"
+
+let rejected () = Wolf_obs.Metrics.counter_value (rejected_counter ())
+
 let compile_to_cmxs (c : Wolf_compiler.Pipeline.compiled) =
   Wolf_obs.Trace.with_span ~cat:"codegen" "jit-codegen" @@ fun () ->
   match include_dirs (), ocamlopt () with
@@ -106,6 +112,7 @@ let compile_to_cmxs (c : Wolf_compiler.Pipeline.compiled) =
            s
          with _ -> "(no diagnostic)"
        in
+       Wolf_obs.Metrics.incr (rejected_counter ());
        Error (Printf.sprintf "ocamlopt failed:\n%s" diag)
      | None -> Ok (emitted, cmxs))
 

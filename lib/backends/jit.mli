@@ -20,6 +20,12 @@ val compile : Wolf_compiler.Pipeline.compiled -> (Rtval.closure, string) result
     ocamlopt diagnostic) rather than raising; JIT failures must never break
     compilation, only deoptimise it. *)
 
+val rejected : unit -> int
+(** How many emitted modules ocamlopt has rejected in this process (the
+    metric [jit_ocamlopt_failures_total]).  Such a compile deoptimises to
+    the threaded backend without an error, so a test of the JIT checks
+    that this did not move. *)
+
 (** Everything needed to relink a JIT-compiled module in another process of
     the same build, short of the .cmxs bytes themselves: the entry symbol,
     the host-side constants its initialiser reads, and the entry arity.

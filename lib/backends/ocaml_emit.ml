@@ -6,6 +6,7 @@ type emitted = {
   source : string;
   entry_symbol : string;
   constants : (string * Rtval.t) list;
+  loops : (string * int * string option) list;
 }
 
 let sanitize name =
@@ -150,6 +151,65 @@ let as_real_expr ctx op =
   | Types.Con ("Integer64", _) -> Printf.sprintf "(float_of_int %s)" (operand_expr ctx op)
   | _ -> operand_expr ctx op
 
+module IS = Set.Make (Int)
+
+(* Typed array views.  A PackedArray[Integer64|Real64, r] variable whose
+   elements the code reads or stores gets, wherever it is bound, its data
+   array (v<id>_a), its dims (v<id>_d<k>) and a representation check
+   (v<id>_ok) bound once as locals.  The check is false when the data is not
+   of the TWIR element type or rank; each element access then goes through
+   the generic wolf_iread/wolf_rread/wolf_iwrite/wolf_rwrite, which convert
+   as before, so a view never changes a result. *)
+type vkind = Vints | Vreals
+
+let view_shape ty =
+  match Types.repr ty with
+  | Types.Con ("PackedArray", [| elt; rank |]) ->
+    (match Types.repr elt, Types.repr rank with
+     | Types.Con ("Integer64", _), Types.Lit ((1 | 2) as r) -> Some (Vints, r)
+     | Types.Con ("Real64", _), Types.Lit ((1 | 2) as r) -> Some (Vreals, r)
+     | _ -> None)
+  | _ -> None
+
+(* (suffix, projection) for each local of a view of the tensor expression [t] *)
+let view_parts (kind, r) t =
+  let data, ok =
+    match kind with Vints -> ("wolf_ints", "wolf_is_ints") | Vreals -> ("wolf_reals", "wolf_is_reals")
+  in
+  ("a", Printf.sprintf "(%s %s)" data t)
+  :: ("ok", Printf.sprintf "(%s %s %d)" ok t r)
+  :: List.init r (fun k -> (Printf.sprintf "d%d" k, Printf.sprintf "(wolf_dim %s %d)" t k))
+
+let int_lit i = if i < 0 then Printf.sprintf "(%d)" i else string_of_int i
+
+(* Checked [x * c] for a literal [c]: a range test on [x] against bounds
+   computed here replaces [wolf_mul]'s division.  [max_int / c] and
+   [min_int / c] truncate toward zero, which is the floor of the upper bound
+   and the ceiling of the lower one for either sign of [c]. *)
+let mul_const x c =
+  if c = 0 then "0"
+  else if c = 1 then x
+  else if c = -1 then Printf.sprintf "wolf_neg %s" x
+  else begin
+    let b1 = max_int / c and b2 = min_int / c in
+    Printf.sprintf
+      "(let m_ = %s in if m_ < %s || m_ > %s then raise (Wolf_rt Wolf_base.Errors.Integer_overflow) else m_ * %s)"
+      x (int_lit (min b1 b2)) (int_lit (max b1 b2)) (int_lit c)
+  end
+
+(* Checked [x + c] for a literal [c]: one comparison against a bound
+   computed here. *)
+let add_const x c =
+  if c = 0 then x
+  else if c > 0 then
+    Printf.sprintf
+      "(let m_ = %s in if m_ > %s then raise (Wolf_rt Wolf_base.Errors.Integer_overflow) else m_ + %s)"
+      x (int_lit (max_int - c)) (int_lit c)
+  else
+    Printf.sprintf
+      "(let m_ = %s in if m_ < %s then raise (Wolf_rt Wolf_base.Errors.Integer_overflow) else m_ + %s)"
+      x (int_lit (min_int - c)) (int_lit c)
+
 (* Open-coded primitive call; None falls back to the boxed dispatcher. *)
 let prim_expr ctx ~base ~(args : operand array) ~dst_ty : string option =
   let a i = operand_expr ctx args.(i) in
@@ -165,9 +225,20 @@ let prim_expr ctx ~base ~(args : operand array) ~dst_ty : string option =
     match Types.repr dst_ty with Types.Con (n, _) -> n = name | _ -> false
   in
   match base with
-  | "checked_binary_plus" when all_int -> Some (Printf.sprintf "wolf_add %s %s" (a 0) (a 1))
-  | "checked_binary_subtract" when all_int -> Some (Printf.sprintf "wolf_sub %s %s" (a 0) (a 1))
-  | "checked_binary_times" when all_int -> Some (Printf.sprintf "wolf_mul %s %s" (a 0) (a 1))
+  | "checked_binary_plus" when all_int ->
+    (match args.(0), args.(1) with
+     | _, Oconst (Cint c) -> Some (add_const (a 0) c)
+     | Oconst (Cint c), _ -> Some (add_const (a 1) c)
+     | _ -> Some (Printf.sprintf "wolf_add %s %s" (a 0) (a 1)))
+  | "checked_binary_subtract" when all_int ->
+    (match args.(1) with
+     | Oconst (Cint c) when c <> min_int -> Some (add_const (a 0) (-c))
+     | _ -> Some (Printf.sprintf "wolf_sub %s %s" (a 0) (a 1)))
+  | "checked_binary_times" when all_int ->
+    (match args.(0), args.(1) with
+     | _, Oconst (Cint c) -> Some (mul_const (a 0) c)
+     | Oconst (Cint c), _ -> Some (mul_const (a 1) c)
+     | _ -> Some (Printf.sprintf "wolf_mul %s %s" (a 0) (a 1)))
   | "checked_binary_mod" when all_int -> Some (Printf.sprintf "wolf_mod %s %s" (a 0) (a 1))
   | "checked_binary_quotient" when all_int -> Some (Printf.sprintf "wolf_quotient %s %s" (a 0) (a 1))
   | "checked_binary_power" when all_int -> Some (Printf.sprintf "wolf_ipow %s %s" (a 0) (a 1))
@@ -245,8 +316,8 @@ let prim_expr ctx ~base ~(args : operand array) ~dst_ty : string option =
   | "unary_truncate" -> Some (Printf.sprintf "int_of_float (Float.trunc %s)" (ri 0))
   | "int_to_real" -> Some (Printf.sprintf "float_of_int %s" (a 0))
   | "unary_identity_int" | "unary_identity_real" -> Some (a 0)
-  | "binary_min" when all_int -> Some (Printf.sprintf "min %s %s" (a 0) (a 1))
-  | "binary_max" when all_int -> Some (Printf.sprintf "max %s %s" (a 0) (a 1))
+  | "binary_min" when all_int -> Some (Printf.sprintf "wolf_imin %s %s" (a 0) (a 1))
+  | "binary_max" when all_int -> Some (Printf.sprintf "wolf_imax %s %s" (a 0) (a 1))
   | "binary_min" when dst_is "Real64" -> Some (Printf.sprintf "Float.min %s %s" (ri 0) (ri 1))
   | "binary_max" when dst_is "Real64" -> Some (Printf.sprintf "Float.max %s %s" (ri 0) (ri 1))
   | "unary_evenq" -> Some (Printf.sprintf "(%s land 1 = 0)" (a 0))
@@ -258,6 +329,12 @@ let prim_expr ctx ~base ~(args : operand array) ~dst_ty : string option =
     Some (Printf.sprintf "Char.code (String.unsafe_get %s (%s - 1))" (a 0) (ii 1))
   | "string_join" -> Some (Printf.sprintf "%s ^ %s" (a 0) (a 1))
   | "array_length" -> Some (Printf.sprintf "(Wolf_wexpr.Tensor.dims %s).(0)" (a 0))
+  | ("array_scalar_times" | "array_scalar_plus" | "array_scalar_subtract")
+    when (match Types.repr dst_ty with
+          | Types.Con ("PackedArray", [| elt; _ |]) -> Types.repr elt = Types.real64
+          | _ -> false) ->
+    Some (Printf.sprintf "wolf_%s_reals %s %s" (String.sub base 13 (String.length base - 13))
+            (a 0) (ri 1))
   | "part_get_1" when dst_is "Integer64" ->
     Some (Printf.sprintf "wolf_part1_int %s %s" (a 0) (ii 1))
   | "part_get_1" when dst_is "Real64" ->
@@ -294,17 +371,22 @@ let prelude = {|
 
 exception Wolf_rt = Wolf_base.Errors.Runtime_error
 
-let[@inline always] wolf_add a b =
+(* overflow iff both operands differ in sign from the wrapped sum (for a
+   difference: the operands differ in sign and the result differs from a) *)
+let[@inline always] wolf_add (a : int) b =
   let s = a + b in
-  if (a >= 0) = (b >= 0) && (s >= 0) <> (a >= 0) then
+  if (a lxor s) land (b lxor s) < 0 then
     raise (Wolf_rt Wolf_base.Errors.Integer_overflow)
   else s
 
-let[@inline always] wolf_sub a b =
+let[@inline always] wolf_sub (a : int) b =
   let s = a - b in
-  if (a >= 0) <> (b >= 0) && (s >= 0) <> (a >= 0) then
+  if (a lxor b) land (a lxor s) < 0 then
     raise (Wolf_rt Wolf_base.Errors.Integer_overflow)
   else s
+
+let[@inline always] wolf_imin (a : int) b = if a <= b then a else b
+let[@inline always] wolf_imax (a : int) b = if a >= b then a else b
 
 let[@inline always] wolf_mul a b =
   if a = 0 || b = 0 then 0
@@ -349,24 +431,60 @@ let[@inline always] wolf_string_byte s i =
   Char.code (String.unsafe_get s j)
 
 (* Packed arrays: element access open-coded over the private representation
-   so the JIT competes with hand-written loops (no cross-module calls). *)
+   so the JIT competes with hand-written loops (no cross-module calls).
+   Wolfram Part indexing of one axis of length [n], and of a rank-2 array
+   of dims [n; m], flat and 0-based. *)
+(* the common case 1 <= i <= n in one test: both i - 1 and n - i are
+   non-negative (a wrapped difference is negative).  The other cases raise
+   in line rather than call out: a call would make ocamlopt spill the
+   loop's live values on the hot path. *)
+let[@inline always] wolf_vindex1 n i =
+  let j = i - 1 in
+  if j lor (n - i) >= 0 then j
+  else begin
+    let j = n + i in
+    if i < 0 && j >= 0 then j
+    else raise (Wolf_rt (Wolf_base.Errors.Part_out_of_range (i, n)))
+  end
+
+let[@inline always] wolf_vflat2 n m i k =
+  let j1 = i - 1 and j2 = k - 1 in
+  if j1 lor (n - i) lor j2 lor (m - k) >= 0 then (j1 * m) + j2
+  else begin
+    let j1 = wolf_vindex1 n i in
+    let j2 = wolf_vindex1 m k in
+    (j1 * m) + j2
+  end
+
 let[@inline always] wolf_index1 (t : Wolf_wexpr.Tensor.t) i =
-  let n = Array.unsafe_get t.Wolf_wexpr.Tensor.dims 0 in
-  let j = if i < 0 then n + i else i - 1 in
-  if i = 0 || j < 0 || j >= n then
-    raise (Wolf_rt (Wolf_base.Errors.Part_out_of_range (i, n)));
-  j
+  wolf_vindex1 (Array.unsafe_get t.Wolf_wexpr.Tensor.dims 0) i
 
 let[@inline always] wolf_flat2 (t : Wolf_wexpr.Tensor.t) i k =
   let dims = t.Wolf_wexpr.Tensor.dims in
-  let n = Array.unsafe_get dims 0 and m = Array.unsafe_get dims 1 in
-  let j1 = if i < 0 then n + i else i - 1 in
-  let j2 = if k < 0 then m + k else k - 1 in
-  if i = 0 || j1 < 0 || j1 >= n then
-    raise (Wolf_rt (Wolf_base.Errors.Part_out_of_range (i, n)));
-  if k = 0 || j2 < 0 || j2 >= m then
-    raise (Wolf_rt (Wolf_base.Errors.Part_out_of_range (k, m)));
-  (j1 * m) + j2
+  wolf_vflat2 (Array.unsafe_get dims 0) (Array.unsafe_get dims 1) i k
+
+(* typed views: projected once per binding of a tensor variable *)
+let[@inline always] wolf_ints (t : Wolf_wexpr.Tensor.t) =
+  match t.Wolf_wexpr.Tensor.data with
+  | Wolf_wexpr.Tensor.Ints a -> a
+  | Wolf_wexpr.Tensor.Reals _ -> [||]
+
+let[@inline always] wolf_reals (t : Wolf_wexpr.Tensor.t) =
+  match t.Wolf_wexpr.Tensor.data with
+  | Wolf_wexpr.Tensor.Reals a -> a
+  | Wolf_wexpr.Tensor.Ints _ -> [||]
+
+let[@inline always] wolf_is_ints (t : Wolf_wexpr.Tensor.t) r =
+  (match t.Wolf_wexpr.Tensor.data with Wolf_wexpr.Tensor.Ints _ -> true | _ -> false)
+  && Array.length t.Wolf_wexpr.Tensor.dims = r
+
+let[@inline always] wolf_is_reals (t : Wolf_wexpr.Tensor.t) r =
+  (match t.Wolf_wexpr.Tensor.data with Wolf_wexpr.Tensor.Reals _ -> true | _ -> false)
+  && Array.length t.Wolf_wexpr.Tensor.dims = r
+
+let[@inline always] wolf_dim (t : Wolf_wexpr.Tensor.t) k =
+  let d = t.Wolf_wexpr.Tensor.dims in
+  if k < Array.length d then Array.unsafe_get d k else 0
 
 let[@inline always] wolf_iread (t : Wolf_wexpr.Tensor.t) j =
   match t.Wolf_wexpr.Tensor.data with
@@ -413,12 +531,88 @@ let[@inline always] wolf_set2_real ~inplace t i k v =
   let t = wolf_cow ~inplace t in
   wolf_rwrite t (wolf_flat2 t i k) v; t
 
+(* Prims' array_scalar_{times,plus,subtract} over a Real64 array, written
+   out so that the elements are not boxed on the way (code 0, 1, 2) *)
+let[@inline always] wolf_scalar_reals code (t : Wolf_wexpr.Tensor.t) (s : float) base =
+  match t.Wolf_wexpr.Tensor.data with
+  | Wolf_wexpr.Tensor.Reals a ->
+    let n = Array.length a in
+    let out = Array.create_float n in
+    for i = 0 to n - 1 do
+      let x = Array.unsafe_get a i in
+      Array.unsafe_set out i (if code = 0 then x *. s else if code = 1 then x +. s else x -. s)
+    done;
+    Wolf_wexpr.Tensor.create_real (Array.copy t.Wolf_wexpr.Tensor.dims) out
+  | Wolf_wexpr.Tensor.Ints _ ->
+    Wolf_runtime.Rtval.as_tensor
+      (Wolf_runtime.Prims.apply ~base
+         [| Wolf_runtime.Rtval.Tensor t; Wolf_runtime.Rtval.Real s |])
+
+let wolf_times_reals t s = wolf_scalar_reals 0 t s "array_scalar_times"
+let wolf_plus_reals t s = wolf_scalar_reals 1 t s "array_scalar_plus"
+let wolf_subtract_reals t s = wolf_scalar_reals 2 t s "array_scalar_subtract"
+
 (* Abort_signal.check written out: plugins see only .cmi files, so the
    call would not be inlined across the module boundary *)
 let[@inline always] wolf_abort_check () =
   if Atomic.get Wolf_base.Abort_signal.state <> 0 then
     Wolf_base.Abort_signal.slow ()
 |}
+
+(* The prelude goes out pruned to the definitions the module uses (and the
+   ones those use): compiling unused helpers was most of ocamlopt's time on
+   a small module.  A paragraph of [prelude] defines the names of its [let]
+   lines; one that defines none is always kept. *)
+let is_ident c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') || c = '_'
+
+(* the [wolf_...] identifiers in [s], in order *)
+let helper_refs s =
+  let n = String.length s in
+  let rec go i acc =
+    match String.index_from_opt s i 'w' with
+    | None -> List.rev acc
+    | Some j when j + 5 <= n && String.sub s j 5 = "wolf_" && (j = 0 || not (is_ident s.[j - 1])) ->
+      let k = ref (j + 5) in
+      while !k < n && is_ident s.[!k] do incr k done;
+      go !k (String.sub s j (!k - j) :: acc)
+    | Some j -> go (j + 1) acc
+  in
+  go 0 []
+
+(* the blank-line separated paragraphs of [s] *)
+let paragraphs s =
+  let close cur acc = if cur = [] then acc else String.concat "\n" (List.rev cur) :: acc in
+  let cur, acc =
+    List.fold_left
+      (fun (cur, acc) line -> if String.trim line = "" then ([], close cur acc) else (line :: cur, acc))
+      ([], []) (String.split_on_char '\n' s)
+  in
+  List.rev (close cur acc)
+
+let prelude_items =
+  List.map
+    (fun para ->
+       let defs =
+         String.split_on_char '\n' para
+         |> List.filter_map (fun line ->
+             if String.starts_with ~prefix:"let" line then List.nth_opt (helper_refs line) 0 else None)
+       in
+       (para, defs, helper_refs para))
+    (paragraphs prelude)
+
+let prelude_for code =
+  let used = Hashtbl.create 32 in
+  let rec use name =
+    if not (Hashtbl.mem used name) then begin
+      Hashtbl.replace used name ();
+      List.iter (fun (_, defs, refs) -> if List.mem name defs then List.iter use refs) prelude_items
+    end
+  in
+  List.iter use (helper_refs code);
+  String.concat "\n\n"
+    (List.filter_map
+       (fun (para, defs, _) -> if defs = [] || List.exists (Hashtbl.mem used) defs then Some para else None)
+       prelude_items)
 
 let fn_ocaml_name ctx name =
   match Hashtbl.find_opt ctx.fn_names name with
@@ -442,28 +636,367 @@ let boxed_prim_call ctx ~base ~args ~dst_ty =
     (Printf.sprintf "(Wolf_runtime.Prims.apply ~base:%S [| %s |])" base
        (String.concat "; " boxed_args))
 
-let emit_instr ctx b i =
-  let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b ("      " ^ s ^ "\n")) fmt in
+(* ------------------------------------------------------------------ *)
+(* Loop forms (DESIGN.md "JIT emitter")                                *)
+
+(* A natural loop emitted as an OCaml [while] inside its header's code.
+   ocamlopt boxes every float argument of a local function, so a loop whose
+   blocks are functions boxes its floats on every back edge; a [while] over
+   local refs keeps them in registers. *)
+type wloop = {
+  w_hdr : int;
+  w_body : (int, unit) Hashtbl.t;
+  w_size : int;
+  w_defs : (int, unit) Hashtbl.t;   (* Analysis.loop_defs *)
+  w_exits : exit_target list;       (* numbered 1.. in the exit state *)
+  w_fixed : (int, unit) Hashtbl.t;
+      (* header parameters every back edge passes unchanged: bound once,
+         before the loop, and never a ref *)
+}
+
+and exit_target = Ex_block of int | Ex_return
+
+type plan = {
+  cfg : Analysis.cfg;
+  whiles : (int, wloop) Hashtbl.t;         (* header label -> while loop *)
+  report : (int * string option) list;     (* every loop: None = while, or why blocks *)
+  inner : (int, unit) Hashtbl.t;           (* emitted inside a while, not as a function *)
+  fwd : (int, int) Hashtbl.t;              (* forward in-edges per label *)
+  children : (int, int list) Hashtbl.t;    (* dominator-tree children, in RPO *)
+}
+
+let loop_forms_counter form =
+  Wolf_obs.Metrics.counter ~labels:[ ("form", form) ]
+    ~help:"natural loops emitted by the OCaml JIT emitter, by form" "jit_loops_total"
+
+(* Which loops become [while] loops.  A loop qualifies when its header is
+   not the entry, it nests properly with every other loop, it has no
+   retreating edge other than a back edge (reducible), and every loop
+   nested in it qualifies too; the others stay block functions. *)
+let plan_loops (f : func) =
+  let cfg = Analysis.build_cfg f in
+  let loops = Analysis.natural_loops f cfg in
+  let num = Analysis.number cfg in
+  let table l =
+    let t = Hashtbl.create 16 in
+    List.iter (fun x -> Hashtbl.replace t x ()) l.Analysis.lbody;
+    t
+  in
+  let bodies = List.map (fun l -> (l, table l)) loops in
+  let subset (l, _) (_, mb) = List.for_all (Hashtbl.mem mb) l.Analysis.lbody in
+  let own_reason ((l, body) as lb) =
+    if l.Analysis.lheader = (Wir.entry f).label then Some "header is the entry block"
+    else if
+      List.exists
+        (fun ((m, _) as mb) ->
+           m != l && List.exists (Hashtbl.mem body) m.Analysis.lbody
+           && not (subset lb mb || subset mb lb))
+        bodies
+    then Some "overlaps another loop"
+    else if
+      List.exists
+        (fun u ->
+           List.exists
+             (fun v ->
+                Hashtbl.mem body v && num v <= num u && not (Analysis.dominates cfg v u))
+             (Wir.successors (Wir.find_block f u).term))
+        l.Analysis.lbody
+    then Some "irreducible"
+    else None
+  in
+  let reasons = List.map (fun lb -> (lb, own_reason lb)) bodies in
+  let report =
+    List.map
+      (fun (((l, body) as lb), own) ->
+         let reason =
+           match own with
+           | Some _ -> own
+           | None ->
+             if List.exists
+                 (fun ((m, _) as mb, r) ->
+                    r <> None && m != l && Hashtbl.mem body m.Analysis.lheader && subset mb lb)
+                 reasons
+             then Some "contains a loop kept as blocks"
+             else None
+         in
+         (lb, reason))
+      reasons
+  in
+  let rpo_sorted labels = List.sort (fun a b -> compare (num a) (num b)) labels in
+  let whiles = Hashtbl.create 8 in
+  List.iter
+    (fun ((l, body), reason) ->
+       if reason = None then begin
+         let exits = ref [] in
+         let add e = if not (List.mem e !exits) then exits := e :: !exits in
+         List.iter
+           (fun u ->
+              let bl = Wir.find_block f u in
+              (match bl.term with Return _ -> add Ex_return | _ -> ());
+              List.iter
+                (fun v -> if not (Hashtbl.mem body v) then add (Ex_block v))
+                (Wir.successors bl.term))
+           (rpo_sorted l.Analysis.lbody);
+         let h = l.Analysis.lheader in
+         let fixed = Hashtbl.create 4 in
+         Array.iteri
+           (fun i p ->
+              if List.for_all
+                  (fun (src, (j : jump)) ->
+                     not (Hashtbl.mem body src)
+                     || (match j.jargs.(i) with Ovar q -> q.vid = p.vid | Oconst _ -> false))
+                  (Analysis.incoming_jumps f h)
+              then Hashtbl.replace fixed p.vid ())
+           (Wir.find_block f h).bparams;
+         Hashtbl.replace whiles h
+           { w_hdr = h; w_body = body; w_size = List.length l.Analysis.lbody;
+             w_defs = Analysis.loop_defs f l; w_exits = List.rev !exits; w_fixed = fixed }
+       end)
+    report;
+  let inner = Hashtbl.create 16 in
+  Hashtbl.iter
+    (fun h w ->
+       Hashtbl.iter
+         (fun x () ->
+            if x <> h
+            || Hashtbl.fold (fun h' w' acc -> acc || (h' <> h && Hashtbl.mem w'.w_body h)) whiles false
+            then Hashtbl.replace inner x ())
+         w.w_body)
+    whiles;
+  let fwd = Hashtbl.create 16 and children = Hashtbl.create 16 in
+  for i = 0 to cfg.Analysis.nreach - 1 do
+    let u = cfg.Analysis.nodes.(i).label in
+    List.iter
+      (fun v ->
+         if not (Analysis.dominates cfg v u) then
+           Hashtbl.replace fwd v (1 + Option.value ~default:0 (Hashtbl.find_opt fwd v)))
+      (Wir.successors cfg.Analysis.nodes.(i).term);
+    if i > 0 then begin
+      let d = cfg.Analysis.nodes.(cfg.Analysis.idom.(i)).label in
+      Hashtbl.replace children d (u :: Option.value ~default:[] (Hashtbl.find_opt children d))
+    end
+  done;
+  Hashtbl.filter_map_inplace (fun _ cs -> Some (rpo_sorted cs)) children;
+  { cfg; whiles; inner; fwd; children;
+    report = List.map (fun ((l, _), r) -> (l.Analysis.lheader, r)) report }
+
+(* ------------------------------------------------------------------ *)
+(* Emission                                                            *)
+
+type env = {
+  ind : int;             (* indentation of the lines emitted *)
+  opens : wloop list;    (* the while loops being emitted, innermost first *)
+  views : IS.t;          (* variables whose view is bound here *)
+  checked : (string * string) list;
+      (* Part checks bound here: "v<t>_d<axis> <index>" -> local holding the
+         0-based index; emptied wherever a variable may be rebound *)
+}
+
+let add_line b env s =
+  Buffer.add_string b (String.make env.ind ' ');
+  Buffer.add_string b s;
+  Buffer.add_char b '\n'
+
+let indent env = { env with ind = env.ind + 2 }
+
+let is_store base =
+  base = "part_set_1" || base = "part_set_1_inplace" || base = "part_set_2"
+  || base = "part_set_2_inplace"
+
+let is_access base =
+  is_store base || base = "part_get_1" || base = "part_get_1_unchecked" || base = "part_get_2"
+
+(* The tensor variables that get views: operands of element accesses, the
+   results of stores (a copy-on-write point is a new SSA value with its own
+   view, derived from its operand's), and block parameters passed to a
+   block parameter that has one, so that a view flows along with its tensor
+   through join points and loop back edges instead of being projected again. *)
+let viewed_vars ctx (f : func) =
+  let t = Hashtbl.create 8 in
+  if ctx.einline then begin
+    List.iter
+      (fun bl ->
+         List.iter
+           (function
+             | Call { dst; callee = Resolved { base; _ }; args } when is_access base ->
+               (match args.(0) with
+                | Ovar v when view_shape (var_ty v) <> None -> Hashtbl.replace t v.vid ()
+                | _ -> ());
+               if is_store base && view_shape (var_ty dst) <> None then
+                 Hashtbl.replace t dst.vid ()
+             | _ -> ())
+           bl.instrs)
+      f.blocks;
+    let bparam = Hashtbl.create 16 in
+    List.iter (fun bl -> Array.iter (fun v -> Hashtbl.replace bparam v.vid ()) bl.bparams) f.blocks;
+    let changed = ref true in
+    while !changed do
+      changed := false;
+      List.iter
+        (fun bl ->
+           let jumps =
+             match bl.term with
+             | Jump j -> [ j ]
+             | Branch { if_true; if_false; _ } -> [ if_true; if_false ]
+             | Return _ | Unreachable -> []
+           in
+           List.iter
+             (fun (j : jump) ->
+                Array.iteri
+                  (fun i q ->
+                     match j.jargs.(i) with
+                     | Ovar p
+                       when Hashtbl.mem t q.vid && Hashtbl.mem bparam p.vid
+                            && (not (Hashtbl.mem t p.vid))
+                            && view_shape (var_ty p) = view_shape (var_ty q) ->
+                       Hashtbl.replace t p.vid ();
+                       changed := true
+                     | _ -> ())
+                  (Wir.find_block f j.target).bparams)
+             jumps)
+        f.blocks
+    done
+  end;
+  t
+
+(* The view locals of operand [a] seen as [shape]: the names of [a]'s bound
+   view, or projections of [a]. *)
+let view_of ctx env shape a =
+  match a with
+  | Ovar s when IS.mem s.vid env.views && view_shape (var_ty s) = Some shape ->
+    List.map (fun (sfx, _) -> (sfx, Printf.sprintf "v%d_%s" s.vid sfx)) (view_parts shape "")
+  | _ -> view_parts shape (operand_expr ctx a)
+
+(* Bind the view of [v], if it gets one, from [src]: [v] is being bound to
+   [src], or rebound, and any view [v] had is of its old value. *)
+let bind_view ctx b ~viewed env (v : var) (src : operand) =
+  match view_shape (var_ty v) with
+  | Some shape when Hashtbl.mem viewed v.vid ->
+    List.iter
+      (fun (sfx, e) -> add_line b env (Printf.sprintf "let v%d_%s = %s in" v.vid sfx e))
+      (view_of ctx { env with views = IS.remove v.vid env.views } shape src);
+    { env with views = IS.add v.vid env.views }
+  | _ -> env
+
+let project ctx b ~viewed env v = bind_view ctx b ~viewed env v (Ovar v)
+
+(* The flat index of an element of [t]'s view: Wolfram Part checks of each
+   axis (the helpers' checks and payloads, from the projected dims), each
+   bound once and reused by later accesses in scope with the same dims and
+   index.  A reused check passed earlier on every path to the access, so the
+   first failing check, and its error, is the same as without reuse.  The
+   checks run whatever the view's representation check says: with the
+   element type wrong they are the helpers' own checks on the same dims;
+   with the rank wrong the helpers would read past the dims array, while a
+   missing axis here has length 0 and fails its check. *)
+let view_index ctx b env ~(dst : var) (t : var) (idx : operand array) =
+  let env = ref env in
+  let js =
+    Array.mapi
+      (fun k op ->
+         let e = as_int_expr ctx op in
+         let key = Printf.sprintf "v%d_d%d %s" t.vid k e in
+         match List.assoc_opt key !env.checked with
+         | Some j -> j
+         | None ->
+           let j = Printf.sprintf "v%d_j%d" dst.vid k in
+           (* a row index is bound as the row's offset *)
+           let scale = if k = 0 && Array.length idx = 2 then Printf.sprintf " * v%d_d1" t.vid else "" in
+           add_line b !env
+             (Printf.sprintf "let %s = wolf_vindex1 v%d_d%d %s%s in" j t.vid k e scale);
+           env := { !env with checked = (key, j) :: !env.checked };
+           j)
+      idx
+  in
+  let flat =
+    match js with
+    | [| j |] -> j
+    | [| j1; j2 |] -> Printf.sprintf "%s + %s" j1 j2
+    | _ -> invalid_arg "ocaml_emit: view rank"
+  in
+  (!env, flat)
+
+(* the view kind whose elements have OCaml type [ty] *)
+let elem_kind ty =
+  match Types.repr ty with
+  | Types.Con ("Integer64", _) -> Some Vints
+  | Types.Con ("Real64", _) -> Some Vreals
+  | _ -> None
+
+let letter = function Vints -> "i" | Vreals -> "r"
+
+(* An element read through a view, or None for the generic helpers. *)
+let view_read ctx b env ~(dst : var) ~base ~(args : operand array) =
+  let rank = if base = "part_get_2" then 2 else 1 in
+  match args.(0), elem_kind (var_ty dst) with
+  | Ovar t, Some kind
+    when IS.mem t.vid env.views && view_shape (var_ty t) = Some (kind, rank) ->
+    let env, index =
+      if base = "part_get_1_unchecked" then (env, Printf.sprintf "%s - 1" (as_int_expr ctx args.(1)))
+      else view_index ctx b env ~dst t (Array.sub args 1 rank)
+    in
+    add_line b env
+      (Printf.sprintf "let v%d : %s = if v%d_ok then Array.unsafe_get v%d_a (%s) else wolf_%sread v%d (%s) in"
+         dst.vid (ocaml_ty (var_ty dst)) t.vid t.vid index (letter kind) t.vid index);
+    Some env
+  | _ -> None
+
+(* A store through a view: the copy-on-write test as today, then the data
+   array of the result (the copy has the operand's dims and element type, so
+   its check and dims are the operand's), then the checked write. *)
+let view_store ctx b ~viewed env ~dst ~base ~(args : operand array) =
+  let rank = if base = "part_set_1" || base = "part_set_1_inplace" then 1 else 2 in
+  let value = args.(rank + 1) in
+  match args.(0), elem_kind (op_ty_of value) with
+  | Ovar t, Some kind
+    when IS.mem t.vid env.views && Hashtbl.mem viewed dst.vid
+         && view_shape (var_ty t) = Some (kind, rank)
+         && view_shape (var_ty dst) = Some (kind, rank) ->
+    let line fmt = Printf.ksprintf (add_line b env) fmt in
+    let inplace = base = "part_set_1_inplace" || base = "part_set_2_inplace" in
+    line "let v%d : Wolf_wexpr.Tensor.t = wolf_cow ~inplace:%b v%d in" dst.vid inplace t.vid;
+    List.iter
+      (fun (sfx, e) ->
+         if sfx = "a" then line "let v%d_a = %s in" dst.vid e
+         else line "let v%d_%s = v%d_%s in" dst.vid sfx t.vid sfx)
+      (view_parts (kind, rank) (Printf.sprintf "v%d" dst.vid));
+    let env, index = view_index ctx b env ~dst t (Array.sub args 1 rank) in
+    let v = operand_expr ctx value in
+    line "let () = if v%d_ok then Array.unsafe_set v%d_a (%s) %s else wolf_%swrite v%d (%s) %s in"
+      dst.vid dst.vid index v (letter kind) dst.vid index v;
+    Some { env with views = IS.add dst.vid env.views }
+  | _ -> None
+
+let emit_instr ctx b ~viewed env i =
+  let line fmt = Printf.ksprintf (add_line b env) fmt in
+  let defined (dst : var) = project ctx b ~viewed env dst in
   match i with
-  | Load_argument _ -> ()
-  | Abort_check -> line "let () = wolf_abort_check () in"
+  | Load_argument _ -> env
+  | Abort_check -> line "let () = wolf_abort_check () in"; env
   | Abort_poll { stride; site } ->
     if not (List.mem_assoc site ctx.polls) then ctx.polls <- (site, stride) :: ctx.polls;
     line "let () = decr wolf_poll_%d in" site;
     line "let () = if !wolf_poll_%d <= 0 then (wolf_poll_%d := %d; wolf_abort_check ()) in"
-      site site stride
-  | Copy { dst; src } | Copy_value { dst; src } ->
-    line "let v%d : %s = %s in" dst.vid (ocaml_ty (var_ty dst)) (operand_expr ctx src)
+      site site stride;
+    env
+  | Copy { dst; src } ->
+    line "let v%d : %s = %s in" dst.vid (ocaml_ty (var_ty dst)) (operand_expr ctx src);
+    bind_view ctx b ~viewed env dst src
+  | Copy_value { dst; src } ->
+    line "let v%d : %s = %s in" dst.vid (ocaml_ty (var_ty dst)) (operand_expr ctx src);
+    defined dst
   | Mem_acquire op ->
     (match Types.repr (op_ty_of op) with
      | Types.Con ("PackedArray", _) ->
        line "let () = Wolf_wexpr.Tensor.acquire %s in" (operand_expr ctx op)
-     | _ -> ())
+     | _ -> ());
+    env
   | Mem_release op ->
     (match Types.repr (op_ty_of op) with
      | Types.Con ("PackedArray", _) ->
        line "let () = Wolf_wexpr.Tensor.release %s in" (operand_expr ctx op)
-     | _ -> ())
+     | _ -> ());
+    env
   | Kernel_call { dst; head; args } ->
     let hname, _ = const_named ctx (Rtval.Expr head) Types.expression in
     let arg_exprs =
@@ -472,7 +1005,8 @@ let emit_instr ctx b i =
           Printf.sprintf "Wolf_runtime.Rtval.to_expr %s" (box (op_ty_of o) (operand_expr ctx o)))
     in
     line "let v%d : Wolf_wexpr.Expr.t = Wolf_runtime.Hooks.eval (Wolf_wexpr.Expr.Normal (%s, [| %s |])) in"
-      dst.vid hname (String.concat "; " arg_exprs)
+      dst.vid hname (String.concat "; " arg_exprs);
+    env
   | New_closure { dst; fname; captured } ->
     (match Wir.find_func ctx.prog fname with
      | None -> invalid_arg ("ocaml_emit: missing closure target " ^ fname)
@@ -484,60 +1018,125 @@ let emit_instr ctx b i =
        line "let v%d : %s = (fun %s -> %s %s) in" dst.vid (ocaml_ty (var_ty dst))
          (if params = [] then "()" else String.concat " " params)
          (fn_ocaml_name ctx fname)
-         (String.concat " " (caps @ params)))
+         (String.concat " " (caps @ params)));
+    env
   | Call { dst; callee = Func name; args } ->
     line "let v%d : %s = %s %s in" dst.vid (ocaml_ty (var_ty dst))
       (fn_ocaml_name ctx name)
       (if Array.length args = 0 then "()"
        else String.concat " "
-           (Array.to_list (Array.map (fun o -> operand_expr ctx o) args)))
+           (Array.to_list (Array.map (fun o -> operand_expr ctx o) args)));
+    defined dst
   | Call { dst; callee = Indirect fop; args } ->
     line "let v%d : %s = %s %s in" dst.vid (ocaml_ty (var_ty dst))
       (operand_expr ctx fop)
       (if Array.length args = 0 then "()"
-       else String.concat " " (Array.to_list (Array.map (operand_expr ctx) args)))
+       else String.concat " " (Array.to_list (Array.map (operand_expr ctx) args)));
+    defined dst
   | Call { dst; callee = Resolved { base; _ }; args } ->
-    let body =
-      match (if ctx.einline then prim_expr ctx ~base ~args ~dst_ty:(var_ty dst) else None) with
-      | Some s -> s
-      | None -> boxed_prim_call ctx ~base ~args ~dst_ty:(var_ty dst)
+    let stored =
+      if not ctx.einline then None
+      else if is_store base then view_store ctx b ~viewed env ~dst ~base ~args
+      else if is_access base then view_read ctx b env ~dst ~base ~args
+      else None
     in
-    line "let v%d : %s = %s in" dst.vid (ocaml_ty (var_ty dst)) body
+    (match stored with
+     | Some env -> env
+     | None ->
+       let body =
+         match
+           (if ctx.einline then prim_expr ctx ~base ~args ~dst_ty:(var_ty dst)
+            else None)
+         with
+         | Some s -> s
+         | None -> boxed_prim_call ctx ~base ~args ~dst_ty:(var_ty dst)
+       in
+       line "let v%d : %s = %s in" dst.vid (ocaml_ty (var_ty dst)) body;
+       defined dst)
   | Call { callee = Prim name; _ } ->
     invalid_arg ("ocaml_emit: unresolved primitive " ^ name)
+
+(* an initial value for an exit ref, never read before the exit writes it *)
+let dummy ty =
+  match ocaml_ty ty with
+  | "int" -> "0"
+  | "float" -> "0.0"
+  | "bool" -> "false"
+  | "unit" -> "()"
+  | _ -> "(Obj.magic 0)"
 
 let emit_func ctx (f : func) ~first =
   let b = ctx.buf in
   let live_in = Analysis.live_in f in
   let fparam_ids = Hashtbl.create 8 in
   Array.iter (fun v -> Hashtbl.replace fparam_ids v.vid ()) f.fparams;
+  let live_ids label =
+    Hashtbl.fold (fun vid () acc -> vid :: acc) (Hashtbl.find live_in label) []
+    |> List.filter (fun vid -> not (Hashtbl.mem fparam_ids vid))
+    |> List.sort compare
+  in
   let block_extra bl =
     (* Live-in variables become extra leading parameters, sorted by id.
        Function parameters are lexically in scope inside every block
        function, so threading them would only lengthen the knot's argument
        lists (pushing hot loops past the native tail-call register limit). *)
-    Hashtbl.fold (fun vid () acc -> vid :: acc) (Hashtbl.find live_in bl.label) []
-    |> List.filter (fun vid -> not (Hashtbl.mem fparam_ids vid))
-    |> List.sort compare
-    |> List.map (fun vid -> Hashtbl.find ctx.vars vid)
+    List.map (fun vid -> Hashtbl.find ctx.vars vid) (live_ids bl.label)
   in
   let fname = fn_ocaml_name ctx f.fname in
-  let params =
-    if Array.length f.fparams = 0 then "()"
-    else
-      String.concat " "
-        (Array.to_list
-           (Array.map
-              (fun v -> Printf.sprintf "(v%d : %s)" v.vid (ocaml_ty (var_ty v)))
-              f.fparams))
+  let plan = plan_loops f in
+  List.iter
+    (fun (h, reason) ->
+       Buffer.add_string b
+         (match reason with
+          | None -> Printf.sprintf "(* %s: loop b%d: while *)\n" fname h
+          | Some r -> Printf.sprintf "(* %s: loop b%d: blocks, %s *)\n" fname h r))
+    plan.report;
+  let viewed = viewed_vars ctx f in
+  let block = Wir.find_block f in
+  let typed v = Printf.sprintf "(v%d : %s)" v.vid (ocaml_ty (var_ty v)) in
+  let params_of vs = if vs = [] then "()" else String.concat " " (List.map typed vs) in
+  let num = Analysis.number plan.cfg in
+  let fwd y = Option.value ~default:0 (Hashtbl.find_opt plan.fwd y) in
+  let idom y = plan.cfg.Analysis.nodes.(plan.cfg.Analysis.idom.(num y)).label in
+  (* the outermost while loop that holds [y]'s immediate dominator but not
+     [y]: [y]'s code goes after that loop *)
+  let owner y =
+    let d = idom y in
+    Hashtbl.fold
+      (fun _ w acc ->
+         if Hashtbl.mem w.w_body d && not (Hashtbl.mem w.w_body y) then
+           match acc with Some w' when w'.w_size >= w.w_size -> acc | _ -> Some w
+         else acc)
+      plan.whiles None
   in
-  let ret = match f.ret_ty with Some t -> ocaml_ty t | None -> "Wolf_runtime.Rtval.t" in
-  Buffer.add_string b
-    (Printf.sprintf "%s %s %s : %s =\n" (if first then "let rec" else "and") fname params ret);
-  (* blocks as mutually recursive local functions *)
+  (* variables a block's join point takes besides its parameters: those
+     defined in the loop whose exit it follows *)
+  let join_extra y =
+    match owner y with
+    | None -> []
+    | Some w ->
+      List.filter_map
+        (fun vid -> if Hashtbl.mem w.w_defs vid then Some (Hashtbl.find ctx.vars vid) else None)
+        (live_ids y)
+  in
+  let carried w = function
+    | Ex_return -> []
+    | Ex_block y ->
+      Array.to_list (block y).bparams
+      @ List.filter_map
+          (fun vid -> if Hashtbl.mem w.w_defs vid then Some (Hashtbl.find ctx.vars vid) else None)
+          (live_ids y)
+  in
+  let exit_index w e =
+    let rec go k = function
+      | [] -> invalid_arg "ocaml_emit: unknown loop exit"
+      | x :: rest -> if x = e then k else go (k + 1) rest
+    in
+    go 1 w.w_exits
+  in
+  let line env fmt = Printf.ksprintf (add_line b env) fmt in
   let jump_call (j : jump) =
-    let tgt = Wir.find_block f j.target in
-    let extra = block_extra tgt in
+    let extra = block_extra (block j.target) in
     let args =
       List.map (fun v -> Printf.sprintf "v%d" v.vid) extra
       @ Array.to_list (Array.map (operand_expr ctx) j.jargs)
@@ -545,37 +1144,250 @@ let emit_func ctx (f : func) ~first =
     if args = [] then Printf.sprintf "blk%d ()" j.target
     else Printf.sprintf "blk%d %s" j.target (String.concat " " args)
   in
+  let bind_params env (ps : var array) (args : operand array) =
+    let env = ref env in
+    Array.iteri
+      (fun i p ->
+         line !env "let v%d : %s = %s in" p.vid (ocaml_ty (var_ty p)) (operand_expr ctx args.(i));
+         env := bind_view ctx b ~viewed !env p args.(i))
+      ps;
+    !env
+  in
+  let project_all env vs = List.fold_left (fun env v -> project ctx b ~viewed env v) env vs in
+  let rec do_return env e =
+    match env.opens with
+    | [] -> line env "%s" e
+    | w :: _ ->
+      line env "x%d_ret := %s;" w.w_hdr e;
+      line env "st%d := %d" w.w_hdr (exit_index w Ex_return)
+  and do_branch env (j : jump) =
+    match env.opens with
+    | [] -> line env "%s" (jump_call j)
+    | w :: _ ->
+      let y = j.target in
+      if y = w.w_hdr then begin
+        (* back edge: the header's refs take the arguments *)
+        Array.iteri
+          (fun i p ->
+             if not (Hashtbl.mem w.w_fixed p.vid) then begin
+               line env "rp%d := %s;" p.vid (operand_expr ctx j.jargs.(i));
+               if Hashtbl.mem viewed p.vid then
+                 List.iter
+                   (fun (sfx, e) -> line env "rp%d_%s := %s;" p.vid sfx e)
+                   (param_view env p j.jargs.(i))
+             end)
+          (block y).bparams;
+        line env "()"
+      end
+      else if not (Hashtbl.mem w.w_body y) then begin
+        let ps = (block y).bparams in
+        List.iter
+          (fun v ->
+             let value =
+               match Array.find_index (fun p -> p.vid = v.vid) ps with
+               | Some i -> operand_expr ctx j.jargs.(i)
+               | None -> Printf.sprintf "v%d" v.vid
+             in
+             line env "x%d_%d := %s;" w.w_hdr v.vid value)
+          (carried w (Ex_block y));
+        line env "st%d := %d" w.w_hdr (exit_index w (Ex_block y))
+      end
+      else if fwd y >= 2 then join_call env y (Array.to_list j.jargs)
+      else do_tree (bind_params env (block y).bparams j.jargs) y
+  (* a join point's parameters: the variables it takes besides the block's
+     own, then those, each followed by its view's locals if it has one *)
+  and join_params y = join_extra y @ Array.to_list (block y).bparams
+  and join_call env y args =
+    let args = List.map (fun v -> Ovar v) (join_extra y) @ args in
+    match
+      List.concat
+        (List.map2
+           (fun p a ->
+              operand_expr ctx a
+              :: (if Hashtbl.mem viewed p.vid then List.map snd (param_view env p a) else []))
+           (join_params y) args)
+    with
+    | [] -> line env "j%d ()" y
+    | args -> line env "j%d %s" y (String.concat " " args)
+  (* the view locals for parameter [p] taken from its argument [a] *)
+  and param_view env p a = view_of ctx env (Option.get (view_shape (var_ty p))) a
+  (* [y]'s code, its parameters bound *)
+  and do_tree env y =
+    match Hashtbl.find_opt plan.whiles y with
+    | Some w when not (List.memq w env.opens) -> loop_form env w
+    | _ -> node_within env y
+  and define_join env y =
+    let ps = join_params y in
+    let view_params p =
+      match view_shape (var_ty p) with
+      | Some ((kind, _) as shape) when Hashtbl.mem viewed p.vid ->
+        List.map
+          (fun (sfx, _) ->
+             Printf.sprintf "(v%d_%s : %s)" p.vid sfx
+               (match sfx with
+                | "a" -> if kind = Vints then "int array" else "float array"
+                | "ok" -> "bool"
+                | _ -> "int"))
+          (view_parts shape "")
+      | _ -> []
+    in
+    line env "let j%d %s =" y
+      (if ps = [] then "()" else String.concat " " (List.concat_map (fun p -> typed p :: view_params p) ps));
+    let body = { (indent env) with checked = [] } in
+    let body =
+      List.fold_left
+        (fun env p ->
+           if view_params p = [] then env else { env with views = IS.add p.vid env.views })
+        body ps
+    in
+    do_tree body y;
+    line env "in"
+  and node_within env x =
+    let bl = block x in
+    let env = List.fold_left (fun env i -> emit_instr ctx b ~viewed env i) env bl.instrs in
+    if env.opens <> [] then
+      (* merge points dominated by [x] and inside the same loops, placed so
+         that every jump to one is a tail call in its scope: ocamlopt turns
+         such a local function into a static handler (no closure, unboxed
+         float arguments) *)
+      List.iter
+        (fun c -> if fwd c >= 2 && owner c = None then define_join env c)
+        (List.rev (Option.value ~default:[] (Hashtbl.find_opt plan.children x)));
+    match bl.term with
+    | Return op -> do_return env (operand_expr ctx op)
+    | Jump j -> do_branch env j
+    | Branch { cond; if_true; if_false } ->
+      line env "if %s then begin" (operand_expr ctx cond);
+      do_branch (indent env) if_true;
+      line env "end else begin";
+      do_branch (indent env) if_false;
+      line env "end"
+    | Unreachable -> line env "assert false"
+  and loop_form env w =
+    let h = w.w_hdr in
+    let ps =
+      Array.of_list
+        (List.filter (fun p -> not (Hashtbl.mem w.w_fixed p.vid)) (Array.to_list (block h).bparams))
+    in
+    Array.iter
+      (fun p ->
+         line env "let rp%d = ref v%d in" p.vid p.vid;
+         if Hashtbl.mem viewed p.vid then
+           List.iter (fun (sfx, e) -> line env "let rp%d_%s = ref %s in" p.vid sfx e)
+             (param_view env p (Ovar p)))
+      ps;
+    let all_carried =
+      List.concat_map (carried w) w.w_exits
+      |> List.sort_uniq (fun a b -> compare a.vid b.vid)
+    in
+    List.iter
+      (fun v ->
+         line env "let x%d_%d : %s ref = ref %s in" h v.vid (ocaml_ty (var_ty v)) (dummy (var_ty v)))
+      all_carried;
+    if List.mem Ex_return w.w_exits then begin
+      let rt = match f.ret_ty with Some t -> t | None -> Types.expression in
+      line env "let x%d_ret : %s ref = ref %s in" h (ocaml_ty rt) (dummy rt)
+    end;
+    line env "let st%d = ref 0 in" h;
+    line env "while !st%d = 0 do" h;
+    let body = { (indent env) with opens = w :: env.opens; checked = [] } in
+    let body =
+      Array.fold_left
+        (fun env p ->
+           line env "let v%d : %s = !rp%d in" p.vid (ocaml_ty (var_ty p)) p.vid;
+           if Hashtbl.mem viewed p.vid then begin
+             List.iter (fun (sfx, _) -> line env "let v%d_%s = !rp%d_%s in" p.vid sfx p.vid sfx)
+               (view_parts (Option.get (view_shape (var_ty p))) "");
+             { env with views = IS.add p.vid env.views }
+           end
+           else env)
+        body ps
+    in
+    node_within body h;
+    line env "done;";
+    (* after the loop: the blocks that follow its exits, and the exits *)
+    if env.opens <> [] then
+      Hashtbl.fold (fun y () acc -> y :: acc) plan.inner []
+      |> List.filter (fun y -> fwd y >= 2 && (match owner y with Some o -> o == w | None -> false))
+      |> List.sort (fun a b -> compare (num b) (num a))
+      |> List.iter (define_join env);
+    line env "begin match !st%d with" h;
+    List.iteri
+      (fun k e ->
+         line env "| %d ->" (k + 1);
+         let arm = { (indent env) with checked = [] } in
+         match e with
+         | Ex_return ->
+           line arm "let r%d = !x%d_ret in" h h;
+           do_return arm (Printf.sprintf "r%d" h)
+         | Ex_block y ->
+           let arm =
+             List.fold_left
+               (fun env v ->
+                  line env "let v%d : %s = !x%d_%d in" v.vid (ocaml_ty (var_ty v)) h v.vid;
+                  (* the code of an outermost loop's exit is a block function *)
+                  if env.opens = [] then env else project ctx b ~viewed env v)
+               arm (carried w e)
+           in
+           let ps = (block y).bparams in
+           if arm.opens = [] then
+             line arm "%s" (jump_call { target = y; jargs = Array.map (fun p -> Ovar p) ps })
+           else if (match owner y with Some o -> o == w | None -> false) then begin
+             if fwd y >= 2 then
+               join_call arm y (Array.to_list (Array.map (fun p -> Ovar p) ps))
+             else do_tree arm y
+           end
+           else do_branch arm { target = y; jargs = Array.map (fun p -> Ovar p) ps })
+      w.w_exits;
+    line env "| _ -> assert false end"
+  in
+  let ret = match f.ret_ty with Some t -> ocaml_ty t | None -> "Wolf_runtime.Rtval.t" in
+  Buffer.add_string b
+    (Printf.sprintf "%s %s %s : %s =\n" (if first then "let rec" else "and") fname
+       (params_of (Array.to_list f.fparams)) ret);
+  (* variables with element accesses in a block, or in the loop it heads *)
+  let accessed label =
+    let acc = ref IS.empty in
+    let scan l =
+      List.iter
+        (function
+          | Call { callee = Resolved { base; _ }; args; _ } when is_access base ->
+            (match args.(0) with Ovar v -> acc := IS.add v.vid !acc | _ -> ())
+          | _ -> ())
+        (block l).instrs
+    in
+    (match Hashtbl.find_opt plan.whiles label with
+     | Some w -> Hashtbl.iter (fun l () -> scan l) w.w_body
+     | None -> scan label);
+    !acc
+  in
+  let env0 =
+    let all = List.fold_left (fun s bl -> IS.union s (accessed bl.label)) IS.empty f.blocks in
+    project_all { ind = 2; opens = []; views = IS.empty; checked = [] }
+      (List.filter (fun v -> IS.mem v.vid all) (Array.to_list f.fparams))
+  in
+  (* reachable blocks outside while loops, and the outermost loops'
+     headers, as mutually recursive local functions *)
   List.iteri
     (fun bi bl ->
        let extra = block_extra bl in
-       let params =
-         List.map (fun v -> Printf.sprintf "(v%d : %s)" v.vid (ocaml_ty (var_ty v))) extra
-         @ Array.to_list
-             (Array.map
-                (fun v -> Printf.sprintf "(v%d : %s)" v.vid (ocaml_ty (var_ty v)))
-                bl.bparams)
+       let ps = extra @ Array.to_list bl.bparams in
+       Buffer.add_string b
+         (Printf.sprintf "  %s blk%d %s =\n" (if bi = 0 then "let rec" else "and") bl.label
+            (params_of ps));
+       let used = accessed bl.label in
+       let env =
+         project_all { env0 with ind = 6 } (List.filter (fun v -> IS.mem v.vid used) ps)
        in
-       let header =
-         Printf.sprintf "  %s blk%d %s =\n"
-           (if bi = 0 then "let rec" else "and")
-           bl.label
-           (if params = [] then "()" else String.concat " " params)
-       in
-       Buffer.add_string b header;
-       List.iter (emit_instr ctx b) bl.instrs;
-       let term =
-         match bl.term with
-         | Return op -> Printf.sprintf "      %s\n" (operand_expr ctx op)
-         | Jump j -> Printf.sprintf "      %s\n" (jump_call j)
-         | Branch { cond; if_true; if_false } ->
-           Printf.sprintf "      if %s then %s else %s\n" (operand_expr ctx cond)
-             (jump_call if_true) (jump_call if_false)
-         | Unreachable -> "      assert false\n"
-       in
-       Buffer.add_string b term)
-    f.blocks;
+       match Hashtbl.find_opt plan.whiles bl.label with
+       | Some w -> loop_form env w
+       | None -> node_within env bl.label)
+    (List.filter
+       (fun bl -> Analysis.reachable plan.cfg bl.label && not (Hashtbl.mem plan.inner bl.label))
+       f.blocks);
   let entry_label = (Wir.entry f).label in
-  Buffer.add_string b (Printf.sprintf "  in blk%d ()\n\n" entry_label)
+  Buffer.add_string b (Printf.sprintf "  in blk%d ()\n\n" entry_label);
+  plan.report
 
 let emit ~module_name (c : Pipeline.compiled) =
   let prog = c.Pipeline.program in
@@ -593,16 +1405,27 @@ let emit ~module_name (c : Pipeline.compiled) =
     }
   in
   List.iter (fun f -> Wir.iter_vars f (fun v -> Hashtbl.replace ctx.vars v.vid v)) prog.funcs;
-  Buffer.add_string ctx.buf prelude;
   (* constants are registered in Wolf_plugin by the host before loading;
      emitted below as module-level lets after function emission (we only know
      them then), so functions go into a second buffer *)
   let fnbuf = Buffer.create 4096 in
   let fctx = { ctx with buf = fnbuf } in
-  List.iteri (fun i f -> emit_func fctx f ~first:(i = 0)) prog.funcs;
+  let loops =
+    List.concat
+      (List.mapi
+         (fun i f ->
+            List.map (fun (h, r) -> (f.fname, h, r)) (emit_func fctx f ~first:(i = 0)))
+         prog.funcs)
+  in
+  List.iter
+    (fun (_, _, r) ->
+       Wolf_obs.Metrics.incr (loop_forms_counter (if r = None then "while" else "blocks")))
+    loops;
   ctx.consts <- fctx.consts;
   ctx.const_count <- fctx.const_count;
   ctx.polls <- fctx.polls;
+  Buffer.add_string ctx.buf (prelude_for (Buffer.contents fnbuf));
+  Buffer.add_string ctx.buf "\n\n";
   (* module-level poll counters: persist across calls like the threaded
      backend's per-site refs *)
   List.iter
@@ -639,4 +1462,5 @@ let emit ~module_name (c : Pipeline.compiled) =
     source = Buffer.contents ctx.buf;
     entry_symbol;
     constants = List.rev_map (fun (k, rt, _) -> (k, rt)) ctx.consts |> List.rev;
+    loops;
   }

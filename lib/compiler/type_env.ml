@@ -29,10 +29,33 @@ let rec copy t =
   Hashtbl.filter_map_inplace (fun _ cell -> Some (ref !cell)) decls;
   { t with parent = Option.map copy t.parent; decls }
 
-let scheme_equal a b =
-  (* conservative: identical printed form (schemes are closed) *)
-  String.equal (Types.to_string a.Types.body) (Types.to_string b.Types.body)
-  && List.length a.vars = List.length b.vars
+(* Equal up to a renaming of the bound variables, which must agree on
+   their class qualifiers; free variables must be the same variable. *)
+let scheme_equal (a : Types.scheme) (b : Types.scheme) =
+  let renamed = Hashtbl.create 4 and taken = Hashtbl.create 4 in
+  let classes (s : Types.scheme) id =
+    Option.map (List.sort_uniq String.compare) (List.assoc_opt id s.vars)
+  in
+  let rec eq x y =
+    match Types.repr x, Types.repr y with
+    | Types.Var { contents = Types.Unbound u }, Types.Var { contents = Types.Unbound v } ->
+      (match classes a u.id, classes b v.id with
+       | None, None -> u.id = v.id
+       | Some ca, Some cb ->
+         (match Hashtbl.find_opt renamed u.id with
+          | Some v' -> v' = v.id
+          | None ->
+            ca = cb && (not (Hashtbl.mem taken v.id))
+            && (Hashtbl.replace renamed u.id v.id;
+                Hashtbl.replace taken v.id ();
+                true))
+       | _ -> false)
+    | Types.Con (n, xs), Types.Con (m, ys) -> String.equal n m && all xs ys
+    | Types.Lit i, Types.Lit j -> i = j
+    | Types.Fun (xs, r), Types.Fun (ys, s) -> all xs ys && eq r s
+    | _ -> false
+  and all xs ys = Array.length xs = Array.length ys && Array.for_all2 eq xs ys in
+  List.length a.vars = List.length b.vars && eq a.body b.body
 
 let declare t name ?(inline = false) scheme impl =
   let d = { dname = name; scheme; impl; inline } in

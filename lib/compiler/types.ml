@@ -43,12 +43,29 @@ let forall class_lists build =
   let body = build (List.map snd entries) in
   { vars = List.map fst entries; body }
 
-let rec repr t =
+(* Path compression in [repr] writes links that [Unify.speculate] does not
+   record, so a rolled-back speculation would leave a variable linked to the
+   rejected candidate's type: it is skipped while this domain speculates. *)
+let speculation_depth : int ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref 0)
+
+let rec find t =
   match t with
-  | Var ({ contents = Link u } as r) ->
-    let u' = repr u in
-    r := Link u';
-    u'
+  | Var { contents = Link u } -> find u
+  | _ -> t
+
+let rec compress t rep =
+  match t with
+  | Var ({ contents = Link u } as r) when u != rep ->
+    r := Link rep;
+    compress u rep
+  | _ -> ()
+
+let repr t =
+  match t with
+  | Var { contents = Link u } ->
+    let rep = find u in
+    if rep != u && !(Domain.DLS.get speculation_depth) = 0 then compress t rep;
+    rep
   | _ -> t
 
 let rec occurs id t =

@@ -39,7 +39,11 @@ val forall : string list list -> (t list -> t) -> scheme
     with one quantified variable per qualifier list. *)
 
 val repr : t -> t
-(** Follow [Link]s to the representative. *)
+(** Follow [Link]s to the representative, compressing the path unless a
+    speculation is running on this domain. *)
+
+val speculation_depth : int ref Domain.DLS.key
+(** Nesting of {!Unify.speculate} on this domain. *)
 
 val occurs : int -> t -> bool
 

@@ -13,16 +13,16 @@ open Types
    back each other's bindings.  Domain.DLS gives every domain its own state
    at zero cost to the single-domain fast path. *)
 type state = {
-  mutable depth : int;                  (* nesting of [speculate] *)
+  depth : int ref;                      (* nesting of [speculate]; [Types.repr] reads it *)
   mutable trail : (tv ref * tv) list;   (* newest first *)
 }
 
 let state_key : state Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> { depth = 0; trail = [] })
+  Domain.DLS.new_key (fun () -> { depth = Domain.DLS.get Types.speculation_depth; trail = [] })
 
 let bind r t =
   let s = Domain.DLS.get state_key in
-  if s.depth > 0 then s.trail <- (r, !r) :: s.trail;
+  if !(s.depth) > 0 then s.trail <- (r, !r) :: s.trail;
   r := Link t
 
 let rec unify a b =
@@ -83,14 +83,14 @@ let speculate f =
   let s = Domain.DLS.get state_key in
   let saved = s.trail in
   s.trail <- [];
-  s.depth <- s.depth + 1;
+  incr s.depth;
   let result = match f () with v -> v | exception _ -> None in
-  s.depth <- s.depth - 1;
+  decr s.depth;
   (match result with
    | Some _ ->
      (* an enclosing speculation may still roll these back; the outermost
         commit is final *)
-     s.trail <- (if s.depth = 0 then [] else s.trail @ saved)
+     s.trail <- (if !(s.depth) = 0 then [] else s.trail @ saved)
    | None ->
      List.iter (fun (r, old) -> r := old) s.trail;
      s.trail <- saved);

@@ -44,7 +44,7 @@ let test_export_ocaml () =
   | Ok src ->
     List.iter
       (fun needle -> Alcotest.(check bool) needle true (contains src needle))
-      [ "wolf_add"; "Wolf_plugin.register" ]
+      [ "Integer_overflow"; "Wolf_plugin.register" ]
   | Error e -> Alcotest.fail e
 
 let test_export_c () =

@@ -112,6 +112,10 @@ let test_array_programs () =
   differential "matrix access"
     {|Function[{Typed[m, "PackedArray"["Real64", 2]]}, m[[2, 1]] + m[[1, 2]]]|}
     [ parse "{{1.0, 2.0}, {3.0, 4.0}}" ];
+  differential "real array and scalar"
+    {|Function[{Typed[m, "PackedArray"["Real64", 2]], Typed[s, "Real64"]},
+       Module[{r = (m*s + s) - 0.25}, r[[1, 1]] + 10.0*r[[1, 2]] + 100.0*r[[2, 1]] + 1000.0*r[[2, 2]]]]|}
+    [ parse "{{1.0, 2.0}, {3.0, 4.5}}"; Expr.Real 1.5 ];
   differential "dot"
     {|Function[{Typed[a, "PackedArray"["Real64", 2]], Typed[b, "PackedArray"["Real64", 2]]},
        a . b]|}
@@ -456,6 +460,271 @@ let test_expression_type () =
     {|Function[{Typed[a, "Expression"], Typed[b, "Expression"]}, a + b]|}
     [ parse "x"; parse "Cos[y] + Sin[z]" ]
 
+(* ---------------- JIT emitter: while loops, typed views, literals ---------- *)
+
+let jit_of name src =
+  Wolfram.init ();
+  B.Compiled_function.quiet := true;
+  let c = Pipeline.compile ~name (parse src) in
+  let emitted = B.Ocaml_emit.emit ~module_name:("Probe_" ^ name) c in
+  match B.Jit.compile c with
+  | Ok j -> (c, j, emitted)
+  | Error e -> Alcotest.failf "%s: jit compile failed: %s" name e
+
+let all_while name (e : B.Ocaml_emit.emitted) =
+  Alcotest.(check bool) (name ^ ": has loops") true (e.B.Ocaml_emit.loops <> []);
+  List.iter
+    (fun (fn, h, r) ->
+       match r with
+       | None -> ()
+       | Some why -> Alcotest.failf "%s: loop b%d of %s kept as blocks: %s" name h fn why)
+    e.B.Ocaml_emit.loops
+
+let outcome f =
+  match f () with
+  | v -> Ok (Rtval.to_expr v)
+  | exception Wolf_base.Errors.Runtime_error e -> Error e
+
+(* A loop that carries two floats allocates nothing per iteration: its
+   header parameters live in local refs, which ocamlopt keeps unboxed. *)
+let test_jit_float_loop_unboxed () =
+  if Lazy.force jit_on then begin
+    let c, j, e =
+      jit_of "recur"
+        {|Function[{Typed[n, "MachineInteger"]},
+           Module[{x = 0.5, y = 0.25, i = 0},
+            While[i < n, x = 0.5*x + 0.25*y; y = 0.75*y - 0.125*x + 1.0; i = i + 1];
+            x + y]]|}
+    in
+    Alcotest.(check bool) "abort handling on" true c.Pipeline.coptions.Options.abort_handling;
+    all_while "recur" e;
+    let n = 200_000 in
+    ignore (j.Rtval.call [| Rtval.Int 10 |]);
+    let w0 = Gc.minor_words () in
+    let r = j.Rtval.call [| Rtval.Int n |] in
+    let words = Gc.minor_words () -. w0 in
+    Alcotest.check expr "same as threaded"
+      (Rtval.to_expr ((B.Native.compile c).Rtval.call [| Rtval.Int n |]))
+      (Rtval.to_expr r);
+    if words >= float_of_int n then
+      Alcotest.failf "%.0f minor words for %d iterations" words n
+  end
+
+(* A store into a tensor that another variable started aliasing mid-loop
+   copies: the alias keeps the values of the time it was taken, the
+   caller's array is untouched, and the result is the interpreter's. *)
+let test_jit_cow_mid_loop () =
+  let src =
+    {|Function[{Typed[v, "PackedArray"["Integer64", 1]]},
+       Module[{a = v, b = v, i = 1, n = Length[v]},
+        While[i <= n, If[i == 3, b = a]; a[[i]] = 10*a[[i]]; i = i + 1];
+        1000*Total[b] + Total[a]]]|}
+  in
+  differential "alias taken mid-loop" src [ parse "{1, 2, 3, 4, 5}" ];
+  if Lazy.force jit_on then begin
+    let _, j, e = jit_of "cowloop" src in
+    all_while "cowloop" e;
+    let t = Tensor.of_int_array [| 1; 2; 3; 4; 5 |] in
+    Alcotest.check expr "alias = {10, 20, 3, 4, 5}, a = 10 v" (Expr.Int 42150)
+      (Rtval.to_expr (j.Rtval.call [| Rtval.Tensor t |]));
+    Alcotest.(check (array int)) "argument untouched" [| 1; 2; 3; 4; 5 |]
+      (Array.init 5 (Tensor.get_int t))
+  end
+
+(* Part out of range through a view fails with the generic helpers'
+   payload, at rank 1 and 2, for reads and stores, on index 0, a negative
+   index and n+1. *)
+let test_jit_view_part_errors () =
+  if Lazy.force jit_on then begin
+    let v = Rtval.of_expr (parse "{1, 2, 3}") in
+    let m = Rtval.of_expr (parse "{{1.0, 2.0, 3.0}, {4.0, 5.0, 6.0}}") in
+    let check name src cases =
+      let c, j, e = jit_of name src in
+      all_while name e;
+      let nat = B.Native.compile c in
+      List.iter
+        (fun (args, expected) ->
+           let label = Printf.sprintf "%s %s" name
+               (String.concat "," (List.map (fun a -> Expr.to_string (Rtval.to_expr a)) args)) in
+           let got = outcome (fun () -> j.Rtval.call (Array.of_list args)) in
+           let threaded = outcome (fun () -> nat.Rtval.call (Array.of_list args)) in
+           if got <> threaded then Alcotest.failf "%s: jit and threaded differ" label;
+           match expected, got with
+           | Some (i, n), Error (Wolf_base.Errors.Part_out_of_range (i', n')) ->
+             Alcotest.(check (pair int int)) label (i, n) (i', n')
+           | None, Ok _ -> ()
+           | _, Error f ->
+             Alcotest.failf "%s: unexpected %s" label (Wolf_base.Errors.describe_failure f)
+           | Some _, Ok r -> Alcotest.failf "%s: no error, got %s" label (Expr.to_string r))
+        cases
+    in
+    let int i = Rtval.Int i in
+    check "read1"
+      {|Function[{Typed[v, "PackedArray"["Integer64", 1]], Typed[i, "MachineInteger"]},
+         Module[{s = 0, k = 0}, While[k < 2, s = s + v[[i]]; k = k + 1]; s]]|}
+      [ ([ v; int 0 ], Some (0, 3)); ([ v; int (-4) ], Some (-4, 3));
+        ([ v; int 4 ], Some (4, 3)); ([ v; int (-1) ], None); ([ v; int 3 ], None) ];
+    check "store1"
+      {|Function[{Typed[v, "PackedArray"["Integer64", 1]], Typed[i, "MachineInteger"]},
+         Module[{a = v, k = 0}, While[k < 2, a[[i]] = k; k = k + 1]; a]]|}
+      [ ([ v; int 0 ], Some (0, 3)); ([ v; int (-4) ], Some (-4, 3));
+        ([ v; int 4 ], Some (4, 3)); ([ v; int (-3) ], None) ];
+    check "read2"
+      {|Function[{Typed[m, "PackedArray"["Real64", 2]], Typed[i, "MachineInteger"],
+                  Typed[k, "MachineInteger"]},
+         Module[{s = 0.0, t = 0}, While[t < 2, s = s + m[[i, k]]; t = t + 1]; s]]|}
+      [ ([ m; int 0; int 1 ], Some (0, 2)); ([ m; int (-3); int 1 ], Some (-3, 2));
+        ([ m; int 3; int 1 ], Some (3, 2)); ([ m; int 1; int 0 ], Some (0, 3));
+        ([ m; int 1; int (-4) ], Some (-4, 3)); ([ m; int 2; int 4 ], Some (4, 3));
+        ([ m; int (-1); int (-1) ], None) ];
+    check "store2"
+      {|Function[{Typed[m, "PackedArray"["Real64", 2]], Typed[i, "MachineInteger"],
+                  Typed[k, "MachineInteger"]},
+         Module[{a = m, t = 0}, While[t < 2, a[[i, k]] = 1.5; t = t + 1]; a]]|}
+      [ ([ m; int 0; int 1 ], Some (0, 2)); ([ m; int 3; int 1 ], Some (3, 2));
+        ([ m; int 1; int (-4) ], Some (-4, 3)); ([ m; int 2; int 4 ], Some (4, 3));
+        ([ m; int 2; int 3 ], None) ]
+  end
+
+(* Abort[] stops a while-form loop that carries a float, within a stride *)
+let test_jit_abort_while_float () =
+  if Lazy.force jit_on then begin
+    let _, j, e =
+      jit_of "fspin"
+        {|Function[{Typed[n, "MachineInteger"]},
+           Module[{x = 0.0, i = 0}, While[i < n, x = x + 0.5; i = i + 1]; x]]|}
+    in
+    all_while "fspin" e;
+    Wolf_base.Abort_signal.clear ();
+    Alcotest.check expr "unaborted" (Expr.Real 500.0)
+      (Rtval.to_expr (j.Rtval.call [| Rtval.Int 1000 |]));
+    Wolf_base.Abort_signal.abort_after 2;
+    (match j.Rtval.call [| Rtval.Int (10 * Options.default.Options.abort_stride) |] with
+     | exception Wolf_base.Abort_signal.Aborted -> ()
+     | _ -> Alcotest.fail "while loop not aborted");
+    Wolf_base.Abort_signal.clear ()
+  end
+
+(* A loop the while form does not cover stays block functions and still
+   runs: here the loop body has a second, retreating edge into one arm of
+   its If (never taken at run time), which makes the loop irreducible. *)
+let test_jit_irreducible_loop_kept_as_blocks () =
+  if Lazy.force jit_on then begin
+    Wolfram.init ();
+    let c =
+      Pipeline.compile ~name:"irr"
+        (parse {|Function[{Typed[n, "MachineInteger"]}, n]|})
+    in
+    let int = Types.int64 and bool = Types.boolean in
+    let var ty = Wir.fresh_var ~ty () in
+    let prim base = Wir.Resolved { base; mangled = base } in
+    let call dst base args = Wir.Call { dst; callee = prim base; args } in
+    let jump target jargs = { Wir.target; jargs } in
+    let n = var int and i = var int and s = var int and s1 = var int and s2 = var int in
+    let s3 = var int and i1 = var int and lt = var bool and odd = var int in
+    let even = var bool and neg = var bool in
+    let block label ?(bparams = [||]) instrs term = { Wir.label; bparams; instrs; term } in
+    let zero = Wir.Oconst (Wir.Cint 0) and one = Wir.Oconst (Wir.Cint 1) in
+    let main =
+      { (Wir.main c.Pipeline.program) with
+        Wir.fparams = [| n |];
+        ret_ty = Some int;
+        blocks =
+          [ block 0 [ Wir.Load_argument { dst = n; index = 0 } ] (Wir.Jump (jump 1 [| zero; zero |]));
+            block 1 ~bparams:[| i; s |] [ call lt "binary_less" [| Ovar i; Ovar n |] ]
+              (Wir.Branch { cond = Ovar lt; if_true = jump 2 [||]; if_false = jump 9 [||] });
+            block 2
+              [ call odd "binary_bitand" [| Ovar i; one |];
+                call even "binary_equal" [| Ovar odd; zero |] ]
+              (Wir.Branch { cond = Ovar even; if_true = jump 3 [||]; if_false = jump 4 [||] });
+            block 3 [ call s1 "checked_binary_plus" [| Ovar s; one |] ]
+              (Wir.Jump (jump 5 [| Ovar s1 |]));
+            block 4 [ call s2 "checked_binary_plus" [| Ovar s; Oconst (Cint 2) |] ]
+              (Wir.Jump (jump 5 [| Ovar s2 |]));
+            block 5 ~bparams:[| s3 |]
+              [ call i1 "checked_binary_plus" [| Ovar i; one |];
+                call neg "binary_less" [| Ovar s3; zero |] ]
+              (Wir.Branch { cond = Ovar neg; if_true = jump 3 [||]; if_false = jump 1 [| Ovar i1; Ovar s3 |] });
+            block 9 [] (Wir.Return (Ovar s)) ] }
+    in
+    let c = { c with Pipeline.program = { Wir.funcs = [ main ]; pmeta = [] } } in
+    let e = B.Ocaml_emit.emit ~module_name:"Irr" c in
+    Alcotest.(check (list (option string))) "one loop, kept as blocks" [ Some "irreducible" ]
+      (List.map (fun (_, _, r) -> r) e.B.Ocaml_emit.loops);
+    match B.Jit.compile c with
+    | Error e -> Alcotest.failf "irr: jit compile failed: %s" e
+    | Ok j ->
+      Alcotest.check expr "5 even + 5 odd steps" (Expr.Int 15)
+        (Rtval.to_expr (j.Rtval.call [| Rtval.Int 10 |]))
+  end
+
+(* Checked arithmetic with a literal operand is open-coded as a range test;
+   at and around each bound it must agree with Wolf_base.Checked, and so
+   must the general add and subtract. *)
+let test_jit_literal_arith () =
+  if Lazy.force jit_on then begin
+    let open Wolf_base in
+    let lit c =
+      if c = min_int then Printf.sprintf "((%d) - 1)" (min_int + 1)
+      else if c < 0 then Printf.sprintf "(%d)" c
+      else string_of_int c
+    in
+    (* (source of the branch, reference, bounds of x worth probing) *)
+    let literal op c reference bounds =
+      (Printf.sprintf "x %s %s" op (lit c), (fun x _ -> reference x c), bounds)
+    in
+    let cases =
+      List.map
+        (fun c ->
+           literal "*" c Checked.mul
+             (if c = 0 || c = 1 || c = -1 then [] else [ max_int / c; min_int / c ]))
+        [ 0; 1; -1; 2; -2; 3; -3; 16777619; 1 lsl 40; -(1 lsl 40); max_int; min_int ]
+      @ List.map (fun c -> literal "+" c Checked.add [ max_int - c; min_int - c ])
+          [ 1; -1; 7; -7; 1 lsl 61 ]
+      @ List.map (fun c -> literal "-" c Checked.sub [ max_int + c; min_int + c ]) [ 1; -1; 5; -5 ]
+      @ [ ("x + y", Checked.add, []); ("x - y", Checked.sub, []); ("x * y", Checked.mul, []) ]
+    in
+    let body =
+      List.fold_right
+        (fun (k, (src, _, _)) acc -> Printf.sprintf "If[k == %d, %s, %s]" k src acc)
+        (List.mapi (fun k case -> (k, case)) cases)
+        "0"
+    in
+    let _, j, _ =
+      jit_of "litarith"
+        (Printf.sprintf
+           {|Function[{Typed[x, "MachineInteger"], Typed[y, "MachineInteger"],
+                       Typed[k, "MachineInteger"]}, %s]|} body)
+    in
+    let show = function Ok v -> string_of_int v | Error e -> Errors.describe_failure e in
+    let ys = [ 0; 1; -1; 2; -2; 3; max_int; min_int; max_int / 2; min_int / 2 ] in
+    List.iteri
+      (fun k (src, reference, bounds) ->
+         let xs =
+           List.concat_map (fun b -> [ b - 1; b; b + 1 ]) bounds
+           @ [ 0; 1; -1; 12345; -12345; max_int; min_int; max_int - 1; min_int + 1;
+               max_int / 2; min_int / 2; (max_int / 2) + 1 ]
+         in
+         List.iter
+           (fun x ->
+              List.iter
+                (fun y ->
+                   let expected =
+                     match reference x y with v -> Ok v | exception Errors.Runtime_error e -> Error e
+                   in
+                   let got =
+                     match j.Rtval.call [| Rtval.Int x; Rtval.Int y; Rtval.Int k |] with
+                     | v -> Ok (Rtval.as_int v)
+                     | exception Errors.Runtime_error e -> Error e
+                   in
+                   if got <> expected then
+                     Alcotest.failf "%s at x = %d, y = %d: got %s, expected %s" src x y (show got)
+                       (show expected))
+                ys)
+           xs)
+      cases
+  end
+
 (* random straight-line integer programs, differential against the kernel *)
 let gen_int_program : (string * int) QCheck2.Gen.t =
   let open QCheck2.Gen in
@@ -546,5 +815,12 @@ let tests =
     Alcotest.test_case "KernelFunction escape (F9)" `Quick test_kernel_function_escape;
     Alcotest.test_case "complex Mandelbrot (A.7)" `Quick test_complex_mandelbrot;
     Alcotest.test_case "Expression type (F8)" `Quick test_expression_type;
+    Alcotest.test_case "jit while loop keeps floats unboxed" `Quick test_jit_float_loop_unboxed;
+    Alcotest.test_case "jit copy-on-write mid-loop" `Quick test_jit_cow_mid_loop;
+    Alcotest.test_case "jit view Part errors" `Quick test_jit_view_part_errors;
+    Alcotest.test_case "jit Abort[] in a float while loop" `Quick test_jit_abort_while_float;
+    Alcotest.test_case "jit checked arithmetic by a literal" `Quick test_jit_literal_arith;
+    Alcotest.test_case "jit irreducible loop kept as blocks" `Quick
+      test_jit_irreducible_loop_kept_as_blocks;
     QCheck_alcotest.to_alcotest prop_differential;
     QCheck_alcotest.to_alcotest prop_options_semantics_preserving ]

@@ -87,6 +87,36 @@ let test_speculation_rolls_back () =
          Some ()));
   Alcotest.(check bool) "committed on Some" true (Types.equal (Types.repr v) Types.real64)
 
+(* a -> b -> c: a [repr a] inside a speculation that binds c and is rolled
+   back must not leave a linked to the rejected type *)
+let test_speculation_path_compression () =
+  let a = Types.fresh_var () and b = Types.fresh_var () and c = Types.fresh_var () in
+  ignore (Unify.unify a b);
+  ignore (Unify.unify b c);
+  ignore
+    (Unify.speculate (fun () ->
+         ignore (Unify.unify c Types.int64);
+         ignore (Types.repr a);
+         None));
+  Alcotest.(check bool) "c unbound again" false (Types.is_ground c);
+  Alcotest.(check bool) "a unbound again" false (Types.is_ground a);
+  Alcotest.(check bool) "a still c" true (Types.repr a == Types.repr c)
+
+(* redeclaring an alpha-equivalent polymorphic scheme replaces the overload *)
+let test_redeclare_polymorphic () =
+  let env = Stdlib_decls.env () in
+  let before = List.length (Type_env.lookup env "Min") in
+  Alcotest.(check int) "stdlib Min overloads" 4 before;
+  Type_env.declare_wolfram env "Min"
+    ~spec:(parse {|TypeForAll[{"a"}, {Element["a", "Ordered"]}, {"a", "a"} -> "a"]|})
+    ~body:(parse "Function[{e1, e2}, If[e1 < e2, e1, e2]]");
+  Alcotest.(check int) "replaced, not appended" 4 (List.length (Type_env.lookup env "Min"));
+  (* a different qualifier is a different scheme *)
+  Type_env.declare_wolfram env "Min"
+    ~spec:(parse {|TypeForAll[{"a"}, {Element["a", "Number"]}, {"a", "a"} -> "a"]|})
+    ~body:(parse "Function[{e1, e2}, If[e1 < e2, e1, e2]]");
+  Alcotest.(check int) "other qualifier appended" 5 (List.length (Type_env.lookup env "Min"))
+
 let test_mangle () =
   Alcotest.(check string) "scalar" "I64" (Types.mangle Types.int64);
   Alcotest.(check string) "array" "PA_R64_2" (Types.mangle (Types.packed Types.real64 2));
@@ -198,6 +228,10 @@ let tests =
     Alcotest.test_case "variable binding" `Quick test_unify_var_binding;
     Alcotest.test_case "type-class qualifiers" `Quick test_class_qualifiers;
     Alcotest.test_case "speculation rollback" `Quick test_speculation_rolls_back;
+    Alcotest.test_case "no path compression while speculating" `Quick
+      test_speculation_path_compression;
+    Alcotest.test_case "redeclared polymorphic scheme replaces" `Quick
+      test_redeclare_polymorphic;
     Alcotest.test_case "shared environments are isolated" `Quick test_shared_env_isolation;
     Alcotest.test_case "mangling" `Quick test_mangle;
     Alcotest.test_case "inference results" `Quick test_inference_results;
