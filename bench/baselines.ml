@@ -34,9 +34,15 @@ let mandelbrot x0 x1 y0 y1 step =
 
 let dot a b = Tensor.dot a b
 
+(* the kernels below match the tensor's data once and index the raw array,
+   as hand-written C would *)
+let reals t = match t.Tensor.data with Tensor.Reals a -> a | Tensor.Ints _ -> invalid_arg "reals"
+let ints t = match t.Tensor.data with Tensor.Ints a -> a | Tensor.Reals _ -> invalid_arg "ints"
+
 let blur img n =
+  let img = reals img in
   let out = Array.make (n * n) 0.0 in
-  let get i j = Tensor.get_real img ((i * n) + j) in
+  let get i j = Array.unsafe_get img ((i * n) + j) in
   for i = 1 to n - 2 do
     for j = 1 to n - 2 do
       out.((i * n) + j) <-
@@ -49,10 +55,10 @@ let blur img n =
   Tensor.create_real [| n; n |] out
 
 let histogram data =
-  let n = Tensor.flat_length data in
+  let data = ints data in
   let bins = Array.make 256 0 in
-  for i = 0 to n - 1 do
-    let b = Tensor.get_int data i in
+  for i = 0 to Array.length data - 1 do
+    let b = Array.unsafe_get data i in
     bins.(b) <- bins.(b) + 1
   done;
   Tensor.of_int_array bins
@@ -97,10 +103,11 @@ let mr_prime k =
 
 (* seed-table constant, pasted into the hand-written code like the paper's C *)
 let primeq_count ~seed limit =
-  let seedn = Tensor.flat_length seed in
+  let seed = ints seed in
+  let seedn = Array.length seed in
   let count = ref 0 in
   for k = 2 to limit do
-    if k <= seedn then count := !count + Tensor.get_int seed (k - 1)
+    if k <= seedn then count := !count + Array.unsafe_get seed (k - 1)
     else count := !count + mr_prime k
   done;
   !count

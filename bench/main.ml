@@ -3,8 +3,7 @@
    paper-vs-measured).  Min-of-batches timing per measured arm; custom printing
    reproduces the paper's normalised presentation.
 
-   Usage: main.exe [fig2|table1|fig1|findroot|ablation-inline|ablation-abort|
-                    ablation-consts|compile-time|all] [--quick|--paper] *)
+   Usage: see [usage] at the end of this file. *)
 
 open Wolf_wexpr
 open Wolf_compiler
@@ -101,23 +100,22 @@ let compile_pipeline ?(options = Options.default) ?type_env ~name src_or_expr =
    shared cores would measure contention, not the compiler. *)
 let bench_jobs = ref 1
 
-(* compile-side cost per benchmark goes through the metrics registry, so
-   the --json record and any --metrics-out export agree on one number *)
-let compile3 ~bench a b c =
-  let t0 = Unix.gettimeofday () in
-  let r =
-    match
-      Wolf_parallel.Pool.map_list ~jobs:!bench_jobs [ a; b; c ] (fun f -> f ())
-    with
-    | [ x; y; z ] -> (x, y, z)
-    | _ -> assert false
-  in
-  Wolf_obs.Metrics.set_gauge
-    (Wolf_obs.Metrics.gauge
-       ~help:"wall-clock seconds compiling a benchmark's three arms"
-       ~labels:[ ("bench", bench) ] "bench_compile_seconds")
-    (Unix.gettimeofday () -. t0);
-  r
+let compile3 a b c =
+  match Wolf_parallel.Pool.map_list ~jobs:!bench_jobs [ a; b; c ] (fun f -> f ()) with
+  | [ x; y; z ] -> (x, y, z)
+  | _ -> assert false
+
+(* --json: each measured command writes its record, BENCH_<name>.json, in
+   the one bench record shape (Metrics.write_record) *)
+let json = ref false
+let command_line = ref ""
+
+let write_record name ~info metrics =
+  if !json then begin
+    let path = Printf.sprintf "BENCH_%s.json" name in
+    Wolf_obs.Metrics.write_record path ~record:name ~command:!command_line ~info metrics;
+    Printf.printf "wrote %s\n%!" path
+  end
 
 let best_native c =
   match B.Jit.compile c with
@@ -171,30 +169,13 @@ let fig2_benchmarks () =
   let no_abort = { Options.default with abort_handling = false } in
   let no_loop = { Options.default with loop_opts = false } in
   let rows = ref [] in
-  (* every measured arm lands in the registry as
-     bench_seconds{bench,arm}; fig2_write_json reads the JSON's seconds
-     from these gauges, so `wolfc`-style --metrics-out exports and
-     BENCH_fig2.json cannot disagree *)
-  let add row =
-    let set arm v =
-      Wolf_obs.Metrics.set_gauge
-        (Wolf_obs.Metrics.gauge ~help:"benchmark run seconds (best of group)"
-           ~labels:[ ("bench", row.bname); ("arm", arm) ] "bench_seconds")
-        v
-    in
-    set "hand" row.hand;
-    set "compiled" row.compiled;
-    set "compiled_no_loop_opts" row.compiled_noloop;
-    set "compiled_no_abort" row.compiled_noabort;
-    Option.iter (set "bytecode") row.bytecode;
-    rows := row :: !rows
-  in
+  let add row = rows := row :: !rows in
 
   (* FNV1a *)
   let str = P.fnv_string s.fnv_len in
   let codes = Tensor.of_int_array (Array.init s.fnv_len (fun i -> Char.code str.[i])) in
   let c, cl, cn =
-    compile3 ~bench:"FNV1a"
+    compile3
       (fun () -> compile_pipeline ~name:"fnv1a" (`Src P.fnv1a_src))
       (fun () -> compile_pipeline ~options:no_loop ~name:"fnv1a" (`Src P.fnv1a_src))
       (fun () -> compile_pipeline ~options:no_abort ~name:"fnv1a" (`Src P.fnv1a_src))
@@ -222,7 +203,7 @@ let fig2_benchmarks () =
   let margs = [| Rtval.Real (-1.0); Rtval.Real 1.0; Rtval.Real (-1.0); Rtval.Real 0.5;
                  Rtval.Real 0.1 |] in
   let c, cl, cn =
-    compile3 ~bench:"Mandelbrot"
+    compile3
       (fun () -> compile_pipeline ~name:"mandel" (`Src P.mandelbrot_src))
       (fun () -> compile_pipeline ~options:no_loop ~name:"mandel" (`Src P.mandelbrot_src))
       (fun () -> compile_pipeline ~options:no_abort ~name:"mandel" (`Src P.mandelbrot_src))
@@ -250,7 +231,7 @@ let fig2_benchmarks () =
   let m = P.random_matrix s.dot_n in
   let dargs = [| Rtval.Tensor m; Rtval.Tensor m |] in
   let c, cl, cn =
-    compile3 ~bench:"Dot"
+    compile3
       (fun () -> compile_pipeline ~name:"dot" (`Src P.dot_src))
       (fun () -> compile_pipeline ~options:no_loop ~name:"dot" (`Src P.dot_src))
       (fun () -> compile_pipeline ~options:no_abort ~name:"dot" (`Src P.dot_src))
@@ -277,7 +258,7 @@ let fig2_benchmarks () =
   (* Blur *)
   let img = P.random_image s.blur_n in
   let c, cl, cn =
-    compile3 ~bench:"Blur"
+    compile3
       (fun () -> compile_pipeline ~name:"blur" (`Src P.blur_src))
       (fun () -> compile_pipeline ~options:no_loop ~name:"blur" (`Src P.blur_src))
       (fun () -> compile_pipeline ~options:no_abort ~name:"blur" (`Src P.blur_src))
@@ -306,7 +287,7 @@ let fig2_benchmarks () =
   let data = P.histogram_data s.hist_n in
   let hargs = [| Rtval.Tensor data |] in
   let c, cl, cn =
-    compile3 ~bench:"Histogram"
+    compile3
       (fun () -> compile_pipeline ~name:"hist" (`Src P.histogram_src))
       (fun () -> compile_pipeline ~options:no_loop ~name:"hist" (`Src P.histogram_src))
       (fun () -> compile_pipeline ~options:no_abort ~name:"hist" (`Src P.histogram_src))
@@ -336,7 +317,7 @@ let fig2_benchmarks () =
   (* each arm gets its own type env and expression: compiling mutates the
      unification variables inside them, so sharing across domains would race *)
   let c, cl, cn =
-    compile3 ~bench:"PrimeQ"
+    compile3
       (fun () -> compile_pipeline ~type_env:env ~name:"primeq" (`Expr (P.primeq_expr ())))
       (fun () ->
          compile_pipeline ~options:no_loop ~type_env:(P.primeq_type_env ())
@@ -370,7 +351,7 @@ let fig2_benchmarks () =
   let lst = P.sorted_list s.qsort_n in
   let no_abort = { Options.default with Options.abort_handling = false } in
   let c, cl, cn =
-    compile3 ~bench:"QSort"
+    compile3
       (fun () ->
          compile_pipeline ~type_env:(P.qsort_type_env ()) ~name:"qsortmain"
            (`Src P.qsort_driver_src))
@@ -403,81 +384,26 @@ let fig2_benchmarks () =
 
   List.rev !rows
 
-(* --json: machine-readable before/after record (checked in as
-   BENCH_fig2.json).  "no-loopopt" is the pre-loop-layer compiler — LICM,
-   bounds-check elimination and strided abort polls all disabled — so
-   compiled vs no-loopopt is this layer's effect and compiled vs no-abort is
-   the residual abortability overhead. *)
-let fig2_write_json path rows =
-  let oc = open_out path in
-  let fl v = Printf.sprintf "%.6e" v in
-  (* the seconds come back out of the metrics registry (where [add] put
-     them); the row fields are only the fallback if a gauge is somehow
-     missing.  Schema note: all pre-existing keys are unchanged;
-     "compile_seconds" is additive. *)
-  let gauge_or bench arm fallback =
-    Option.value ~default:fallback
-      (Wolf_obs.Metrics.find_gauge
-         ~labels:[ ("bench", bench); ("arm", arm) ] "bench_seconds")
-  in
-  let entry r =
-    let hand = gauge_or r.bname "hand" r.hand in
-    let compiled = gauge_or r.bname "compiled" r.compiled in
-    let compiled_noloop =
-      gauge_or r.bname "compiled_no_loop_opts" r.compiled_noloop
-    in
-    let compiled_noabort =
-      gauge_or r.bname "compiled_no_abort" r.compiled_noabort
-    in
-    let bytecode =
-      Option.map (fun b -> gauge_or r.bname "bytecode" b) r.bytecode
-    in
-    let compile_seconds =
-      Wolf_obs.Metrics.find_gauge ~labels:[ ("bench", r.bname) ]
-        "bench_compile_seconds"
-    in
-    let ratios =
-      Printf.sprintf
-        "      \"compiled_vs_hand\": %s,\n\
-        \      \"abort_overhead\": %s,\n\
-        \      \"loop_layer_speedup\": %s"
-        (fl (compiled /. hand))
-        (fl (compiled /. compiled_noabort))
-        (fl (compiled_noloop /. compiled))
-    in
-    Printf.sprintf
-      "  {\n\
-      \    \"name\": \"%s\",\n\
-      \    \"backend\": \"%s\",\n%s\
-      \    \"seconds\": {\n\
-      \      \"hand\": %s,\n\
-      \      \"compiled\": %s,\n\
-      \      \"compiled_no_loop_opts\": %s,\n\
-      \      \"compiled_no_abort\": %s%s\n\
-      \    },\n\
-      \    \"ratios\": {\n%s\n    }\n  }"
-      r.bname r.backend_used
-      (match compile_seconds with
-       | Some cs -> Printf.sprintf "    \"compile_seconds\": %s,\n" (fl cs)
-       | None -> "")
-      (fl hand) (fl compiled) (fl compiled_noloop)
-      (fl compiled_noabort)
-      (match bytecode with
-       | Some b -> Printf.sprintf ",\n      \"bytecode\": %s" (fl b)
-       | None -> "")
-      ratios
-  in
-  Printf.fprintf oc
-    "{\n\
-    \  \"figure\": \"fig2\",\n\
-    \  \"abort_stride\": %d,\n\
-    \  \"benchmarks\": [\n%s\n  ]\n}\n"
-    Options.default.Options.abort_stride
-    (String.concat ",\n" (List.map entry rows));
-  close_out oc;
-  Printf.printf "wrote %s\n%!" path
-
-let json_path : string option ref = ref None
+(* "no-loopopt" is the pre-loop-layer compiler (LICM, bounds-check
+   elimination and strided abort polls all disabled), so compiled vs
+   no-loopopt is this layer's effect and compiled vs no-abort is the
+   residual abortability overhead. *)
+let fig2_record rows =
+  write_record "fig2"
+    ~info:
+      (("abort_stride", string_of_int Options.default.Options.abort_stride)
+       :: List.map (fun r -> (String.lowercase_ascii r.bname ^ ".backend", r.backend_used)) rows)
+    (List.concat_map
+       (fun r ->
+          let m name v unit = (String.lowercase_ascii r.bname ^ "." ^ name, v, unit) in
+          [ m "hand_s" r.hand "s"; m "compiled_s" r.compiled "s";
+            m "compiled_no_loop_opts_s" r.compiled_noloop "s";
+            m "compiled_no_abort_s" r.compiled_noabort "s" ]
+          @ Option.to_list (Option.map (fun b -> m "bytecode_s" b "s") r.bytecode)
+          @ [ m "vs_hand" (r.compiled /. r.hand) "ratio";
+              m "abort_overhead" (r.compiled /. r.compiled_noabort) "ratio";
+              m "loop_layer_speedup" (r.compiled_noloop /. r.compiled) "ratio" ])
+       rows)
 
 let fig2 () =
   B.Compiled_function.quiet := true;
@@ -498,7 +424,7 @@ let fig2 () =
   List.iter (fun r -> Printf.printf "  %-10s %s\n" r.bname r.paper_note) rows;
   Printf.printf
     "(the paper caps bytecode bars at 2.5x in the plot; raw ratios shown here)\n%!";
-  Option.iter (fun path -> fig2_write_json path rows) !json_path
+  fig2_record rows
 
 (* ------------------------------------------------------------------ *)
 (* Table 1                                                             *)
@@ -802,50 +728,6 @@ let tier_bench_rows () =
        | _ -> assert false)
     (tier_programs quick)
 
-let tier_json_path : string option ref = ref None
-
-let tier_write_json path rows =
-  let oc = open_out path in
-  let fl v = Printf.sprintf "%.6e" v in
-  let entry r =
-    Printf.sprintf
-      "  {\n\
-      \    \"name\": \"%s\",\n\
-      \    \"seconds\": {\n\
-      \      \"ttfr_interp\": %s,\n\
-      \      \"ttfr_tier\": %s,\n\
-      \      \"ttfr_aot\": %s,\n\
-      \      \"promote\": %s,\n\
-      \      \"steady_interp\": %s,\n\
-      \      \"steady_tier\": %s,\n\
-      \      \"steady_aot\": %s\n\
-      \    },\n\
-      \    \"ratios\": {\n\
-      \      \"ttfr_tier_vs_interp\": %s,\n\
-      \      \"steady_tier_vs_aot\": %s,\n\
-      \      \"steady_speedup_vs_interp\": %s\n\
-      \    }\n  }"
-      r.tname (fl r.ttfr_interp) (fl r.ttfr_tier) (fl r.ttfr_aot)
-      (fl r.promote_seconds) (fl r.steady_interp) (fl r.steady_tier)
-      (fl r.steady_aot)
-      (fl (r.ttfr_tier /. r.ttfr_interp))
-      (fl (r.steady_tier /. r.steady_aot))
-      (fl (r.steady_interp /. r.steady_tier))
-  in
-  let worst f = List.fold_left (fun acc r -> Float.max acc (f r)) 0.0 rows in
-  Printf.fprintf oc
-    "{\n\
-    \  \"figure\": \"tier\",\n\
-    \  \"benchmarks\": [\n%s\n  ],\n\
-    \  \"summary\": {\n\
-    \    \"max_ttfr_tier_vs_interp\": %s,\n\
-    \    \"max_steady_tier_vs_aot\": %s\n  }\n}\n"
-    (String.concat ",\n" (List.map entry rows))
-    (fl (worst (fun r -> r.ttfr_tier /. r.ttfr_interp)))
-    (fl (worst (fun r -> r.steady_tier /. r.steady_aot)));
-  close_out oc;
-  Printf.printf "wrote %s\n%!" path
-
 let tier_bench () =
   B.Compiled_function.quiet := true;
   let rows = tier_bench_rows () in
@@ -862,13 +744,27 @@ let tier_bench () =
               Printf.sprintf "%.2fx" (r.steady_tier /. r.steady_aot) ] ))
        rows);
   let worst f = List.fold_left (fun acc r -> Float.max acc (f r)) 0.0 rows in
+  let worst_ttfr = worst (fun r -> r.ttfr_tier /. r.ttfr_interp)
+  and worst_steady = worst (fun r -> r.steady_tier /. r.steady_aot) in
   Printf.printf
     "\nworst TTFR tier-vs-interpreter: %.2fx (target <= 1.3x)\n\
      worst steady tier-vs-AOT: %.2fx (target <= ~1.05x, i.e. >= 0.95x \
      AOT throughput)\n%!"
-    (worst (fun r -> r.ttfr_tier /. r.ttfr_interp))
-    (worst (fun r -> r.steady_tier /. r.steady_aot));
-  Option.iter (fun path -> tier_write_json path rows) !tier_json_path;
+    worst_ttfr worst_steady;
+  write_record "tier" ~info:[]
+    (List.concat_map
+       (fun r ->
+          let m name v unit = (String.lowercase_ascii r.tname ^ "." ^ name, v, unit) in
+          [ m "ttfr_interp_s" r.ttfr_interp "s"; m "ttfr_tier_s" r.ttfr_tier "s";
+            m "ttfr_aot_s" r.ttfr_aot "s"; m "promote_s" r.promote_seconds "s";
+            m "steady_interp_s" r.steady_interp "s"; m "steady_tier_s" r.steady_tier "s";
+            m "steady_aot_s" r.steady_aot "s";
+            m "ttfr_tier_vs_interp" (r.ttfr_tier /. r.ttfr_interp) "ratio";
+            m "steady_tier_vs_aot" (r.steady_tier /. r.steady_aot) "ratio";
+            m "steady_speedup_vs_interp" (r.steady_interp /. r.steady_tier) "ratio" ])
+       rows
+     @ [ ("max_ttfr_tier_vs_interp", worst_ttfr, "ratio");
+         ("max_steady_tier_vs_aot", worst_steady, "ratio") ]);
   Wolfram.Tier.shutdown ()
 
 (* ------------------------------------------------------------------ *)
@@ -960,8 +856,6 @@ let parloop_bench_rows () =
        { pname; pkind; per_jobs; pequal })
     (parloop_programs quick)
 
-let parloop_json_path : string option ref = ref None
-
 let parloop_speedup4 r =
   match
     ( List.find_opt (fun (j, _, _) -> j = 1) r.per_jobs,
@@ -969,46 +863,6 @@ let parloop_speedup4 r =
   with
   | Some (_, t1, _), Some (_, t4, _) when t4 > 0.0 -> t1 /. t4
   | _ -> nan
-
-let parloop_write_json path rows =
-  let oc = open_out path in
-  let fl v = Printf.sprintf "%.6e" v in
-  let cores = Wolf_parallel.Pool.default_jobs () in
-  let entry r =
-    let per (j, t, s) =
-      Printf.sprintf
-        "      { \"jobs\": %d, \"seconds\": %s, \"schedule\": \"%s\" }" j
-        (fl t) s
-    in
-    Printf.sprintf
-      "  {\n\
-      \    \"name\": \"%s\",\n\
-      \    \"kind\": \"%s\",\n\
-      \    \"runs\": [\n%s\n    ],\n\
-      \    \"speedup_jobs4\": %s,\n\
-      \    \"jobs4_equals_jobs1\": %b\n  }"
-      r.pname r.pkind
-      (String.concat ",\n" (List.map per r.per_jobs))
-      (fl (parloop_speedup4 r)) r.pequal
-  in
-  let best =
-    List.fold_left (fun acc r -> Float.max acc (parloop_speedup4 r)) 0.0 rows
-  in
-  Printf.fprintf oc
-    "{\n\
-    \  \"figure\": \"parloop\",\n\
-    \  \"host_cores\": %d,\n\
-    \  \"benchmarks\": [\n%s\n  ],\n\
-    \  \"summary\": {\n\
-    \    \"max_speedup_jobs4\": %s,\n\
-    \    \"single_core_host\": %b,\n\
-    \    \"all_outputs_equal\": %b\n  }\n}\n"
-    cores
-    (String.concat ",\n" (List.map entry rows))
-    (fl best) (cores <= 1)
-    (List.for_all (fun r -> r.pequal) rows);
-  close_out oc;
-  Printf.printf "wrote %s\n%!" path
 
 let parloop_bench () =
   B.Compiled_function.quiet := true;
@@ -1042,7 +896,22 @@ let parloop_bench () =
     Printf.printf "parloop bench: jobs=4 output DIVERGED from jobs=1\n%!";
     exit 1
   end;
-  Option.iter (fun path -> parloop_write_json path rows) !parloop_json_path
+  write_record "parloop"
+    ~info:
+      (("host_cores", string_of_int cores)
+       :: List.concat_map
+            (fun r ->
+               let n = String.lowercase_ascii r.pname in
+               (n ^ ".kind", r.pkind)
+               :: List.map (fun (j, _, sched) -> (Printf.sprintf "%s.jobs%d.schedule" n j, sched))
+                    r.per_jobs)
+            rows)
+    (List.concat_map
+       (fun r ->
+          let n = String.lowercase_ascii r.pname in
+          List.map (fun (j, t, _) -> (Printf.sprintf "%s.jobs%d_s" n j, t, "s")) r.per_jobs
+          @ [ (n ^ ".speedup_jobs4", parloop_speedup4 r, "ratio") ])
+       rows)
 
 (* ------------------------------------------------------------------ *)
 (* E16: shipped standalone binaries (wolfc build).
@@ -1066,37 +935,6 @@ type build_row = {
   bnbackend : string;
   bagree : bool;            (* binary stdout = in-process result *)
 }
-
-let build_json_path : string option ref = ref None
-
-let build_write_json path rows =
-  let oc = open_out path in
-  let fl v = Printf.sprintf "%.6e" v in
-  let entry r =
-    Printf.sprintf
-      "  {\n\
-      \    \"name\": \"%s\",\n\
-      \    \"interpreter_seconds\": %s,\n\
-      \    \"native_seconds\": %s,\n\
-      \    \"binary_seconds\": %s,\n\
-      \    \"build_seconds\": %s,\n\
-      \    \"native_backend\": \"%s\",\n\
-      \    \"binary_agrees\": %b\n  }"
-      r.uname
-      (match r.binterp with Some t -> fl t | None -> "null")
-      (fl r.bnative) (fl r.bbinary) (fl r.bbuild) r.bnbackend r.bagree
-  in
-  Printf.fprintf oc
-    "{\n\
-    \  \"figure\": \"build\",\n\
-    \  \"note\": \"binary_seconds includes one fork/exec + argv parse per \
-     run; build_seconds is pipeline + emit + cc -O2\",\n\
-    \  \"benchmarks\": [\n%s\n  ],\n\
-    \  \"summary\": { \"all_binaries_agree\": %b }\n}\n"
-    (String.concat ",\n" (List.map entry rows))
-    (List.for_all (fun r -> r.bagree) rows);
-  close_out oc;
-  Printf.printf "wrote %s\n%!" path
 
 let run_binary_once exe argv =
   let ic = Unix.open_process_args_in exe (Array.of_list (exe :: argv)) in
@@ -1207,7 +1045,19 @@ let build_bench () =
       Printf.printf "build bench: binary output DIVERGED from in-process\n%!";
       exit 1
     end;
-    Option.iter (fun path -> build_write_json path rows) !build_json_path
+    write_record "build"
+      ~info:
+        (("note", "binary_s includes one fork/exec and argv parse per run; build_s is \
+                   pipeline + emit + cc -O2")
+         :: List.map
+              (fun r -> (String.lowercase_ascii r.uname ^ ".native_backend", r.bnbackend))
+              rows)
+      (List.concat_map
+         (fun r ->
+            let m name v = (String.lowercase_ascii r.uname ^ "." ^ name, v, "s") in
+            Option.to_list (Option.map (m "interpreter_s") r.binterp)
+            @ [ m "native_s" r.bnative; m "binary_s" r.bbinary; m "build_s" r.bbuild ])
+         rows)
   end
 
 (* ------------------------------------------------------------------ *)
@@ -1218,9 +1068,9 @@ let usage () =
     \                 ablation-abort|ablation-consts|compile-time|tier|\n\
     \                 parloop|build|smoke]\n\
     \                [--quick|--paper] [--json] [--jobs=N]\n\
-    \                (--json: fig2 writes BENCH_fig2.json, tier writes\n\
-    \                 BENCH_tier.json, parloop writes BENCH_parloop.json,\n\
-    \                 build writes BENCH_build.json;\n\
+    \                (--json: fig2, tier, parloop and build each write\n\
+    \                 BENCH_<command>.json, one bench record of named\n\
+    \                 metrics with units, the shape wolfc obs-check checks;\n\
     \                 --jobs=N: compile benchmark arms on N domains, 0 = cores)"
 
 (* smoke: the fast tier-1 gate arm (make check) — feature probes plus the
@@ -1240,12 +1090,8 @@ let () =
     sizes := quick_sizes;
     quota := 0.25
   end;
-  if List.mem "--json" args then begin
-    json_path := Some "BENCH_fig2.json";
-    tier_json_path := Some "BENCH_tier.json";
-    parloop_json_path := Some "BENCH_parloop.json";
-    build_json_path := Some "BENCH_build.json"
-  end;
+  json := List.mem "--json" args;
+  command_line := String.concat " " ("bench/main.exe" :: List.tl args);
   List.iter
     (fun a ->
        match String.index_opt a '=' with

@@ -988,34 +988,18 @@ let obs_check_cmd =
                List.iter (fun e -> Printf.printf "  %s\n" e) errors
              end
            end
-           else if member "metrics" json <> None then begin
-             let samples =
-               to_list (Option.get (member "metrics" json))
-             in
-             let bad =
-               List.filter
-                 (fun s ->
-                    Option.bind (member "name" s) str = None
-                    ||
-                    (* scalar samples carry "value"; histograms expand to
-                       buckets + sum + count *)
-                    (member "value" s = None
-                     && (member "buckets" s = None || member "count" s = None)))
-                 samples
-             in
-             if bad = [] then
-               Printf.printf "%s: ok (metrics, %d samples)\n" file
-                 (List.length samples)
-             else begin
-               failed := true;
-               Printf.printf "%s: FAILED (%d sample(s) without name/value)\n"
-                 file (List.length bad)
-             end
-           end
            else
-             (* plain JSON (e.g. a --profile-out file): well-formedness is
-                the contract *)
-             Printf.printf "%s: ok (json)\n" file)
+             match member "metrics" json with
+             | Some m ->
+               (match Wolf_obs.Metrics.check_metrics m with
+                | Ok summary -> Printf.printf "%s: ok (%s)\n" file summary
+                | Error e ->
+                  failed := true;
+                  Printf.printf "%s: FAILED (%s)\n" file e)
+             | None ->
+               (* plain JSON (e.g. a --profile-out file): well-formedness
+                  is the contract *)
+               Printf.printf "%s: ok (json)\n" file)
       files;
     if !failed then 1 else 0
   in
@@ -1035,8 +1019,8 @@ let obs_check_cmd =
     (Cmd.info "obs-check"
        ~doc:"Validate observability outputs: JSON well-formedness for any \
              file, plus per-track span balance, flow-event ids, minimum \
-             track count and request outcomes for Chrome traces and shape \
-             checks for metrics exports.")
+             track count and request outcomes for Chrome traces, and shape \
+             checks for metrics exports and bench records.")
     Term.(const run $ min_tracks_arg $ require_outcomes_arg $ files_arg)
 
 let repl_cmd =
@@ -1404,19 +1388,24 @@ let bench_serve_cmd =
       lat.(int_of_float (float_of_int (requests - 1) *. p /. 100.0)) *. 1e3
     in
     let req_per_s = float_of_int requests /. duration in
-    let json =
-      Printf.sprintf
-        "{\"clients\":%d,\"requests\":%d,\"errors\":%d,\
-         \"duration_seconds\":%.4f,\"req_per_s\":%.1f,\
-         \"p50_ms\":%.3f,\"p99_ms\":%.3f,\"max_ms\":%.3f,\
-         \"queue_wait_p99_ms\":%.3f,\"eval_p99_ms\":%.3f,\"cache\":%s}"
-        clients requests (Atomic.get errors) duration req_per_s
-        (pctl 50.0) (pctl 99.0) (lat.(requests - 1) *. 1e3)
-        queue_wait_p99 eval_p99
-        (cache_json (Wolfram.compile_cache_stats ()))
-    in
-    let oc = open_out json_out in
-    output_string oc json; output_char oc '\n'; close_out oc;
+    let cache = Wolfram.compile_cache_stats () in
+    let count name v = (name, float_of_int v, "count") in
+    Wolf_obs.Metrics.write_record json_out ~record:"serve"
+      ~command:
+        (Printf.sprintf "wolfc bench serve --clients %d --requests %d" clients
+           requests)
+      ~info:
+        [ ("clients", string_of_int clients); ("requests", string_of_int requests);
+          ("daemon", if embedded = None then "external" else "embedded") ]
+      [ count "errors" (Atomic.get errors); ("duration_s", duration, "s");
+        ("req_per_s", req_per_s, "1/s"); ("p50_ms", pctl 50.0, "ms");
+        ("p99_ms", pctl 99.0, "ms"); ("max_ms", lat.(requests - 1) *. 1e3, "ms");
+        ("queue_wait_p99_ms", queue_wait_p99, "ms"); ("eval_p99_ms", eval_p99, "ms");
+        count "cache.hits" cache.hits; count "cache.misses" cache.misses;
+        count "cache.inflight_waits" cache.waits;
+        count "cache.evictions" cache.evictions;
+        count "cache.entries" cache.entries;
+        ("cache.bytes", float_of_int cache.bytes, "B") ];
     Printf.printf
       "bench serve: %d clients, %d requests, %d error(s)\n\
        %.1f req/s; latency p50 %.2fms, p99 %.2fms; wrote %s\n"
@@ -1443,7 +1432,7 @@ let bench_serve_cmd =
   in
   let json_arg =
     Arg.(value & opt string "BENCH_serve.json" & info [ "json" ] ~docv:"FILE"
-           ~doc:"Write the latency/throughput summary to $(docv).")
+           ~doc:"Write the latency/throughput bench record to $(docv).")
   in
   Cmd.v
     (Cmd.info "serve"

@@ -329,12 +329,6 @@ let prim_expr ctx ~base ~(args : operand array) ~dst_ty : string option =
     Some (Printf.sprintf "Char.code (String.unsafe_get %s (%s - 1))" (a 0) (ii 1))
   | "string_join" -> Some (Printf.sprintf "%s ^ %s" (a 0) (a 1))
   | "array_length" -> Some (Printf.sprintf "(Wolf_wexpr.Tensor.dims %s).(0)" (a 0))
-  | ("array_scalar_times" | "array_scalar_plus" | "array_scalar_subtract")
-    when (match Types.repr dst_ty with
-          | Types.Con ("PackedArray", [| elt; _ |]) -> Types.repr elt = Types.real64
-          | _ -> false) ->
-    Some (Printf.sprintf "wolf_%s_reals %s %s" (String.sub base 13 (String.length base - 13))
-            (a 0) (ri 1))
   | "part_get_1" when dst_is "Integer64" ->
     Some (Printf.sprintf "wolf_part1_int %s %s" (a 0) (ii 1))
   | "part_get_1" when dst_is "Real64" ->
@@ -530,27 +524,6 @@ let[@inline always] wolf_set2_int ~inplace t i k v =
 let[@inline always] wolf_set2_real ~inplace t i k v =
   let t = wolf_cow ~inplace t in
   wolf_rwrite t (wolf_flat2 t i k) v; t
-
-(* Prims' array_scalar_{times,plus,subtract} over a Real64 array, written
-   out so that the elements are not boxed on the way (code 0, 1, 2) *)
-let[@inline always] wolf_scalar_reals code (t : Wolf_wexpr.Tensor.t) (s : float) base =
-  match t.Wolf_wexpr.Tensor.data with
-  | Wolf_wexpr.Tensor.Reals a ->
-    let n = Array.length a in
-    let out = Array.create_float n in
-    for i = 0 to n - 1 do
-      let x = Array.unsafe_get a i in
-      Array.unsafe_set out i (if code = 0 then x *. s else if code = 1 then x +. s else x -. s)
-    done;
-    Wolf_wexpr.Tensor.create_real (Array.copy t.Wolf_wexpr.Tensor.dims) out
-  | Wolf_wexpr.Tensor.Ints _ ->
-    Wolf_runtime.Rtval.as_tensor
-      (Wolf_runtime.Prims.apply ~base
-         [| Wolf_runtime.Rtval.Tensor t; Wolf_runtime.Rtval.Real s |])
-
-let wolf_times_reals t s = wolf_scalar_reals 0 t s "array_scalar_times"
-let wolf_plus_reals t s = wolf_scalar_reals 1 t s "array_scalar_plus"
-let wolf_subtract_reals t s = wolf_scalar_reals 2 t s "array_scalar_subtract"
 
 (* Abort_signal.check written out: plugins see only .cmi files, so the
    call would not be inlined across the module boundary *)

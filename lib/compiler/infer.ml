@@ -17,7 +17,6 @@ type alternative = {
   aret : Types.t;
   mutable candidates : Type_env.decl list;
   mutable chosen : Type_env.decl option;
-  mutable kernel : bool;                (* resolved to an interpreter escape *)
 }
 
 let var_ty v =
@@ -87,7 +86,7 @@ let rec generate ~env (p : program) =
                       alternatives :=
                         { aname = name; afunc = f.fname; ablock = b.label;
                           aindex = idx; asig = sig_; aret = ret; candidates;
-                          chosen = None; kernel = false }
+                          chosen = None }
                         :: !alternatives)
                  | Call { callee = Resolved _; _ } -> ()
                  | Call { dst; callee = Func name; args } ->
@@ -166,26 +165,9 @@ let commit alt decl =
      Errors.compile_errorf "resolution of %s in %s failed: %s" alt.aname alt.afunc msg);
   alt.chosen <- Some decl
 
-let solve ~kernel_escape p alternatives =
-  ignore p;
+let solve alternatives =
   let pending = ref alternatives in
   let progress = ref true in
-  let handle_empty alt =
-    if kernel_escape then begin
-      alt.kernel <- true;
-      match Unify.unify alt.aret Types.expression with
-      | Ok () -> ()
-      | Error msg ->
-        Errors.compile_errorf
-          "kernel escape for %s in %s needs an Expression result: %s" alt.aname
-          alt.afunc msg
-    end
-    else
-      Errors.compile_errorf
-        "no matching definition for %s in %s (signature %s); \
-         declare it in the type environment or enable KernelEscape"
-        alt.aname alt.afunc (Types.to_string alt.asig)
-  in
   while !pending <> [] && !progress do
     progress := false;
     let still = ref [] in
@@ -196,8 +178,10 @@ let solve ~kernel_escape p alternatives =
          alt.candidates <- viable;
          match viable with
          | [] ->
-           handle_empty alt;
-           progress := true
+           Errors.compile_errorf
+             "no matching definition for %s in %s (signature %s); \
+              declare it in the type environment"
+             alt.aname alt.afunc (Types.to_string alt.asig)
          | [ only ] ->
            commit alt only;
            progress := true
@@ -240,10 +224,8 @@ let write_back p alternatives table =
            (fun idx i ->
               if idx <> alt.aindex then i
               else
-                match i, alt.chosen, alt.kernel with
-                | Call { dst; callee = Prim name; args }, _, true ->
-                  Kernel_call { dst; head = Wolf_wexpr.Expr.sym name; args }
-                | Call { dst; callee = Prim _; args }, Some decl, _ ->
+                match i, alt.chosen with
+                | Call { dst; callee = Prim _; args }, Some decl ->
                   let arg_tys = Array.map op_ty args in
                   let ret_ty = var_ty dst in
                   let mangled = mangled_name decl arg_tys in
@@ -256,13 +238,13 @@ let write_back p alternatives table =
                     | Type_env.External name -> name
                   in
                   Call { dst; callee = Resolved { base; mangled }; args }
-                | other, _, _ -> other)
+                | other, _ -> other)
            b.instrs)
     alternatives
 
-let infer ~env ~options p =
+let infer ~env p =
   let alternatives = generate ~env p in
-  solve ~kernel_escape:options.Options.kernel_escape p alternatives;
+  solve alternatives;
   let table : (string, resolved) Hashtbl.t = Hashtbl.create 32 in
   write_back p alternatives table;
   (* the constant-materialisation pseudo-primitive resolves to itself *)

@@ -21,7 +21,7 @@ type resolved = {
 }
 
 val infer :
-  env:Type_env.t -> options:Options.t -> Wir.program ->
+  env:Type_env.t -> Wir.program ->
   (string, resolved) Hashtbl.t
 (** Mutates variable types in place (WIR → TWIR).
     @raise Wolf_base.Errors.Compile_error on type errors. *)

@@ -17,5 +17,4 @@ val lower_function :
 (** Produces a program whose first function is [name]; nested [Function]s
     are lambda-lifted into additional program functions with their captured
     variables prepended (closure conversion, §4.2's escape analysis feeds
-    this).  @raise Wolf_base.Errors.Compile_error on unsupported constructs
-    (unless [options.kernel_escape] allows falling back to the kernel). *)
+    this).  @raise Wolf_base.Errors.Compile_error on unsupported constructs. *)

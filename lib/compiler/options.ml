@@ -1,7 +1,6 @@
 type t = {
   abort_handling : bool;
   inline_level : int;
-  kernel_escape : bool;
   opt_level : int;
   static_constants : bool;
   memory_management : bool;
@@ -19,7 +18,6 @@ type t = {
 let default = {
   abort_handling = true;
   inline_level = 1;
-  kernel_escape = false;
   opt_level = 1;
   static_constants = true;
   memory_management = true;
@@ -45,7 +43,6 @@ let fingerprint t =
   String.concat ";"
     [ "abort=" ^ string_of_bool t.abort_handling;
       "inline=" ^ string_of_int t.inline_level;
-      "escape=" ^ string_of_bool t.kernel_escape;
       "opt=" ^ string_of_int t.opt_level;
       "consts=" ^ string_of_bool t.static_constants;
       "mem=" ^ string_of_bool t.memory_management;

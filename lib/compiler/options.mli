@@ -4,7 +4,6 @@
 type t = {
   abort_handling : bool;     (** insert abort checks (F3); "AbortHandling" *)
   inline_level : int;        (** 0 = off (the paper's 10× Mandelbrot ablation) *)
-  kernel_escape : bool;      (** auto-escape unknown functions to the kernel *)
   opt_level : int;           (** 0 = none, 1 = standard TWIR optimisations *)
   static_constants : bool;   (** false = re-materialise constant arrays per
                                  call (the paper's PrimeQ 1.5× issue, E7) *)

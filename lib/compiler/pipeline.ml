@@ -67,7 +67,7 @@ let compile ?(options = Options.default) ?type_env ?macro_env ?(user_passes = []
   ignore
     (Pass_manager.run_pass mgr
        (Pass_manager.mk "type-inference" (fun prog ->
-            resolution_ref := Some (Infer.infer ~env ~options prog);
+            resolution_ref := Some (Infer.infer ~env prog);
             true))
        prog);
   let resolution =
@@ -85,7 +85,7 @@ let compile ?(options = Options.default) ?type_env ?macro_env ?(user_passes = []
       (fun i (v : Wir.var) -> v.Wir.vty <- Some arg_tys.(i))
       main.Wir.fparams;
     main.Wir.ret_ty <- Some ret_ty;
-    let sub_table = Infer.infer ~env ~options iprog in
+    let sub_table = Infer.infer ~env iprog in
     Hashtbl.iter (Hashtbl.replace resolution) sub_table;
     iprog.Wir.funcs
   in

@@ -88,13 +88,6 @@ let set_gauge g v = Atomic.set g.g_v v
 let add_gauge g d = float_add g.g_v d
 let gauge_value g = Atomic.get g.g_v
 
-let find_gauge ?(labels = []) name =
-  let key = ident name (sorted_labels labels) in
-  Mutex.lock lock;
-  let r = Hashtbl.find_opt table key in
-  Mutex.unlock lock;
-  match r with Some (I_gauge g) -> Some (Atomic.get g.g_v) | _ -> None
-
 let find_histogram ?(labels = []) name =
   let key = ident name (sorted_labels labels) in
   Mutex.lock lock;
@@ -329,6 +322,62 @@ let write_file ?(format = `Json) path =
   output_string oc (match format with `Json -> to_json () | `Prometheus -> to_prometheus ());
   output_char oc '\n';
   close_out oc
+
+(* One bench record: the shape of every checked-in BENCH_*.json.  The
+   metrics object is perfbench's {name: {value, unit}}; everything that is
+   not a number goes into info as a string. *)
+let write_record path ~record ~command ~info metrics =
+  let host =
+    Printf.sprintf "%d CPUs (%s), OCaml %s" (Domain.recommended_domain_count ())
+      Sys.os_type Sys.ocaml_version
+  in
+  let q s = "\"" ^ Json_min.escape s ^ "\"" in
+  let obj entries = "{\n" ^ String.concat ",\n" entries ^ "\n }" in
+  let metric (name, v, unit) =
+    if not (Float.is_finite v) then
+      invalid_arg (Printf.sprintf "Metrics.write_record: %s is %g" name v);
+    Printf.sprintf "  %s: {\"value\": %s, \"unit\": %s}" (q name) (json_num v) (q unit)
+  in
+  let oc = open_out path in
+  Printf.fprintf oc
+    "{\n \"record\": %s,\n \"host\": %s,\n \"command\": %s,\n \"info\": %s,\n \"metrics\": %s\n}\n"
+    (q record) (q host) (q command)
+    (obj (List.map (fun (k, v) -> Printf.sprintf "  %s: %s" (q k) (q v)) info))
+    (obj (List.map metric metrics));
+  close_out oc
+
+let check_metrics (m : Json_min.t) =
+  let open Json_min in
+  match m with
+  | Obj [] -> Error "empty metrics object"
+  | Obj entries ->
+    let bad =
+      List.filter
+        (fun (_, e) ->
+           Option.bind (member "value" e) num = None
+           || Option.bind (member "unit" e) str = None)
+        entries
+    in
+    if bad = [] then Ok (Printf.sprintf "record, %d metrics" (List.length entries))
+    else
+      Error
+        (Printf.sprintf "metric(s) without a numeric value and a string unit: %s"
+           (String.concat ", " (List.map fst bad)))
+  | Arr samples ->
+    let bad =
+      List.filter
+        (fun s ->
+           Option.bind (member "name" s) str = None
+           ||
+           (* scalar samples carry "value"; histograms expand to
+              buckets + sum + count *)
+           (member "value" s = None
+            && (member "buckets" s = None || member "count" s = None)))
+        samples
+    in
+    if bad = [] then Ok (Printf.sprintf "metrics, %d samples" (List.length samples))
+    else Error (Printf.sprintf "%d sample(s) without name/value" (List.length bad))
+  | _ -> Error "metrics is neither a record object nor a sample array"
 
 let reset () =
   Mutex.lock lock;

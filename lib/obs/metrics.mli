@@ -42,9 +42,6 @@ val set_gauge : gauge -> float -> unit
 val add_gauge : gauge -> float -> unit
 val gauge_value : gauge -> float
 
-val find_gauge : ?labels:(string * string) list -> string -> float option
-(** Read a gauge back without creating it — [None] if never registered. *)
-
 val histogram : ?help:string -> ?labels:(string * string) list ->
   ?bounds:float array -> string -> histogram
 (** [bounds] are bucket upper bounds in ascending order (an implicit +inf
@@ -82,6 +79,22 @@ val to_prometheus : unit -> string
     histograms expand to [_bucket]/[_sum]/[_count]). *)
 
 val write_file : ?format:[ `Json | `Prometheus ] -> string -> unit
+
+val write_record : string -> record:string -> command:string ->
+  info:(string * string) list -> (string * float * string) list -> unit
+(** [write_record path ~record ~command ~info metrics] writes one bench
+    record: [{"record", "host", "command", "info": {key: string},
+    "metrics": {name: {"value": number, "unit": string}}}].  [metrics] are
+    (name, value, unit); the metrics object has perfbench's shape.  "host"
+    names the CPU count and OCaml version.  @raise Invalid_argument on a
+    non-finite value. *)
+
+val check_metrics : Json_min.t -> (string, string) result
+(** Check the [metrics] member of a JSON file ([wolfc obs-check]).  An
+    object is a bench record: it must be non-empty and every entry needs a
+    numeric "value" and a string "unit".  An array is a registry export
+    ({!to_json}): every sample needs a name and a value (or histogram
+    buckets and count).  [Ok] carries a one-line summary. *)
 
 val reset : unit -> unit
 (** Zero every instrument and forget every source (tests). Instruments

@@ -64,23 +64,55 @@ let array_binary name fi fr args =
     end
   | _ -> bad name args
 
-let array_scalar name fi fr args =
+(* The Real64 array ops below loop over the float arrays themselves, one
+   loop per op: the op is matched once per call and no element is boxed
+   on the way (a float closure would box every result). *)
+let reals t =
+  match t.Tensor.data with
+  | Tensor.Reals a -> a
+  | Tensor.Ints a -> Array.init (Array.length a) (fun i -> float_of_int a.(i))
+
+let array_scalar name fi args =
   match args with
   | [| Tensor a; Int s |] when Tensor.is_int a ->
     let n = Tensor.flat_length a in
     Tensor
       (Tensor.create_int (Array.copy (Tensor.dims a))
          (Array.init n (fun i -> fi (Tensor.get_int a i) s)))
-  | [| Tensor a; ((Int _ | Real _) as s) |] ->
-    let n = Tensor.flat_length a and sv = real s in
-    Tensor
-      (Tensor.create_real (Array.copy (Tensor.dims a))
-         (Array.init n (fun i -> fr (Tensor.get_real a i) sv)))
+  | [| Tensor t; ((Int _ | Real _) as s) |] ->
+    let a = reals t and s = real s in
+    let n = Array.length a in
+    let out = Array.create_float n in
+    (match name with
+     | "array_scalar_times" ->
+       for i = 0 to n - 1 do Array.unsafe_set out i (Array.unsafe_get a i *. s) done
+     | "array_scalar_plus" ->
+       for i = 0 to n - 1 do Array.unsafe_set out i (Array.unsafe_get a i +. s) done
+     | _ ->
+       for i = 0 to n - 1 do Array.unsafe_set out i (Array.unsafe_get a i -. s) done);
+    Tensor (Tensor.create_real (Array.copy (Tensor.dims t)) out)
   | _ -> bad name args
 
-let array_unary name f args =
+let array_unary name args =
   match args with
-  | [| Tensor a |] -> Tensor (Tensor.map_real f a)
+  | [| Tensor t |] ->
+    let a = reals t in
+    let n = Array.length a in
+    let out = Array.create_float n in
+    (match name with
+     | "array_unary_sin" ->
+       for i = 0 to n - 1 do Array.unsafe_set out i (sin (Array.unsafe_get a i)) done
+     | "array_unary_cos" ->
+       for i = 0 to n - 1 do Array.unsafe_set out i (cos (Array.unsafe_get a i)) done
+     | "array_unary_tan" ->
+       for i = 0 to n - 1 do Array.unsafe_set out i (tan (Array.unsafe_get a i)) done
+     | "array_unary_exp" ->
+       for i = 0 to n - 1 do Array.unsafe_set out i (exp (Array.unsafe_get a i)) done
+     | "array_unary_log" ->
+       for i = 0 to n - 1 do Array.unsafe_set out i (log (Array.unsafe_get a i)) done
+     | _ ->
+       for i = 0 to n - 1 do Array.unsafe_set out i (sqrt (Array.unsafe_get a i)) done);
+    Tensor (Tensor.create_real (Array.copy (Tensor.dims t)) out)
   | _ -> bad name args
 
 let cmp name op args =
@@ -270,15 +302,11 @@ let apply ~base args =
   | "array_binary_plus" -> array_binary base ( + ) ( +. ) args
   | "array_binary_subtract" -> array_binary base ( - ) ( -. ) args
   | "array_binary_times" -> array_binary base ( * ) ( *. ) args
-  | "array_scalar_plus" -> array_scalar base ( + ) ( +. ) args
-  | "array_scalar_subtract" -> array_scalar base ( - ) ( -. ) args
-  | "array_scalar_times" -> array_scalar base ( * ) ( *. ) args
-  | "array_unary_sin" -> array_unary base sin args
-  | "array_unary_cos" -> array_unary base cos args
-  | "array_unary_tan" -> array_unary base tan args
-  | "array_unary_exp" -> array_unary base exp args
-  | "array_unary_log" -> array_unary base log args
-  | "array_unary_sqrt" -> array_unary base sqrt args
+  | "array_scalar_plus" -> array_scalar base ( + ) args
+  | "array_scalar_subtract" -> array_scalar base ( - ) args
+  | "array_scalar_times" -> array_scalar base ( * ) args
+  | "array_unary_sin" | "array_unary_cos" | "array_unary_tan" | "array_unary_exp"
+  | "array_unary_log" | "array_unary_sqrt" -> array_unary base args
   | "part_get_1" ->
     (match args with
      | [| Tensor t; Int i |] -> tensor_get t (part_index (Tensor.dims t).(0) i)

@@ -204,10 +204,7 @@ let test_metrics_registry () =
   let g = Metrics.gauge ~labels:[ ("shard", "a") ] "obs_test_depth" in
   Metrics.set_gauge g 2.5;
   Metrics.add_gauge g 0.5;
-  Alcotest.(check (option (float 1e-9))) "find_gauge" (Some 3.0)
-    (Metrics.find_gauge ~labels:[ ("shard", "a") ] "obs_test_depth");
-  Alcotest.(check (option (float 1e-9))) "find_gauge missing" None
-    (Metrics.find_gauge ~labels:[ ("shard", "b") ] "obs_test_depth");
+  Alcotest.(check (float 1e-9)) "gauge" 3.0 (Metrics.gauge_value g);
   let h = Metrics.histogram ~bounds:[| 0.1; 1.0 |] "obs_test_lat" in
   Metrics.observe h 0.05;
   Metrics.observe h 0.5;
@@ -670,6 +667,50 @@ let test_pass_totals () =
   let expect = Printf.sprintf "%.3f" (t.Pass_manager.tot_pass *. 1e3) in
   Alcotest.(check bool) "footer prints the fold" true (count_sub expect >= 1)
 
+(* The bench record shape: what Metrics.write_record writes passes the
+   obs-check shape check, so does every checked-in BENCH_*.json, and the two
+   malformed records in obs_check/ are rejected. *)
+let test_bench_records () =
+  let check_file path =
+    let ic = open_in_bin path in
+    let text = really_input_string ic (in_channel_length ic) in
+    close_in ic;
+    let json = Json_min.parse_exn text in
+    match Json_min.member "metrics" json with
+    | Some (Json_min.Obj _ as m) -> (json, Metrics.check_metrics m)
+    | _ -> (json, Error "no top-level metrics object")
+  in
+  let tmp = Filename.temp_file "bench_record" ".json" in
+  Metrics.write_record tmp ~record:"unit" ~command:"test" ~info:[ ("k", "v\"q") ]
+    [ ("a.hand_s", 1.5e-4, "s"); ("a.vs_hand", 2.0, "ratio") ];
+  let json, result = check_file tmp in
+  Sys.remove tmp;
+  Alcotest.(check (result string string)) "written record" (Ok "record, 2 metrics")
+    result;
+  Alcotest.(check (option string)) "record name" (Some "unit")
+    (Option.bind (Json_min.member "record" json) Json_min.str);
+  Alcotest.(check (option string)) "info value" (Some "v\"q")
+    (Option.bind (Json_min.member "info" json) (fun i ->
+         Option.bind (Json_min.member "k" i) Json_min.str));
+  let records =
+    Sys.readdir ".." |> Array.to_list
+    |> List.filter (fun f ->
+        String.starts_with ~prefix:"BENCH_" f && Filename.check_suffix f ".json")
+  in
+  Alcotest.(check bool) "checked-in records found" true (List.length records >= 8);
+  List.iter
+    (fun f ->
+       match snd (check_file (Filename.concat ".." f)) with
+       | Ok _ -> ()
+       | Error e -> Alcotest.failf "%s: %s" f e)
+    records;
+  List.iter
+    (fun f ->
+       match snd (check_file (Filename.concat "obs_check" f)) with
+       | Ok s -> Alcotest.failf "%s accepted (%s)" f s
+       | Error _ -> ())
+    [ "empty_metrics.json"; "metric_without_unit.json" ]
+
 let tests =
   [ Alcotest.test_case "json_min parses what we emit (and rejects junk)" `Quick test_json_min;
     Alcotest.test_case "trace: chrome shape, args, ordering" `Quick test_trace_shape;
@@ -679,6 +720,8 @@ let tests =
     Alcotest.test_case "trace: flow events carry ids and bind enclosing" `Quick test_trace_flow;
     Alcotest.test_case "metrics: counters, gauges, histograms" `Quick test_metrics_registry;
     Alcotest.test_case "metrics: JSON + prometheus exporters" `Quick test_metrics_exporters;
+    Alcotest.test_case "metrics: bench records pass the obs-check shape check" `Quick
+      test_bench_records;
     Alcotest.test_case "metrics: prometheus escaping of labels and help" `Quick test_prom_escaping;
     Alcotest.test_case "metrics: histogram quantiles incl. merge + clamp" `Quick test_histogram_quantile;
     Alcotest.test_case "flight: binary codec roundtrips, rejects junk" `Quick test_flight_codec;

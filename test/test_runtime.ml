@@ -130,6 +130,26 @@ let test_hooks_default () =
   Alcotest.check expr "hook evaluates" (Expr.Int 3)
     (Hooks.eval (parse "1 + 2"))
 
+(* a whole-array Real64 op allocates its result array (in the major heap
+   at this size) and a few words more, never a boxed float per element *)
+let test_real_array_ops_unboxed () =
+  let n = 100_000 in
+  let t = Tensor.create_real [| n |] (Array.init n (fun i -> float_of_int i)) in
+  List.iter
+    (fun (base, args, expect_at_7) ->
+       ignore (Prims.apply ~base args);
+       let before = Gc.minor_words () in
+       let r = Prims.apply ~base args in
+       let words = Gc.minor_words () -. before in
+       Alcotest.(check bool)
+         (Printf.sprintf "%s allocates %.0f minor words (< 10000)" base words)
+         true (words < 10_000.0);
+       let out = Rtval.as_tensor r in
+       Alcotest.(check int) (base ^ " length") n (Tensor.flat_length out);
+       Alcotest.(check (float 1e-12)) (base ^ " element") expect_at_7 (Tensor.get_real out 7))
+    [ ("array_scalar_times", [| Rtval.Tensor t; Rtval.Real 0.5 |], 3.5);
+      ("array_unary_sin", [| Rtval.Tensor t |], sin 7.0) ]
+
 let tests =
   [ Alcotest.test_case "boxing roundtrip" `Quick test_boxing_roundtrip;
     Alcotest.test_case "unboxing shapes" `Quick test_unboxing_shapes;
@@ -138,4 +158,5 @@ let tests =
     Alcotest.test_case "checked arithmetic edges" `Quick test_checked_arithmetic_edges;
     Alcotest.test_case "PRNG determinism" `Quick test_rand_determinism;
     Alcotest.test_case "kernel hook" `Quick test_hooks_default;
+    Alcotest.test_case "Real64 array ops box no element" `Quick test_real_array_ops_unboxed;
     QCheck_alcotest.to_alcotest prop_checked_matches_int ]
