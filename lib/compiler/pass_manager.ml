@@ -58,19 +58,20 @@ let create ?(lint = false) ?(dump_after = []) ?(dump = default_dump) () =
     timeline = [] }
 
 (* Registry instruments shared by every pass-manager instance: the central
-   place later perf PRs read compile-side costs from.  Created lazily so
-   that merely linking the compiler never touches the registry. *)
+   place later perf PRs read compile-side costs from.  Created at module
+   init, not as a shared [Lazy.t]: domains forcing one lazy at once raise
+   [CamlinternalLazy.Undefined] (DESIGN.md "Threading model"). *)
 let m_pass_seconds =
-  lazy (Wolf_obs.Metrics.histogram
-          ~help:"wall-clock seconds per pass execution" "compile_pass_seconds")
+  Wolf_obs.Metrics.histogram
+    ~help:"wall-clock seconds per pass execution" "compile_pass_seconds"
 
 let m_pass_runs =
-  lazy (Wolf_obs.Metrics.counter ~help:"pass executions" "compile_pass_runs")
+  Wolf_obs.Metrics.counter ~help:"pass executions" "compile_pass_runs"
 
 let m_verify_seconds =
-  lazy (Wolf_obs.Metrics.histogram
-          ~help:"wall-clock seconds per post-pass IR verification"
-          "compile_verify_seconds")
+  Wolf_obs.Metrics.histogram
+    ~help:"wall-clock seconds per post-pass IR verification"
+    "compile_verify_seconds"
 
 let acc_of t name =
   match Hashtbl.find_opt t.accs name with
@@ -94,7 +95,7 @@ let run_check t a name prog =
       ~finally:(fun () ->
           let dt = Unix.gettimeofday () -. t0 in
           a.a_verify <- a.a_verify +. dt;
-          Wolf_obs.Metrics.observe (Lazy.force m_verify_seconds) dt)
+          Wolf_obs.Metrics.observe m_verify_seconds dt)
       (fun () ->
          Wolf_obs.Trace.with_span ~cat:"verify" ("verify:" ^ name) (fun () ->
              Wir_verify.assert_ok name prog))
@@ -109,8 +110,8 @@ let run_pass t pass prog =
         pass.pass_run prog)
   in
   let dt = Unix.gettimeofday () -. t0 in
-  Wolf_obs.Metrics.observe (Lazy.force m_pass_seconds) dt;
-  Wolf_obs.Metrics.incr (Lazy.force m_pass_runs);
+  Wolf_obs.Metrics.observe m_pass_seconds dt;
+  Wolf_obs.Metrics.incr m_pass_runs;
   let ia = instr_count prog and ba = block_count prog in
   a.a_runs <- a.a_runs + 1;
   if changed then a.a_changed <- a.a_changed + 1;
@@ -163,8 +164,8 @@ let record t name f =
   let t0 = Unix.gettimeofday () in
   let r = Wolf_obs.Trace.with_span ~cat:"stage" name f in
   let dt = Unix.gettimeofday () -. t0 in
-  Wolf_obs.Metrics.observe (Lazy.force m_pass_seconds) dt;
-  Wolf_obs.Metrics.incr (Lazy.force m_pass_runs);
+  Wolf_obs.Metrics.observe m_pass_seconds dt;
+  Wolf_obs.Metrics.incr m_pass_runs;
   a.a_runs <- a.a_runs + 1;
   a.a_time <- a.a_time +. dt;
   t.timeline <- (name, dt) :: t.timeline;

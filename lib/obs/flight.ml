@@ -176,13 +176,13 @@ let n_records = Atomic.make 0
 let n_dumps = Atomic.make 0
 let n_suppressed = Atomic.make 0
 
-let m_records =
-  lazy (Metrics.counter ~help:"flight records appended" "flight_records")
-let m_dumps =
-  lazy (Metrics.counter ~help:"flight dumps written" "flight_dumps")
+(* created at module init: a shared Lazy.t raises when domains force it at
+   once *)
+let m_records = Metrics.counter ~help:"flight records appended" "flight_records"
+let m_dumps = Metrics.counter ~help:"flight dumps written" "flight_dumps"
 let m_suppressed =
-  lazy (Metrics.counter ~help:"flight dumps suppressed by rate limit"
-          "flight_dumps_suppressed")
+  Metrics.counter ~help:"flight dumps suppressed by rate limit"
+    "flight_dumps_suppressed"
 
 let set_dir d =
   Mutex.lock cfg_lock;
@@ -274,7 +274,7 @@ let dump ~reason ?trigger () =
     close_out oc;
     Sys.rename tmp final;
     Atomic.incr n_dumps;
-    Metrics.incr (Lazy.force m_dumps);
+    Metrics.incr m_dumps;
     (Some final, count)
 
 let bad_outcome = function
@@ -285,7 +285,7 @@ let record r =
   let enc = encode_record r in
   push_ring (Domain.DLS.get ring_key) enc;
   Atomic.incr n_records;
-  Metrics.incr (Lazy.force m_records);
+  Metrics.incr m_records;
   let triggered =
     bad_outcome r.fr_outcome || r.fr_total_ns >= Atomic.get threshold_ns
   in
@@ -298,7 +298,7 @@ let record r =
        || not (Atomic.compare_and_set last_dump_ns last now)
     then begin
       Atomic.incr n_suppressed;
-      Metrics.incr (Lazy.force m_suppressed);
+      Metrics.incr m_suppressed;
       None
     end
     else begin

@@ -117,18 +117,18 @@ let ensure_executor n =
 (* ------------------------------------------------------------------ *)
 (* Metrics *)
 
+(* created at module init: a shared Lazy.t raises when domains force it at
+   once *)
 let m_chunks =
-  lazy
-    (Wolf_obs.Metrics.counter
-       ~help:"chunks executed by the parallel-loop runtime" "parloop_chunks_total")
+  Wolf_obs.Metrics.counter
+    ~help:"chunks executed by the parallel-loop runtime" "parloop_chunks_total"
 
 let m_measurements =
-  lazy
-    (Wolf_obs.Metrics.counter
-       ~help:"schedule candidates measured (cache misses only)"
-       "parloop_measurements_total")
+  Wolf_obs.Metrics.counter
+    ~help:"schedule candidates measured (cache misses only)"
+    "parloop_measurements_total"
 
-let measurements () = Wolf_obs.Metrics.counter_value (Lazy.force m_measurements)
+let measurements () = Wolf_obs.Metrics.counter_value m_measurements
 
 (* ------------------------------------------------------------------ *)
 (* Chunked execution *)
@@ -147,7 +147,7 @@ let chunk_count = function
 
 let run_chunks ~jobs (chunks : (int * int) array) (body : int -> int -> int -> unit) =
   let n = Array.length chunks in
-  Wolf_obs.Metrics.add (Lazy.force m_chunks) n;
+  Wolf_obs.Metrics.add m_chunks n;
   if n = 0 then ()
   else if jobs <= 1 || n = 1 then begin
     (* in ascending order on the caller: a failure in chunk i is already
@@ -304,7 +304,7 @@ let choose_schedule_inner ~fp ~n ~jobs ~run =
          (s, Wolf_obs.Clock.now_ns () - t0)
        in
        let measured = List.map timed cs in
-       Wolf_obs.Metrics.add (Lazy.force m_measurements) (List.length measured);
+       Wolf_obs.Metrics.add m_measurements (List.length measured);
        let best, best_t =
          List.fold_left
            (fun (bs, bt) (s, t) -> if t < bt then (s, t) else (bs, bt))

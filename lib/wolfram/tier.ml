@@ -108,13 +108,13 @@ let shutdown () =
 
 (* ------------------------------------------------------------------ *)
 
-let m_promotions () =
+let m_promotions =
   Wolf_obs.Metrics.counter ~help:"tier-1 promotions landed" "tier_promotions"
 
-let m_failures () =
+let m_failures =
   Wolf_obs.Metrics.counter ~help:"background promotions that failed" "tier_promotion_failures"
 
-let m_seconds () =
+let m_seconds =
   Wolf_obs.Metrics.histogram ~help:"background -O2 promotion latency" "tier_promotion_seconds"
 
 let create ?threshold ~name ~source ~promote () =
@@ -154,15 +154,15 @@ let promote_now t =
     Atomic.set t.slot fn;
     Atomic.set t.promoted_at (Atomic.get t.calls);
     Atomic.set t.st st_promoted;
-    Wolf_obs.Metrics.incr (m_promotions ());
-    Wolf_obs.Metrics.observe (m_seconds ()) (Unix.gettimeofday () -. t0)
+    Wolf_obs.Metrics.incr m_promotions;
+    Wolf_obs.Metrics.observe m_seconds (Unix.gettimeofday () -. t0)
   | exception Abort_signal.Aborted ->
     (* a program Abort[] raced the compile's kernel escapes: not the
        function's fault — cool down and let heat requeue it *)
-    Wolf_obs.Metrics.incr (m_failures ());
+    Wolf_obs.Metrics.incr m_failures;
     Atomic.set t.st st_cold
   | exception _ ->
-    Wolf_obs.Metrics.incr (m_failures ());
+    Wolf_obs.Metrics.incr m_failures;
     Atomic.set t.st st_failed
 
 let enqueue t =
