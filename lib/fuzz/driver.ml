@@ -17,10 +17,21 @@ let default_config =
     arms = Result.get_ok (Oracle.arms_of_string "threaded,wvm"); levels = [ 0; 1; 2 ];
     corpus_dir = None; log = ignore; jobs = 1 }
 
+(* one disagreeing program: the shrunk case and what it failed with, plus
+   the failures of the program as generated.  [shrunk_failures = []] means
+   the shrunk case passed when re-checked (a flaky failure); the unshrunk
+   failures are then the only evidence, so they are kept. *)
+type failure = {
+  index : int;
+  shrunk : Ast.case;
+  shrunk_failures : Oracle.failure list;
+  unshrunk_failures : Oracle.failure list;
+}
+
 type report = {
   generated : int;
   disagreements : int;
-  failures : (int * Ast.case * Oracle.failure list) list;
+  failures : failure list;
   written : string list;
   par_programs : int;
   par_loops : int;
@@ -106,22 +117,50 @@ let check_case cfg (case : Ast.case) =
 
 (* ---- the campaign ----------------------------------------------------- *)
 
+(* Check one program and, on disagreement, shrink it and re-check the
+   shrunk case.  [check] is the oracle ([check_case cfg] in a campaign). *)
+let investigate ~check ?(progress = ignore) i case =
+  match check case with
+  | [] -> None
+  | fs ->
+    progress
+      (Printf.sprintf "program %d DISAGREES (%s); shrinking …" i
+         (String.concat ", " (List.map (fun f -> f.Oracle.fwhere) fs)));
+    let small = Shrink.shrink ~fails:(fun c -> check c <> []) case in
+    Some { index = i; shrunk = small; shrunk_failures = check small;
+           unshrunk_failures = fs }
+
+(* The report of one failure.  Each oracle failure names its arm and level
+   ([fwhere], e.g. "abort/threaded/O0/k=1"). *)
+let describe (f : failure) =
+  let lines fs =
+    List.concat_map
+      (fun (x : Oracle.failure) ->
+         [ Printf.sprintf "  %s:" x.fwhere;
+           Printf.sprintf "    expected %s" x.fexpected;
+           Printf.sprintf "    got      %s" x.fgot ])
+      fs
+  in
+  let program case header = [ header; Ast.to_source case.Ast.fn ] in
+  String.concat "\n"
+    (match f.shrunk_failures with
+     | [] ->
+       program f.shrunk
+         (Printf.sprintf "\n== program %d: did not reproduce after shrinking ==" f.index)
+       @ [ "  failures of the unshrunk program:" ]
+       @ lines f.unshrunk_failures
+     | fs ->
+       program f.shrunk
+         (Printf.sprintf "\n== program %d (shrunk to %d nodes) ==" f.index
+            (Ast.size f.shrunk.Ast.fn))
+       @ lines fs)
+
 (* Per-program work unit: generate, check, and (on disagreement) shrink.
    Everything here depends on (seed, i) only, so the array of outcomes is
    the same whatever the domain count; all IO (progress, corpus writes) is
    kept out of the workers and done in the deterministic merge below. *)
 let check_one cfg ~progress i =
-  let case = case_for cfg i in
-  let outcome =
-    match check_case cfg case with
-    | [] -> None
-    | fs ->
-      progress
-        (Printf.sprintf "program %d DISAGREES (%s); shrinking …" i
-           (String.concat ", " (List.map (fun f -> f.Oracle.fwhere) fs)));
-      let small = Shrink.shrink ~fails:(fun c -> check_case cfg c <> []) case in
-      Some (small, check_case cfg small)
-  in
+  let outcome = investigate ~check:(check_case cfg) ~progress i (case_for cfg i) in
   progress "";  (* tick *)
   outcome
 
@@ -154,21 +193,23 @@ let run cfg =
     (fun i outcome ->
        match outcome with
        | None -> ()
-       | Some (small, small_fs) ->
+       | Some f ->
          incr disagreements;
-         failures := (i, small, small_fs) :: !failures;
+         failures := f :: !failures;
          (match cfg.corpus_dir with
           | None -> ()
           | Some dir ->
             let f0 =
-              match small_fs with f :: _ -> f.Oracle.fwhere | [] -> "unknown"
+              match f.shrunk_failures @ f.unshrunk_failures with
+              | x :: _ -> x.Oracle.fwhere
+              | [] -> "unknown"
             in
             let path =
               write_corpus ~dir
                 ~name:(Printf.sprintf "shrunk-seed%d-%d" cfg.seed i)
                 ~note:(Printf.sprintf "fuzz: %s disagrees (seed %d/%d)" f0
                          cfg.seed i)
-                small
+                f.shrunk
             in
             written := path :: !written;
             cfg.log ("  wrote " ^ path)))

@@ -33,11 +33,19 @@ val default_config : config
 (** seed 0, 200 programs, max size 60, threaded+wvm, levels 0–2, no corpus
     dir, silent, 1 job. *)
 
+type failure = {
+  index : int;                          (** program index in the campaign *)
+  shrunk : Ast.case;                    (** the ALREADY-SHRUNK case *)
+  shrunk_failures : Oracle.failure list;
+      (** the shrunk case's failures when re-checked; [[]] when it passed,
+          i.e. the failure did not reproduce after shrinking *)
+  unshrunk_failures : Oracle.failure list;  (** the generated program's *)
+}
+
 type report = {
   generated : int;
   disagreements : int;             (** programs with >= 1 oracle failure *)
-  failures : (int * Ast.case * Oracle.failure list) list;
-      (** program index, ALREADY-SHRUNK case, its failures *)
+  failures : failure list;
   written : string list;           (** corpus files persisted *)
   par_programs : int;
       (** programs where the [par] arm parallelised >= 1 loop (0 when the
@@ -51,6 +59,19 @@ val case_for : config -> int -> Ast.case
     the campaign. *)
 
 val run : config -> report
+
+val investigate :
+  check:(Ast.case -> Oracle.failure list) -> ?progress:(string -> unit) ->
+  int -> Ast.case -> failure option
+(** [investigate ~check i case]: [None] when [check case] passes, else the
+    case shrunk against [check] and re-checked.  {!run} uses it with the
+    campaign's oracle. *)
+
+val describe : failure -> string
+(** The printed report of one failure: the shrunk program and each failure
+    with its arm/level, expected and got.  When the shrunk case passed, it
+    says "did not reproduce after shrinking" and prints the unshrunk
+    program's failures instead. *)
 
 (* {2 Corpus persistence} *)
 

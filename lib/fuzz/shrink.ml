@@ -274,6 +274,33 @@ let candidates (case : case) : case list =
   in
   let local_vs = binding_vs (fun fn ls -> { fn with locals = ls }) (fun f -> f.locals) in
   let with_vs = binding_vs (fun fn ls -> { fn with withs = ls }) (fun f -> f.withs) in
+  (* a scoping form whose body is one of its own bound variables becomes
+     that variable's initialiser: [Module[{m = e}, m]] -> [e].  Replacing the
+     Var alone never shrinks (a Var is as small as any literal), so the
+     binding goes in the same step, when nothing else reads it. *)
+  let result_binding_vs mk get =
+    match fn.result with
+    | Var (v, _) ->
+      let ls = get fn in
+      List.concat
+        (List.mapi
+           (fun i l ->
+              if l.lname <> v then []
+              else
+                let fn' =
+                  { (mk fn (List.filteri (fun j _ -> j <> i) ls)) with
+                    result = l.linit }
+                in
+                if fn_uses fn' v then [] else [ with_fn fn' ])
+           ls)
+    | _ -> []
+  in
+  let result_local_vs =
+    result_binding_vs (fun fn ls -> { fn with locals = ls }) (fun f -> f.locals)
+  in
+  let result_with_vs =
+    result_binding_vs (fun fn ls -> { fn with withs = ls }) (fun f -> f.withs)
+  in
   (* inline a literal-initialised binding into its uses and drop it; for
      mutable (Module) bindings only when nothing ever writes the name, and
      never when the name is a Part/indexed-store target (a literal is not
@@ -340,7 +367,8 @@ let candidates (case : case) : case list =
             | _ -> [])
          case.args)
   in
-  result_vs @ body_vs @ local_vs @ with_vs @ param_vs @ arg_vs
+  result_vs @ body_vs @ local_vs @ with_vs @ result_local_vs @ result_with_vs
+  @ param_vs @ arg_vs
   @ inline_local_vs @ inline_with_vs @ inline_param_vs
 
 let rec shrink ~fails case =

@@ -153,6 +153,40 @@ let prop_trivial_predicate_minimises =
       let small = Shrink.shrink ~fails:(fun _ -> true) case in
       Ast.size small.Ast.fn <= 4)
 
+(* QCheck once drew seed 4770, whose always-true shrink stopped at
+   [With[{w1 = ConstantArray[9, 4]}, Module[{m1 = w1}, m1]]] (size 6): no
+   candidate replaced a scope whose body is its own bound variable *)
+let test_shrink_seed_4770 () =
+  let small = Shrink.shrink ~fails:(fun _ -> true) (gen_case 4770) in
+  Alcotest.(check bool)
+    (Printf.sprintf "size %d <= 4: %s" (Ast.size small.Ast.fn)
+       (Ast.to_source small.Ast.fn))
+    true
+    (Ast.size small.Ast.fn <= 4)
+
+(* a failure that shows once and never again (a flake) still reports what
+   the oracle saw, and says that the shrunk case passed *)
+let test_flaky_failure_report () =
+  let calls = ref 0 in
+  let seen =
+    { Oracle.fwhere = "abort/threaded/O0/k=1"; fexpected = "Aborted"; fgot = "42" }
+  in
+  let check _ = incr calls; if !calls = 1 then [ seen ] else [] in
+  match Driver.investigate ~check 7 (gen_case 1) with
+  | None -> Alcotest.fail "the first check failed, so the case is reported"
+  | Some f ->
+    Alcotest.(check int) "shrunk case passes" 0 (List.length f.Driver.shrunk_failures);
+    let text = Driver.describe f in
+    let has sub =
+      let n = String.length sub in
+      let rec go i = i + n <= String.length text && (String.sub text i n = sub || go (i + 1)) in
+      go 0
+    in
+    List.iter
+      (fun sub -> Alcotest.(check bool) ("report has " ^ sub) true (has sub))
+      [ "program 7"; "did not reproduce after shrinking"; "abort/threaded/O0/k=1";
+        "expected Aborted"; "got      42" ]
+
 (* every one-step candidate strictly decreases the measure when accepted:
    the shrinker's termination argument, probed via the greedy chain length *)
 let prop_candidates_same_type =
@@ -190,5 +224,9 @@ let tests =
     Alcotest.test_case "wvm applicability derived from the program" `Quick
       test_wvm_predicate;
     Alcotest.test_case "par counts equal at jobs 1 and 4" `Quick
-      test_par_counts_jobs ]
+      test_par_counts_jobs;
+    Alcotest.test_case "always-true shrink of seed 4770 is near-empty" `Quick
+      test_shrink_seed_4770;
+    Alcotest.test_case "a failure that does not reproduce is still reported" `Quick
+      test_flaky_failure_report ]
   @ qcheck_tests
