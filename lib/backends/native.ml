@@ -518,9 +518,10 @@ let compile_instr ctx (i : instr) : frame -> unit =
     (match compile_prim ctx ~base ~dst ~args with
      | Some fast -> fast
      | None ->
+       let impl = (Prims.find base).impl in
        let getters = Array.map (get_o ctx) args in
        let set = set_var ctx dst in
-       fun fr -> set fr (Prims.apply ~base (Array.map (fun g -> g fr) getters)))
+       fun fr -> set fr (impl (Array.map (fun g -> g fr) getters)))
   | Call { callee = Prim name; _ } ->
     invalid_arg ("native: unresolved primitive " ^ name)
 

@@ -102,6 +102,7 @@ type ectx = {
   mutable consts : (string * Rtval.t * Types.t) list;
   mutable const_count : int;
   mutable polls : (int * int) list;  (* (site, stride): module-level counters *)
+  prims : (string, unit) Hashtbl.t;  (* boxed primitives, bound at module top *)
   module_key : string;
   fn_names : (string, string) Hashtbl.t;   (* program name -> ocaml name *)
   prog : program;
@@ -605,9 +606,9 @@ let boxed_prim_call ctx ~base ~args ~dst_ty =
     Array.to_list args
     |> List.map (fun o -> box (op_ty_of o) (operand_expr ctx o))
   in
+  Hashtbl.replace ctx.prims base ();
   unbox dst_ty
-    (Printf.sprintf "(Wolf_runtime.Prims.apply ~base:%S [| %s |])" base
-       (String.concat "; " boxed_args))
+    (Printf.sprintf "(prim_%s [| %s |])" base (String.concat "; " boxed_args))
 
 (* ------------------------------------------------------------------ *)
 (* Loop forms (DESIGN.md "JIT emitter")                                *)
@@ -1372,6 +1373,7 @@ let emit ~module_name (c : Pipeline.compiled) =
       consts = [];
       const_count = 0;
       polls = [];
+      prims = Hashtbl.create 8;
       module_key = module_name;
       fn_names = Hashtbl.create 8;
       prog;
@@ -1405,6 +1407,13 @@ let emit ~module_name (c : Pipeline.compiled) =
     (fun (site, stride) ->
        Buffer.add_string ctx.buf (Printf.sprintf "let wolf_poll_%d = ref %d\n" site stride))
     (List.rev ctx.polls);
+  (* each boxed primitive's implementation, looked up once at load *)
+  List.iter
+    (fun base ->
+       Buffer.add_string ctx.buf
+         (Printf.sprintf "let prim_%s = (Wolf_runtime.Prims.find %S).Wolf_runtime.Prims.impl\n"
+            base base))
+    (List.sort compare (List.of_seq (Hashtbl.to_seq_keys ctx.prims)));
   (* constant bindings, in creation order so names match k{n} references *)
   List.iteri
     (fun i (key, _, ty) ->

@@ -88,6 +88,15 @@ let rec lookup t name =
   | Some p -> own @ lookup p name
   | None -> own
 
+let rec prims t =
+  Hashtbl.fold
+    (fun _ cell acc ->
+       List.fold_left
+         (fun acc d -> match d.impl with Prim base -> (base, d.scheme) :: acc | _ -> acc)
+         acc !cell)
+    t.decls
+    (match t.parent with Some p -> prims p | None -> [])
+
 (* ------------------------------------------------------------------ *)
 (* Builtin environment                                                 *)
 

@@ -45,6 +45,10 @@ val lookup : t -> string -> decl list
     in declaration order (the specificity order used by
     AlternativeConstraint resolution). *)
 
+val prims : t -> (string * Types.scheme) list
+(** Every declaration implemented by a runtime primitive, in every layer:
+    the primitive's base name and the declared scheme. *)
+
 val builtin : unit -> t
 (** The default environment bundled with the compiler: arithmetic,
     comparisons, packed-array / string / expression primitives.  The
