@@ -1,16 +1,5 @@
 open Wir
 
-(* Definitions that produce a fresh, unaliased value. *)
-let fresh_def = function
-  | Call { callee = Resolved { base; _ }; _ } ->
-    (match base with
-     | "range" | "range2" | "constant_array_int" | "constant_array_real"
-     | "constant_array_int2" | "constant_array_real2" | "array_take"
-     | "to_character_code" | "array_reverse" | "array_join" | "array_append" ->
-       true
-     | _ -> String.starts_with ~prefix:"part_set" base)
-  | _ -> false
-
 let run (p : program) =
   let promoted = ref 0 in
   List.iter
@@ -60,8 +49,9 @@ let run (p : program) =
                         when Hashtbl.find_opt counts target.vid = Some 1
                           && (not (Hashtbl.mem aliased target.vid))
                           && (match root_def target.vid with
-                              | Some d -> fresh_def d
-                              | None -> false) ->
+                              | Some (Call { callee = Resolved { base; _ }; _ }) ->
+                                Wolf_runtime.Prims.holds base (fun r -> r.fresh)
+                              | _ -> false) ->
                         incr promoted;
                         Call
                           { dst;

@@ -23,10 +23,6 @@ let scalar_result v =
      | _ -> false)
   | None -> false
 
-let pure_base base =
-  not (String.starts_with ~prefix:"random" base)
-  && not (String.starts_with ~prefix:"part_set" base)
-
 let run (p : program) =
   let changed = ref false in
   List.iter
@@ -55,7 +51,10 @@ let run (p : program) =
                 let i = map_instr_operands subst i in
                 match i with
                 | Call { dst; callee = Resolved { mangled; base }; args }
-                  when pure_base base && scalar_result dst ->
+                  (* a pure primitive computes the same value again; if
+                     the first call failed, control never reaches this one *)
+                  when Wolf_runtime.Prims.holds base (fun r -> r.effect = Pure)
+                       && scalar_result dst ->
                   let key =
                     mangled ^ "("
                     ^ String.concat "," (Array.to_list (Array.map op_key args))

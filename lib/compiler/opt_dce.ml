@@ -1,43 +1,16 @@
 open Wir
 
-let has_prefix p s =
-  String.length s >= String.length p && String.sub s 0 (String.length p) = p
-
-(* Primitives that can raise a runtime failure on well-typed operands:
-   integer overflow and division by zero (the checked_ family), Part and
-   string bounds, dimension mismatches (the dot_ and array_ families),
-   expression coercions, float-to-int conversions.  A dead instruction
-   that can fail is still
-   observable — the interpreter reports the failure, so compiled code
-   must reach it too (the differential fuzzer found exactly this: a dead
-   Quotient[x, 0] folded away turned a Failed run into a value). *)
-let can_fail base =
-  match base with
-  (* overflow-only checked arithmetic is removable when dead: on overflow
-     the compiled function soft-falls back to the interpreter, whose
-     bignum result is exactly what the program computes without the dead
-     op, so erasing it cannot change the observable outcome *)
-  | "checked_binary_plus" | "checked_binary_subtract"
-  | "checked_binary_times" | "checked_unary_minus" | "checked_unary_abs" ->
-    false
-  | _ ->
-    has_prefix "checked_" base || has_prefix "part_" base
-    || has_prefix "string_" base || has_prefix "expr_" base
-    || has_prefix "dot_" base || has_prefix "array_" base
-    || has_prefix "complex_" base
-    || (match base with
-        | "unary_round" | "unary_floor" | "unary_ceiling" | "unary_truncate"
-        | "binary_power" | "binary_power_ri" | "from_character_code"
-        | "range" | "range2" -> true
-        | _ -> false)
-
+(* A dead instruction may go when neither running nor skipping it can be
+   observed: a pure primitive that never fails, or fails only on integer
+   overflow, whose soft fallback reruns the call in the interpreter and
+   computes what the program computes without the dead primitive.  One
+   that can fail otherwise stays: the interpreter reports that failure, so
+   compiled code must reach it too (the differential fuzzer found a dead
+   Quotient[x, 0] folded away, which turned a Failed run into a value). *)
 let pure_instr = function
   | Copy _ | New_closure _ | Copy_value _ -> true
   | Call { callee = Resolved { base; _ }; _ } ->
-    (* conservative purity: explicit effects (randomness, in-place part
-       updates, which can_fail already covers via part_) plus anything
-       whose failure is an observable result *)
-    not (has_prefix "random" base) && not (can_fail base)
+    Wolf_runtime.Prims.holds base (fun r -> r.effect = Pure && r.fails <> May_fail)
   | Call _ -> false
   | Load_argument _ -> true
   | Kernel_call _ -> false

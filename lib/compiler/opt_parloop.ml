@@ -100,32 +100,6 @@ let fingerprint (fn : func) =
   done;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
-(* ---------- purity ---------- *)
-
-(* Resolved primitives that neither mutate, allocate shared state, consult
-   global state (random, kernel hooks), nor retain their arguments.  A loop
-   body made of these can be re-executed and chunked freely. *)
-let pure_base = function
-  | "checked_binary_plus" | "checked_binary_subtract" | "checked_binary_times"
-  | "checked_binary_quotient" | "checked_binary_mod" | "checked_binary_power"
-  | "checked_unary_minus" | "checked_unary_abs"
-  | "binary_plus" | "binary_subtract" | "binary_times" | "binary_divide"
-  | "binary_power" | "binary_power_ri" | "unary_minus" | "unary_abs"
-  | "binary_less" | "binary_greater" | "binary_less_equal"
-  | "binary_greater_equal" | "binary_equal" | "binary_unequal" | "unary_not"
-  | "binary_bitand" | "binary_bitor" | "binary_bitxor"
-  | "binary_shiftleft" | "binary_shiftright"
-  | "binary_min" | "binary_max"
-  | "unary_sin" | "unary_cos" | "unary_tan" | "unary_exp" | "unary_log"
-  | "unary_sqrt" | "unary_floor" | "unary_ceiling" | "unary_round"
-  | "unary_truncate" | "unary_identity_int" | "unary_identity_real"
-  | "int_to_real" | "unary_evenq" | "unary_oddq" | "unary_boole"
-  | "complex_make" | "complex_re" | "complex_im" | "complex_abs"
-  | "part_get_1" | "part_get_1_unchecked" | "part_get_2"
-  | "array_length" | "string_length" | "string_byte" | "string_byte_unchecked" ->
-    true
-  | _ -> false
-
 (* ---------- recognition ---------- *)
 
 type kind =
@@ -255,7 +229,8 @@ let recognize (f : func) (l : Analysis.loop) : (reco, string) result =
                   if base <> "part_set_1" then
                     reject ("unsupported write primitive " ^ base)
                 end
-                else if not (pure_base base) then
+                (* a pure primitive can be re-executed and chunked freely *)
+                else if not (Wolf_runtime.Prims.holds base (fun r -> r.effect = Pure)) then
                   reject ("unsupported primitive " ^ base)
               | Call { callee = Prim name; _ } ->
                 reject ("unresolved primitive " ^ name)
