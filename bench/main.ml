@@ -815,36 +815,39 @@ let parloop_bench_rows () =
     { Options.default with
       Options.parallel_loops = true; opt_level = 2; use_cache = false }
   in
-  List.map
-    (fun (pname, pkind, src, n) ->
-       let cf =
-         Wolfram.function_compile ~options ~target:Wolfram.Threaded
-           ~name:pname (Parser.parse src)
+  let programs =
+    List.map
+      (fun (pname, pkind, src, n) ->
+         let cf =
+           Wolfram.function_compile ~options ~target:Wolfram.Threaded
+             ~name:pname (Parser.parse src)
+         in
+         (pname, pkind, fun () -> Wolfram.call cf [ Expr.Int n ]))
+      (parloop_programs quick)
+  in
+  (* one (jobs, seconds, schedule) cell and the value the program returned *)
+  let measure call j =
+    PR.clear_schedules ();
+    PR.with_jobs j @@ fun () ->
+    let v = call () in  (* pays the schedule search, fills cache *)
+    let sched =
+      match PR.last_schedule () with
+      | Some s -> PR.schedule_to_string s
+      | None -> "none"
+    in
+    let t = min_over 5 (fun () -> time_once (fun () -> ignore (call ()))) in
+    ((j, t, sched), v)
+  in
+  (* jobs=1 runs for every program before any jobs>1 run, so before the
+     runtime spawns its first helper domain (when this is the process's
+     first bench): once a second domain exists every GC pays multi-domain
+     synchronisation, and timing jobs=1 after that inflates the ratio *)
+  let serial = List.map (fun (_, _, call) -> measure call 1) programs in
+  List.map2
+    (fun (pname, pkind, call) (cell1, v1) ->
+       let cells =
+         List.map (fun j -> measure call j) (List.filter (fun j -> j <> 1) parloop_jobs_levels)
        in
-       let call () = Wolfram.call cf [ Expr.Int n ] in
-       (* spawn the helper domains before any timing: once extra domains
-          exist every GC pays multi-domain synchronisation, so the jobs=1
-          arm must be measured in the same world as the jobs=4 arm or the
-          "speedup" mostly measures GC regime change *)
-       ignore
-         (PR.with_jobs 4 (fun () ->
-              PR.with_forced_schedule (PR.Dynamic 8) call));
-       let per_jobs =
-         List.map
-           (fun j ->
-              PR.clear_schedules ();
-              PR.with_jobs j @@ fun () ->
-              ignore (call ());  (* pays the schedule search, fills cache *)
-              let sched =
-                match PR.last_schedule () with
-                | Some s -> PR.schedule_to_string s
-                | None -> "none"
-              in
-              let t = min_over 5 (fun () -> time_once (fun () -> ignore (call ()))) in
-              (j, t, sched))
-           parloop_jobs_levels
-       in
-       let v1 = PR.with_jobs 1 call in
        let v4 = PR.with_jobs 4 call in
        let pequal =
          match (v1, v4) with
@@ -853,8 +856,8 @@ let parloop_bench_rows () =
            <= 1e-9 *. Float.max 1.0 (Float.max (Float.abs a) (Float.abs b))
          | a, b -> Expr.equal a b
        in
-       { pname; pkind; per_jobs; pequal })
-    (parloop_programs quick)
+       { pname; pkind; per_jobs = cell1 :: List.map fst cells; pequal })
+    programs serial
 
 let parloop_speedup4 r =
   match
