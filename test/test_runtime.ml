@@ -69,14 +69,14 @@ let test_prims_dispatch () =
        Alcotest.(check bool)
          (Printf.sprintf "%s dispatch" base)
          true
-         (Rtval.equal expected (Prims.apply ~base args)))
+         (Rtval.equal expected ((Prims.find base).impl args)))
     cases;
   (* unknown primitive is a programming error, not a runtime failure *)
-  (match Prims.apply ~base:"no_such_primitive" [||] with
+  (match (Prims.find "no_such_primitive").impl [||] with
    | _ -> Alcotest.fail "unknown primitive accepted"
    | exception Invalid_argument _ -> ());
   (* numerical failures surface as Runtime_error for the soft fallback *)
-  match Prims.apply ~base:"checked_binary_plus" [| Rtval.Int max_int; Rtval.Int 1 |] with
+  match (Prims.find "checked_binary_plus").impl [| Rtval.Int max_int; Rtval.Int 1 |] with
   | _ -> Alcotest.fail "overflow not detected"
   | exception Errors.Runtime_error Errors.Integer_overflow -> ()
   | exception e -> Alcotest.failf "wrong failure: %s" (Printexc.to_string e)
@@ -137,9 +137,9 @@ let test_real_array_ops_unboxed () =
   let t = Tensor.create_real [| n |] (Array.init n (fun i -> float_of_int i)) in
   List.iter
     (fun (base, args, expect_at_7) ->
-       ignore (Prims.apply ~base args);
+       ignore ((Prims.find base).impl args);
        let before = Gc.minor_words () in
-       let r = Prims.apply ~base args in
+       let r = (Prims.find base).impl args in
        let words = Gc.minor_words () -. before in
        Alcotest.(check bool)
          (Printf.sprintf "%s allocates %.0f minor words (< 10000)" base words)
