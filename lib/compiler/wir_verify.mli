@@ -28,6 +28,11 @@
        terminator (this is structural in the IR type, but arm agreement and
        operand types are checked here).}
     {- {b No orphans}: every block is reachable from the entry block.}
+    {- {b Primitive calls}: every [Resolved] call names a row of
+       {!Wolf_runtime.Prims} with that row's arity; once its types are
+       ground, its mangled name spells its operand types and those and its
+       result type fit a builtin declaration of the primitive (or of the
+       one a pass-made variant specialises).  Memoised per mangled name.}
     {- {b Program level}: [Func] callees and [New_closure] targets resolve
        to program functions, and call arity matches the callee's parameter
        count.}}
