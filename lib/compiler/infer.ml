@@ -208,10 +208,9 @@ let solve alternatives =
 (* Write-back                                                          *)
 
 let mangled_name decl arg_tys =
-  let tys = String.concat "_" (Array.to_list (Array.map Types.mangle arg_tys)) in
   match decl.Type_env.impl with
-  | Type_env.Prim base -> Printf.sprintf "%s_%s" base tys
-  | Type_env.Wolfram _ -> Printf.sprintf "%s$%s" decl.Type_env.dname tys
+  | Type_env.Prim base -> Types.mangled base arg_tys
+  | Type_env.Wolfram _ -> Types.mangled ~sep:"$" decl.Type_env.dname arg_tys
   | Type_env.External name -> name
 
 let write_back p alternatives table =

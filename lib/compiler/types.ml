@@ -256,3 +256,6 @@ let rec mangle t =
       (mangle ret)
   | Var { contents = Unbound u } -> Printf.sprintf "a%d" u.id
   | Var { contents = Link _ } -> assert false
+
+let mangled ?(sep = "_") base tys =
+  base ^ sep ^ String.concat "_" (Array.to_list (Array.map mangle tys))

@@ -68,3 +68,8 @@ val to_string : t -> string
 val pp : Format.formatter -> t -> unit
 val mangle : t -> string
 (** Stable name component for monomorphisation ("I64", "PA_R64_1", …). *)
+
+val mangled : ?sep:string -> string -> t array -> string
+(** [mangled base tys] is [base_T1_..._Tn], the name of the instance of
+    [base] at operand types [tys]; a Wolfram-implemented instance uses
+    [~sep:"$"]. *)
