@@ -66,40 +66,44 @@ let interpret_fallback t args =
   Atomic.incr t.fallbacks;
   Hooks.eval (Expr.Normal (t.cf_source, args))
 
-let call t (args : Expr.t array) : Expr.t =
-  let compiler_version, engine_version = versions in
-  if t.compiler_version <> compiler_version || t.engine_version <> engine_version then
-    (* stale compiled code: behave like the paper and re-evaluate uncompiled *)
-    interpret_fallback t args
-  else if Array.length args <> Array.length t.arg_tys then
-    interpret_fallback t args
+let admit_all t vals =
+  if Array.length vals <> Array.length t.arg_tys then None
   else begin
-    let unboxed = Array.map Rtval.of_expr args in
-    let admitted = Array.map2 admit t.arg_tys unboxed in
-    if Array.exists Option.is_none admitted then interpret_fallback t args
-    else begin
-      let vals = Array.map Option.get admitted in
-      (* pin packed-array arguments: the interpreter still owns them, so an
-         indexed update inside compiled code must copy (F5) *)
-      let pinned =
-        Array.to_list vals
-        |> List.filter_map (function Rtval.Tensor pt -> Some pt | _ -> None)
-      in
-      List.iter Tensor.acquire pinned;
-      let release () = List.iter Tensor.release pinned in
-      match t.entry.Rtval.call vals with
-      | v -> release (); Rtval.to_expr v
-      | exception Errors.Runtime_error failure ->
-        release ();
-        if not !quiet then
-          Printf.eprintf
-            "CompiledCodeFunction: A compiled code runtime error occurred; \
-             reverting to uncompiled evaluation: %s\n%!"
-            (Errors.describe_failure failure);
-        interpret_fallback t args
-      | exception e -> release (); raise e
-    end
+    let admitted = Array.map2 admit t.arg_tys vals in
+    if Array.exists Option.is_none admitted then None else Some (Array.map Option.get admitted)
   end
+
+(* Run the compiled code on admitted values; [None] when it failed
+   numerically, reported, so the caller reruns the call uncompiled (F2).
+   Packed-array arguments are pinned: the interpreter still owns them, so
+   an indexed update inside compiled code must copy (F5). *)
+let run t vals =
+  let pinned =
+    Array.to_list vals |> List.filter_map (function Rtval.Tensor pt -> Some pt | _ -> None)
+  in
+  List.iter Tensor.acquire pinned;
+  let release () = List.iter Tensor.release pinned in
+  match t.entry.Rtval.call vals with
+  | v -> release (); Some v
+  | exception Errors.Runtime_error failure ->
+    release ();
+    if not !quiet then
+      Printf.eprintf
+        "CompiledCodeFunction: A compiled code runtime error occurred; \
+         reverting to uncompiled evaluation: %s\n%!"
+        (Errors.describe_failure failure);
+    None
+  | exception e -> release (); raise e
+
+let call t (args : Expr.t array) : Expr.t =
+  let fresh = versions = (t.compiler_version, t.engine_version) in
+  (* stale compiled code: behave like the paper and re-evaluate uncompiled *)
+  match if fresh then admit_all t (Array.map Rtval.of_expr args) else None with
+  | None -> interpret_fallback t args
+  | Some vals ->
+    (match run t vals with
+     | Some v -> Rtval.to_expr v
+     | None -> interpret_fallback t args)
 
 let call_values t args = t.entry.Rtval.call args
 
@@ -108,30 +112,10 @@ let kernel_closure t =
     Rtval.arity = Array.length t.arg_tys;
     call =
       (fun vals ->
-         (* values arrive unboxed from the evaluator; re-box minimal *)
-         let admitted = Array.map2 admit t.arg_tys vals in
-         if Array.exists Option.is_none admitted then
-           raise (Errors.Runtime_error (Errors.Invalid_runtime_argument "signature"))
-         else begin
-           let vals = Array.map Option.get admitted in
-           let pinned =
-             Array.to_list vals
-             |> List.filter_map (function Rtval.Tensor pt -> Some pt | _ -> None)
-           in
-           List.iter Tensor.acquire pinned;
-           let release () = List.iter Tensor.release pinned in
-           match t.entry.Rtval.call vals with
-           | v -> release (); v
-           | exception Errors.Runtime_error failure ->
-             if not !quiet then
-               Printf.eprintf
-                 "CompiledCodeFunction: A compiled code runtime error occurred; \
-                  reverting to uncompiled evaluation: %s\n%!"
-                 (Errors.describe_failure failure);
-             release ();
-             Atomic.incr t.fallbacks;
-             Rtval.of_expr
-               (Hooks.eval (Expr.Normal (t.cf_source, Array.map Rtval.to_expr vals)))
-           | exception e -> release (); raise e
-         end);
+         match admit_all t vals with
+         | None -> raise (Errors.Runtime_error (Errors.Invalid_runtime_argument "signature"))
+         | Some vals ->
+           (match run t vals with
+            | Some v -> v
+            | None -> Rtval.of_expr (interpret_fallback t (Array.map Rtval.to_expr vals))));
   }

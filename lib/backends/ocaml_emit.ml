@@ -244,7 +244,7 @@ let prim_expr ctx ~base ~(args : operand array) ~dst_ty : string option =
   | "checked_binary_quotient" when all_int -> Some (Printf.sprintf "wolf_quotient %s %s" (a 0) (a 1))
   | "checked_binary_power" when all_int -> Some (Printf.sprintf "wolf_ipow %s %s" (a 0) (a 1))
   | "checked_unary_minus" -> Some (Printf.sprintf "wolf_neg %s" (a 0))
-  | "checked_unary_abs" -> Some (Printf.sprintf "abs %s" (a 0))
+  | "checked_unary_abs" -> Some (Printf.sprintf "wolf_abs %s" (a 0))
   | "binary_plus" when dst_is "Real64" -> Some (Printf.sprintf "%s +. %s" (ri 0) (ri 1))
   | "binary_subtract" when dst_is "Real64" -> Some (Printf.sprintf "%s -. %s" (ri 0) (ri 1))
   | "binary_times" when dst_is "Real64" -> Some (Printf.sprintf "%s *. %s" (ri 0) (ri 1))
@@ -409,6 +409,9 @@ let[@inline always] wolf_quotient a b =
 
 let[@inline always] wolf_neg a =
   if a = min_int then raise (Wolf_rt Wolf_base.Errors.Integer_overflow) else -a
+
+let[@inline always] wolf_abs a =
+  if a = min_int then raise (Wolf_rt Wolf_base.Errors.Integer_overflow) else abs a
 
 let wolf_ipow b e = Wolf_base.Checked.pow b e
 

@@ -319,12 +319,13 @@ let install () =
          | _ -> None)
       | _ -> None);
   Eval.register "RandomInteger" (fun ev args ->
+      (* an empty range stays unevaluated *)
       let bounds e =
         match ev e with
-        | Expr.Int hi -> Some (0, hi)
+        | Expr.Int hi when hi >= 0 -> Some (0, hi)
         | Expr.Normal (Expr.Sym l, [| lo; hi |]) when Symbol.equal l Expr.Sy.list ->
           (match Expr.int_of lo, Expr.int_of hi with
-           | Some l', Some h' -> Some (l', h')
+           | Some l', Some h' when l' <= h' -> Some (l', h')
            | _ -> None)
         | _ -> None
       in

@@ -126,6 +126,9 @@ let install () =
       match args with
       | [| a; b |] ->
         (match Expr.int_of a, Expr.int_of b with
+         | Some x, Some -1 when x = min_int ->
+           (* the one quotient outside the machine range *)
+           Some (Expr.big (Bignum.neg (Bignum.of_int x)))
          | Some x, Some y when y <> 0 ->
            (* Wolfram Quotient is floor division *)
            let q = if (x < 0) <> (y < 0) && x mod y <> 0 then (x / y) - 1 else x / y in

@@ -14,12 +14,6 @@ let real = function
   | Int i -> float_of_int i
   | v -> raise (Errors.Runtime_error (Errors.Invalid_runtime_argument (type_name v)))
 
-let num_binary name fi fr args =
-  match args with
-  | [| Int a; Int b |] -> Int (fi a b)
-  | [| (Int _ | Real _) as a; (Int _ | Real _) as b |] -> Real (fr (real a) (real b))
-  | _ -> bad name args
-
 let complex_binary name f args =
   match args with
   | [| Complex (ar, ai); Complex (br, bi) |] ->
@@ -97,29 +91,12 @@ let array_unary name (loop : float array -> float array -> unit) args =
     Tensor (Tensor.create_real (Array.copy (Tensor.dims t)) out)
   | _ -> bad name args
 
-let cmp name op args =
-  match args with
-  | [| Int a; Int b |] -> Bool (op (compare a b) 0)
-  | [| (Int _ | Real _) as a; (Int _ | Real _) as b |] ->
-    Bool (op (compare (real a) (real b)) 0)
-  | [| Str a; Str b |] -> Bool (op (String.compare a b) 0)
-  | [| Bool a; Bool b |] -> Bool (op (compare a b) 0)
-  | [| Expr a; Expr b |] -> Bool (op (Wolf_wexpr.Expr.compare a b) 0)
-  | [| Complex (ar, ai); Complex (br, bi) |] -> Bool (op (compare (ar, ai) (br, bi)) 0)
-  | _ -> bad name args
-
-let part_index len i =
-  let j = if i < 0 then len + i else i - 1 in
-  if i = 0 || j < 0 || j >= len then
-    raise (Errors.Runtime_error (Errors.Part_out_of_range (i, len)));
-  j
-
 let tensor_get t i =
   if Tensor.is_int t then Int (Tensor.get_int t i) else Real (Tensor.get_real t i)
 
 let set_flat t j v =
   match v with
-  | Int x -> if Tensor.is_int t then Tensor.set_int t j x else Tensor.set_real t j (float_of_int x)
+  | Int x -> Tensor.set_int t j x
   | Real x -> Tensor.set_real t j x
   | _ -> raise (Errors.Runtime_error (Errors.Invalid_runtime_argument "SetPart value"))
 
@@ -127,7 +104,7 @@ let set_flat t j v =
 let part_set_1 ~inplace args =
   match args with
   | [| Tensor t; Int i; v |] ->
-    let j = part_index (Tensor.dims t).(0) i in
+    let j = Tensor.normalize_index t i in
     let t = if inplace then t else Tensor.ensure_unique t in
     set_flat t j v;
     Tensor t
@@ -136,18 +113,11 @@ let part_set_1 ~inplace args =
 let part_set_2 ~inplace args =
   match args with
   | [| Tensor t; Int i; Int k; v |] ->
-    let dims = Tensor.dims t in
-    let j1 = part_index dims.(0) i in
-    let j2 = part_index dims.(1) k in
+    let j = Tensor.flat_index2 t i k in
     let t = if inplace then t else Tensor.ensure_unique t in
-    set_flat t ((j1 * dims.(1)) + j2) v;
+    set_flat t j v;
     Tensor t
   | _ -> bad "part_set_2" args
-
-let checked name f args =
-  match args with
-  | [| Int a; Int b |] -> Int (f a b)
-  | _ -> bad name args
 
 (* ------------------------------------------------------------------ *)
 (* The primitive table *)
@@ -156,6 +126,19 @@ type effect = Pure | Random | Mutates_arg0 | Calls
 
 type failure = Never | Overflow_only | May_fail
 
+type scalar =
+  | Int1 of (int -> int)
+  | Int2 of (int -> int -> int)
+  | Real1 of (float -> float)
+  | Real2 of (float -> float -> float)
+  | Real_to_int of (float -> int)
+  | Int_to_real of (int -> float)
+  | Num2 of (int -> int -> int) * (float -> float -> float)
+  | Cmp2 of (int -> int -> bool) * (float -> float -> bool)
+  | Int_test of (int -> bool)
+  | Bool1 of (bool -> bool)
+  | Bool_to_int of (bool -> int)
+
 type t = {
   name : string;
   arity : int;
@@ -163,16 +146,69 @@ type t = {
   fails : failure;
   fresh : bool;
   specialises : string option;
+  scalar : scalar option;
   impl : Rtval.t array -> Rtval.t;
 }
 
 (* [impl name] gets the row's own name, for its error messages *)
-let row ?(effect = Pure) ?(fails = Never) ?(fresh = false) ?specialises name arity impl =
-  { name; arity; effect; fails; fresh; specialises; impl = impl name }
+let row ?(effect = Pure) ?(fails = Never) ?(fresh = false) ?specialises ?scalar name arity
+    impl =
+  { name; arity; effect; fails; fresh; specialises; scalar; impl = impl name }
 
-(* one-argument real functions: [Real (f x)] of an Int or Real operand *)
-let real1 f _ args = Real (f (real args.(0)))
-let int_of_real f _ args = Int (f (real args.(0)))
+let num = function Int _ | Real _ -> true | _ -> false
+
+(* the boxed implementation of a scalar form: the form's own function on
+   the unboxed operands *)
+let boxed form name args =
+  match form, args with
+  | Int1 f, [| Int a |] -> Int (f a)
+  | (Int2 f | Num2 (f, _)), [| Int a; Int b |] -> Int (f a b)
+  | Real1 f, [| a |] when num a -> Real (f (real a))
+  | (Real2 f | Num2 (_, f)), [| a; b |] when num a && num b -> Real (f (real a) (real b))
+  | Real_to_int f, [| a |] when num a -> Int (f (real a))
+  | Int_to_real f, [| Int a |] -> Real (f a)
+  | Cmp2 (f, _), [| Int a; Int b |] -> Bool (f a b)
+  | Cmp2 (_, f), [| a; b |] when num a && num b -> Bool (f (real a) (real b))
+  | Int_test f, [| Int a |] -> Bool (f a)
+  | Bool1 f, [| Bool b |] -> Bool (f b)
+  | Bool_to_int f, [| Bool b |] -> Int (f b)
+  | _ -> bad name args
+
+let form_arity = function
+  | Int2 _ | Real2 _ | Num2 _ | Cmp2 _ -> 2
+  | Int1 _ | Real1 _ | Real_to_int _ | Int_to_real _ | Int_test _ | Bool1 _ | Bool_to_int _ -> 1
+
+(* a row with a scalar form; its [impl] is [boxed form] unless the row
+   accepts boxed shapes the form has no function for *)
+let scalar ?fails ?impl name form =
+  row ?fails ~scalar:form name (form_arity form) (Option.value impl ~default:(boxed form))
+
+(* the comparisons also order strings, booleans, expressions and complex
+   numbers, by the int comparison of [compare]'s result with 0 *)
+let cmp name fi fr =
+  let impl n args =
+    match args with
+    | [| Str a; Str b |] -> Bool (fi (String.compare a b) 0)
+    | [| Bool a; Bool b |] -> Bool (fi (compare a b) 0)
+    | [| Expr a; Expr b |] -> Bool (fi (Wolf_wexpr.Expr.compare a b) 0)
+    | [| Complex (ar, ai); Complex (br, bi) |] -> Bool (fi (compare (ar, ai) (br, bi)) 0)
+    | _ -> boxed (Cmp2 (fi, fr)) n args
+  in
+  scalar ~impl name (Cmp2 (fi, fr))
+
+(* the identities pass any operand through *)
+let identity name form = scalar ~impl:(fun _ args -> args.(0)) name form
+
+let abs_checked a =
+  if a = min_int then raise (Errors.Runtime_error Errors.Integer_overflow) else abs a
+
+let divide a d = if d = 0.0 then raise (Errors.Runtime_error Errors.Division_by_zero) else a /. d
+
+let pow_ri x e =
+  let rec go acc x e =
+    if e = 0 then acc else go (if e land 1 = 1 then acc *. x else acc) (x *. x) (e lsr 1)
+  in
+  if e >= 0 then go 1.0 x e else 1.0 /. go 1.0 x (-e)
 
 let complex_power name args =
   match args with
@@ -186,26 +222,18 @@ let complex_power name args =
   | _ -> bad name args
 
 let power_ri name args =
-  match args with
-  | [| a; Int e |] ->
-    let x = real a in
-    let rec go acc x e =
-      if e = 0 then acc
-      else go (if e land 1 = 1 then acc *. x else acc) (x *. x) (e lsr 1)
-    in
-    if e >= 0 then Real (go 1.0 x e) else Real (1.0 /. go 1.0 x (-e))
-  | _ -> bad name args
+  match args with [| a; Int e |] -> Real (pow_ri (real a) e) | _ -> bad name args
 
 let part_get_1 ~checked name args =
   match args with
   | [| Tensor t; Int i |] ->
-    tensor_get t (if checked then part_index (Tensor.dims t).(0) i else i - 1)
+    tensor_get t (if checked then Tensor.normalize_index t i else i - 1)
   | _ -> bad name args
 
 let string_byte ~checked name args =
   match args with
   | [| Str s; Int i |] ->
-    Int (Char.code s.[if checked then part_index (String.length s) i else i - 1])
+    Int (Char.code s.[if checked then Tensor.part_index (String.length s) i else i - 1])
   | _ -> bad name args
 
 let array_join name args =
@@ -249,38 +277,25 @@ let dot_vv name args =
 
 (* Every runtime primitive, once.  The facts a row states (prims.mli says
    what each means) are about its boxed implementation on well-typed
-   operands; the open-coded fast paths of the backends implement the same
-   primitive. *)
+   operands; the threaded backend and the WVM run a scalar row's form
+   itself, and the text emitters' open-coded fast paths restate it. *)
 let rows =
-  [ row "checked_binary_plus" 2 ~fails:Overflow_only (fun n -> checked n Checked.add);
-    row "checked_binary_subtract" 2 ~fails:Overflow_only (fun n -> checked n Checked.sub);
-    row "checked_binary_times" 2 ~fails:Overflow_only (fun n -> checked n Checked.mul);
-    row "checked_binary_mod" 2 ~fails:May_fail (fun n -> checked n Checked.modulo);
-    row "checked_binary_quotient" 2 ~fails:May_fail (fun n -> checked n Checked.quotient);
-    row "checked_binary_power" 2 ~fails:May_fail (fun n -> checked n Checked.pow);
-    row "checked_unary_minus" 1 ~fails:Overflow_only (fun n args ->
-        match args with [| Int a |] -> Int (Checked.neg a) | _ -> bad n args);
-    row "checked_unary_abs" 1 ~fails:Overflow_only (fun n args ->
-        match args with
-        | [| Int a |] ->
-          if a = min_int then raise (Errors.Runtime_error Errors.Integer_overflow)
-          else Int (abs a)
-        | _ -> bad n args);
-    row "binary_plus" 2 (fun n -> num_binary n ( + ) ( +. ));
-    row "binary_subtract" 2 (fun n -> num_binary n ( - ) ( -. ));
-    row "binary_times" 2 (fun n -> num_binary n ( * ) ( *. ));
-    row "binary_divide" 2 ~fails:May_fail (fun n args ->
-        match args with
-        | [| a; b |] ->
-          let d = real b in
-          if d = 0.0 then raise (Errors.Runtime_error Errors.Division_by_zero)
-          else Real (real a /. d)
-        | _ -> bad n args);
-    row "binary_power" 2 (fun n args ->
-        match args with [| a; b |] -> Real (Float.pow (real a) (real b)) | _ -> bad n args);
+  [ scalar "checked_binary_plus" ~fails:Overflow_only (Int2 Checked.add);
+    scalar "checked_binary_subtract" ~fails:Overflow_only (Int2 Checked.sub);
+    scalar "checked_binary_times" ~fails:Overflow_only (Int2 Checked.mul);
+    scalar "checked_binary_mod" ~fails:May_fail (Int2 Checked.modulo);
+    scalar "checked_binary_quotient" ~fails:May_fail (Int2 Checked.quotient);
+    scalar "checked_binary_power" ~fails:May_fail (Int2 Checked.pow);
+    scalar "checked_unary_minus" ~fails:Overflow_only (Int1 Checked.neg);
+    scalar "checked_unary_abs" ~fails:Overflow_only (Int1 abs_checked);
+    scalar "binary_plus" (Num2 (( + ), ( +. )));
+    scalar "binary_subtract" (Num2 (( - ), ( -. )));
+    scalar "binary_times" (Num2 (( * ), ( *. )));
+    scalar "binary_divide" ~fails:May_fail (Real2 divide);
+    scalar "binary_power" (Real2 Float.pow);
     row "binary_power_ri" 2 power_ri;
-    row "unary_minus" 1 (real1 Float.neg);
-    row "unary_abs" 1 (real1 Float.abs);
+    scalar "unary_minus" (Real1 Float.neg);
+    scalar "unary_abs" (Real1 Float.abs);
     row "complex_binary_plus" 2 (fun n ->
         complex_binary n (fun (ar, ai) (br, bi) -> (ar +. br, ai +. bi)));
     row "complex_binary_subtract" 2 (fun n ->
@@ -313,55 +328,43 @@ let rows =
     row "expr_part" 2 ~fails:May_fail (fun n args ->
         match args with
         | [| Expr (Wolf_wexpr.Expr.Normal (_, items)); Int i |] ->
-          Expr items.(part_index (Array.length items) i)
+          Expr items.(Tensor.part_index (Array.length items) i)
         | _ -> bad n args);
     row "expr_length" 1 (fun n args ->
         match args with
         | [| Expr (Wolf_wexpr.Expr.Normal (_, items)) |] -> Int (Array.length items)
         | [| Expr _ |] -> Int 0
         | _ -> bad n args);
-    row "binary_less" 2 (fun n -> cmp n ( < ));
-    row "binary_greater" 2 (fun n -> cmp n ( > ));
-    row "binary_less_equal" 2 (fun n -> cmp n ( <= ));
-    row "binary_greater_equal" 2 (fun n -> cmp n ( >= ));
-    row "binary_equal" 2 (fun n -> cmp n ( = ));
-    row "binary_unequal" 2 (fun n -> cmp n ( <> ));
-    row "unary_not" 1 (fun n args ->
-        match args with [| Bool b |] -> Bool (not b) | _ -> bad n args);
-    row "binary_bitand" 2 (fun n -> checked n ( land ));
-    row "binary_bitor" 2 (fun n -> checked n ( lor ));
-    row "binary_bitxor" 2 (fun n -> checked n ( lxor ));
-    row "binary_shiftleft" 2 (fun n -> checked n ( lsl ));
-    row "binary_shiftright" 2 (fun n -> checked n ( asr ));
-    row "binary_min" 2 (fun n args ->
-        match args with
-        | [| Int a; Int b |] -> Int (min a b)
-        | [| a; b |] -> Real (Float.min (real a) (real b))
-        | _ -> bad n args);
-    row "binary_max" 2 (fun n args ->
-        match args with
-        | [| Int a; Int b |] -> Int (max a b)
-        | [| a; b |] -> Real (Float.max (real a) (real b))
-        | _ -> bad n args);
-    row "unary_sin" 1 (real1 sin);
-    row "unary_cos" 1 (real1 cos);
-    row "unary_tan" 1 (real1 tan);
-    row "unary_exp" 1 (real1 exp);
-    row "unary_log" 1 (real1 log);
-    row "unary_sqrt" 1 (real1 sqrt);
-    row "unary_floor" 1 (int_of_real (fun x -> int_of_float (Float.floor x)));
-    row "unary_ceiling" 1 (int_of_real (fun x -> int_of_float (Float.ceil x)));
-    row "unary_round" 1 (int_of_real Checked.round_half_even);
-    row "unary_truncate" 1 (int_of_real (fun x -> int_of_float (Float.trunc x)));
-    row "unary_identity_int" 1 (fun _ args -> args.(0));
-    row "unary_identity_real" 1 (fun _ args -> args.(0));
-    row "int_to_real" 1 (real1 Fun.id);
-    row "unary_evenq" 1 (fun n args ->
-        match args with [| Int a |] -> Bool (a land 1 = 0) | _ -> bad n args);
-    row "unary_oddq" 1 (fun n args ->
-        match args with [| Int a |] -> Bool (a land 1 = 1) | _ -> bad n args);
-    row "unary_boole" 1 (fun n args ->
-        match args with [| Bool b |] -> Int (if b then 1 else 0) | _ -> bad n args);
+    cmp "binary_less" ( < ) ( < );
+    cmp "binary_greater" ( > ) ( > );
+    cmp "binary_less_equal" ( <= ) ( <= );
+    cmp "binary_greater_equal" ( >= ) ( >= );
+    cmp "binary_equal" ( = ) ( = );
+    cmp "binary_unequal" ( <> ) ( <> );
+    scalar "unary_not" (Bool1 not);
+    scalar "binary_bitand" (Int2 ( land ));
+    scalar "binary_bitor" (Int2 ( lor ));
+    scalar "binary_bitxor" (Int2 ( lxor ));
+    scalar "binary_shiftleft" (Int2 ( lsl ));
+    scalar "binary_shiftright" (Int2 ( asr ));
+    scalar "binary_min" (Num2 (min, Float.min));
+    scalar "binary_max" (Num2 (max, Float.max));
+    scalar "unary_sin" (Real1 sin);
+    scalar "unary_cos" (Real1 cos);
+    scalar "unary_tan" (Real1 tan);
+    scalar "unary_exp" (Real1 exp);
+    scalar "unary_log" (Real1 log);
+    scalar "unary_sqrt" (Real1 sqrt);
+    scalar "unary_floor" (Real_to_int (fun x -> int_of_float (Float.floor x)));
+    scalar "unary_ceiling" (Real_to_int (fun x -> int_of_float (Float.ceil x)));
+    scalar "unary_round" (Real_to_int Checked.round_half_even);
+    scalar "unary_truncate" (Real_to_int (fun x -> int_of_float (Float.trunc x)));
+    identity "unary_identity_int" (Int1 Fun.id);
+    identity "unary_identity_real" (Real1 Fun.id);
+    scalar "int_to_real" (Int_to_real float_of_int);
+    scalar "unary_evenq" (Int_test (fun a -> a land 1 = 0));
+    scalar "unary_oddq" (Int_test (fun a -> a land 1 = 1));
+    scalar "unary_boole" (Bool_to_int Bool.to_int);
     row "array_binary_plus" 2 ~fails:May_fail ~fresh:true (fun n ->
         array_binary n ( + ) ( +. ));
     row "array_binary_subtract" 2 ~fails:May_fail ~fresh:true (fun n ->
@@ -408,14 +411,11 @@ let rows =
       (part_get_1 ~checked:false);
     row "part_get_2" 3 ~fails:May_fail (fun n args ->
         match args with
-        | [| Tensor t; Int i; Int k |] ->
-          let dims = Tensor.dims t in
-          let j1 = part_index dims.(0) i and j2 = part_index dims.(1) k in
-          tensor_get t ((j1 * dims.(1)) + j2)
+        | [| Tensor t; Int i; Int k |] -> tensor_get t (Tensor.flat_index2 t i k)
         | _ -> bad n args);
     row "part_get_row" 2 ~fails:May_fail ~fresh:true (fun n args ->
         match args with
-        | [| Tensor t; Int i |] -> Tensor (Tensor.slice t (part_index (Tensor.dims t).(0) i))
+        | [| Tensor t; Int i |] -> Tensor (Tensor.slice t (Tensor.normalize_index t i))
         | _ -> bad n args);
     (* a store's result is its operand, made unique first unless the
        [_inplace] variant says a pass proved it unaliased *)
@@ -512,7 +512,7 @@ let rows =
           Real (Rand.uniform_range (Tensor.get_real t 0) (Tensor.get_real t 1))
         | _ -> bad n args);
     row "random_integer" 1 ~effect:Random ~fails:May_fail (fun n args ->
-        match args with [| Int hi |] -> Int (Rand.int_range 0 hi) | _ -> bad n args);
+        match args with [| Int hi |] when hi >= 0 -> Int (Rand.int_range 0 hi) | _ -> bad n args);
     row "int_to_expr" 1 (fun n args ->
         match args with [| Int i |] -> Expr (Wolf_wexpr.Expr.Int i) | _ -> bad n args);
     row "real_to_expr" 1 (fun n args ->

@@ -3,12 +3,12 @@
 
     Passes ask a row's facts instead of keeping their own name lists; the
     IR verifier checks every resolved call against the table; backends look
-    a row up once, when they compile a call, and call its [impl] after that.
-    The boxed implementations serve every primitive a backend does not
-    open-code: the WVM for all its operations, the native backends when
-    inlining is disabled (the paper's 10× Mandelbrot ablation reproduces
-    exactly this dispatch overhead), and as the reference semantics for the
-    open-coded fast paths.
+    a row up once, when they compile a call, and call its [impl] or its
+    [scalar] function after that.  The boxed implementations serve every
+    primitive a backend does not open-code: the WVM for its cold
+    operations, the native backends when inlining is disabled (the paper's
+    10× Mandelbrot ablation reproduces exactly this dispatch overhead), and
+    as the reference semantics for the text emitters' open-coded fast paths.
 
     Numerical failures raise [Wolf_base.Errors.Runtime_error], which the
     compiled-function wrapper turns into the soft interpreter fallback. *)
@@ -29,6 +29,27 @@ type failure =
           program computes without the primitive, so a dead one may go. *)
   | May_fail  (** division by zero, bounds, dimensions, coercions, ... *)
 
+(** The unboxed function of a scalar primitive, by its machine types.  A
+    row's [impl] applies the same function to the unboxed operands, so the
+    threaded backend and the WVM, which call it directly, compute what the
+    boxed primitive does. *)
+type scalar =
+  | Int1 of (int -> int)
+  | Int2 of (int -> int -> int)
+  | Real1 of (float -> float)
+  | Real2 of (float -> float -> float)
+  | Real_to_int of (float -> int)
+  | Int_to_real of (int -> float)
+  | Num2 of (int -> int -> int) * (float -> float -> float)
+      (** two [Integer64] operands give an [Integer64], any other pair of
+          numbers a [Real64] *)
+  | Cmp2 of (int -> int -> bool) * (float -> float -> bool)
+      (** the same choice for a comparison; the row's [impl] also orders
+          strings, booleans, expressions and complex numbers *)
+  | Int_test of (int -> bool)
+  | Bool1 of (bool -> bool)
+  | Bool_to_int of (bool -> int)
+
 type t = {
   name : string;                (** base name, e.g. ["checked_binary_plus"] *)
   arity : int;
@@ -38,11 +59,17 @@ type t = {
   specialises : string option;
       (** a pass-made variant ([_unchecked], [_inplace]) names the primitive
           it stands in for; it has that primitive's types *)
+  scalar : scalar option;
+      (** the machine function of a scalar primitive: the rows of machine
+          arithmetic, comparison, rounding and the predicates *)
   impl : Rtval.t array -> Rtval.t;
       (** dispatches on the runtime shapes of the arguments.
           @raise Wolf_base.Errors.Runtime_error on numerical failure or
           shape mismatch *)
 }
+
+val rows : t list
+(** The whole table, one row per primitive. *)
 
 val find : string -> t
 (** The row of a base name.  @raise Invalid_argument on unknown names. *)
@@ -52,3 +79,12 @@ val find_opt : string -> t option
 val holds : string -> (t -> bool) -> bool
 (** [holds base p]: [base] names a row and [p] holds of it.  The question a
     pass asks of a primitive, e.g. [holds base (fun r -> r.effect = Pure)]. *)
+
+val set_flat : Wolf_wexpr.Tensor.t -> int -> Rtval.t -> unit
+(** [set_flat t j v] stores the number [v] at flat position [j] of [t], as
+    [Part] assignment does (an integer into a real tensor converts).
+    @raise Wolf_base.Errors.Runtime_error when [v] is not a number. *)
+
+val pow_ri : float -> int -> float
+(** [x ^ e] for an integer exponent by repeated squaring: the
+    [binary_power_ri] primitive. *)

@@ -47,10 +47,19 @@ val set_int : t -> int -> int -> unit
 val set_real : t -> int -> float -> unit
 (** In-place flat mutation.  Callers are responsible for uniqueness. *)
 
-val normalize_index : t -> int -> int
-(** Wolfram [Part] semantics: 1-based, negative counts from the end.
-    Returns a 0-based flat-major first-axis index.
+val part_index : int -> int -> int
+(** [part_index n i]: Wolfram [Part] semantics on an axis (or string, or
+    argument list) of length [n]: 1-based, negative counts from the end.
+    Returns the 0-based position.  Every [Part] read and store of the
+    interpreter, the runtime primitives and the backends goes through it.
     @raise Wolf_base.Errors.Runtime_error on out-of-range. *)
+
+val normalize_index : t -> int -> int
+(** [part_index] on the first axis. *)
+
+val flat_index2 : t -> int -> int -> int
+(** [flat_index2 t i k]: the flat position of [t[[i, k]]] in a rank-2
+    tensor, each index by [part_index]. *)
 
 val slice : t -> int -> t
 (** [slice t i] is the [i]-th (0-based) sub-tensor along the first axis;

@@ -211,6 +211,22 @@ let test_part_error_soft_failure () =
     Alcotest.(check bool) "not a bogus number" true
       (match v with Expr.Int _ -> false | _ -> true)
 
+(* the row raises Runtime_error on an empty range, so the call reruns in
+   the interpreter, which leaves it unevaluated *)
+let test_random_integer_empty_range () =
+  Wolfram.init ();
+  B.Compiled_function.quiet := true;
+  let src = {|Function[{Typed[n, "Integer64"]}, RandomInteger[n]]|} in
+  List.iter
+    (fun target ->
+       let cf = Wolfram.function_compile ~target ~name:"randneg" (parse src) in
+       (match Wolfram.call cf [ Expr.Int 0 ] with
+        | Expr.Int 0 -> ()
+        | v -> Alcotest.failf "RandomInteger[0]: %s" (Expr.to_string v));
+       Alcotest.check expr "RandomInteger[-1] falls back" (parse "RandomInteger[-1]")
+         (Wolfram.call cf [ Expr.Int (-1) ]))
+    [ Wolfram.Threaded; (if Lazy.force jit_on then Wolfram.Jit else Wolfram.Threaded) ]
+
 let test_abort_compiled () =
   Wolfram.init ();
   let src =
@@ -805,6 +821,8 @@ let tests =
     Alcotest.test_case "recursion" `Quick test_recursion;
     Alcotest.test_case "soft numerical failure (F2)" `Quick test_soft_failure_both_backends;
     Alcotest.test_case "part-error soft failure" `Quick test_part_error_soft_failure;
+    Alcotest.test_case "RandomInteger of an empty range falls back" `Quick
+      test_random_integer_empty_range;
     Alcotest.test_case "abortable compiled loops (F3)" `Quick test_abort_compiled;
     Alcotest.test_case "strided polls stay abortable" `Quick test_abort_strided_loop;
     Alcotest.test_case "Abort[] request via the unarmed fast path" `Quick

@@ -32,6 +32,8 @@ let arithmetic =
       ("unary minus", "-(3 + 4)", "-7");
       ("mod sign follows divisor", "Mod[-7, 3]", "2");
       ("quotient floors", "Quotient[-7, 2]", "-4");
+      ("quotient of the minimum by -1 promotes", "Quotient[-4611686018427387903 - 1, -1]",
+       "4611686018427387904");
       ("abs", "Abs[-9]", "9");
       ("abs real", "Abs[-2.5]", "2.5");
       ("min flattens lists", "Min[{3, 1, 2}]", "1");
@@ -202,7 +204,10 @@ let random =
       ("integer bounds",
        "SeedRandom[2]; AllTrue[Table[RandomInteger[{5, 9}], {20}], 5 <= # <= 9 &]",
        "True");
-      ("matrix dims", "SeedRandom[3]; Length[RandomReal[1, {4, 2}]]", "4") ]
+      ("matrix dims", "SeedRandom[3]; Length[RandomReal[1, {4, 2}]]", "4");
+      ("an empty range stays unevaluated", "RandomInteger[-1]", "RandomInteger[-1]");
+      ("an empty pair range stays unevaluated", "RandomInteger[{3, 1}, 2]",
+       "RandomInteger[{3, 1}, 2]") ]
 
 let test_abort_interpreter () =
   K.Session.reset ();

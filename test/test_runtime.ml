@@ -81,6 +81,64 @@ let test_prims_dispatch () =
   | exception Errors.Runtime_error Errors.Integer_overflow -> ()
   | exception e -> Alcotest.failf "wrong failure: %s" (Printexc.to_string e)
 
+(* A row's boxed [impl] computes its scalar form's function: the threaded
+   backend and the WVM call the form, everything else calls [impl].  The
+   rows that keep their own [impl] (comparisons, identities) are the ones
+   this can catch. *)
+let test_scalar_forms_match_impl () =
+  let ints = [ min_int; min_int + 1; -7; -1; 0; 1; 2; 63; max_int ] in
+  let reals = [ neg_infinity; -2.5; -0.0; 0.0; 0.5; 3.0; infinity; Float.nan ] in
+  let same what expected f =
+    let got = match f () with v -> Ok v | exception Errors.Runtime_error e -> Error e in
+    let expected = match expected () with v -> Ok v | exception Errors.Runtime_error e -> Error e in
+    let ok =
+      match expected, got with
+      | Ok a, Ok b -> Rtval.equal a b || (match a, b with
+          | Rtval.Real x, Rtval.Real y -> Float.is_nan x && Float.is_nan y
+          | _ -> false)
+      | Error a, Error b -> a = b
+      | _ -> false
+    in
+    if not ok then Alcotest.failf "%s: impl differs from its scalar form" what
+  in
+  let pairs l = List.concat_map (fun a -> List.map (fun b -> (a, b)) l) l in
+  let n = ref 0 in
+  List.iter
+    (fun (r : Prims.t) ->
+       let impl args () = r.impl args in
+       let i x = Rtval.Int x and re x = Rtval.Real x and b x = Rtval.Bool x in
+       let each l f = List.iter (fun x -> incr n; f x) l in
+       match r.scalar with
+       | None -> ()
+       | Some (Int1 f) -> each ints (fun a -> same r.name (fun () -> i (f a)) (impl [| i a |]))
+       | Some (Int2 f) ->
+         each (pairs ints) (fun (a, c) -> same r.name (fun () -> i (f a c)) (impl [| i a; i c |]))
+       | Some (Real1 f) -> each reals (fun a -> same r.name (fun () -> re (f a)) (impl [| re a |]))
+       | Some (Real2 f) ->
+         each (pairs reals) (fun (a, c) -> same r.name (fun () -> re (f a c)) (impl [| re a; re c |]))
+       | Some (Real_to_int f) ->
+         each reals (fun a -> same r.name (fun () -> i (f a)) (impl [| re a |]))
+       | Some (Int_to_real f) -> each ints (fun a -> same r.name (fun () -> re (f a)) (impl [| i a |]))
+       | Some (Num2 (fi, fr)) ->
+         each (pairs ints) (fun (a, c) -> same r.name (fun () -> i (fi a c)) (impl [| i a; i c |]));
+         each (pairs reals) (fun (a, c) -> same r.name (fun () -> re (fr a c)) (impl [| re a; re c |]))
+       | Some (Cmp2 (fi, fr)) ->
+         each (pairs ints) (fun (a, c) -> same r.name (fun () -> b (fi a c)) (impl [| i a; i c |]));
+         each (pairs reals) (fun (a, c) -> same r.name (fun () -> b (fr a c)) (impl [| re a; re c |]))
+       | Some (Int_test f) -> each ints (fun a -> same r.name (fun () -> b (f a)) (impl [| i a |]))
+       | Some (Bool1 f) -> each [ true; false ] (fun a -> same r.name (fun () -> b (f a)) (impl [| b a |]))
+       | Some (Bool_to_int f) ->
+         each [ true; false ] (fun a -> same r.name (fun () -> i (f a)) (impl [| b a |])))
+    Prims.rows;
+  Alcotest.(check bool) "the forms were exercised" true (!n > 1000);
+  (* Abs of the minimum integer is out of range: the call must fall back *)
+  match (Prims.find "checked_unary_abs").scalar with
+  | Some (Int1 f) ->
+    (match f min_int with
+     | _ -> Alcotest.fail "Abs of the minimum integer did not overflow"
+     | exception Errors.Runtime_error Errors.Integer_overflow -> ())
+  | _ -> Alcotest.fail "checked_unary_abs has no Int1 form"
+
 let test_checked_arithmetic_edges () =
   Alcotest.(check int) "add at boundary" max_int (Checked.add (max_int - 1) 1);
   (match Checked.neg min_int with
@@ -155,6 +213,7 @@ let tests =
     Alcotest.test_case "unboxing shapes" `Quick test_unboxing_shapes;
     Alcotest.test_case "accessor mismatches" `Quick test_accessor_mismatches;
     Alcotest.test_case "primitive dispatch" `Quick test_prims_dispatch;
+    Alcotest.test_case "scalar forms match their boxed rows" `Quick test_scalar_forms_match_impl;
     Alcotest.test_case "checked arithmetic edges" `Quick test_checked_arithmetic_edges;
     Alcotest.test_case "PRNG determinism" `Quick test_rand_determinism;
     Alcotest.test_case "kernel hook" `Quick test_hooks_default;
