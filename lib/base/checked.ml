@@ -1,26 +1,22 @@
 let overflow () = raise (Errors.Runtime_error Errors.Integer_overflow)
 let div_zero () = raise (Errors.Runtime_error Errors.Division_by_zero)
 
-let add_opt a b =
-  let s = a + b in
-  (* Overflow iff operands share a sign that the sum does not. *)
-  if (a >= 0) = (b >= 0) && (s >= 0) <> (a >= 0) then None else Some s
+(* Overflow iff operands share a sign that the sum does not. *)
+let[@inline] add_overflows a b s = (a >= 0) = (b >= 0) && (s >= 0) <> (a >= 0)
+let[@inline] sub_overflows a b s = (a >= 0) <> (b >= 0) && (s >= 0) <> (a >= 0)
 
-let sub_opt a b =
-  let s = a - b in
-  if (a >= 0) <> (b >= 0) && (s >= 0) <> (a >= 0) then None else Some s
+let[@inline] mul_overflows a b p =
+  a <> 0 && b <> 0 && (p / b <> a || (a = -1 && b = min_int) || (b = -1 && a = min_int))
 
-let mul_opt a b =
-  if a = 0 || b = 0 then Some 0
-  else begin
-    let p = a * b in
-    if p / b <> a || (a = -1 && b = min_int) || (b = -1 && a = min_int) then None
-    else Some p
-  end
+let add_opt a b = let s = a + b in if add_overflows a b s then None else Some s
+let sub_opt a b = let s = a - b in if sub_overflows a b s then None else Some s
+let mul_opt a b = let p = a * b in if mul_overflows a b p then None else Some p
 
-let add a b = match add_opt a b with Some v -> v | None -> overflow ()
-let sub a b = match sub_opt a b with Some v -> v | None -> overflow ()
-let mul a b = match mul_opt a b with Some v -> v | None -> overflow ()
+(* the raising forms build no option: compiled code runs them on every
+   machine-integer add, subtract and multiply *)
+let add a b = let s = a + b in if add_overflows a b s then overflow () else s
+let sub a b = let s = a - b in if sub_overflows a b s then overflow () else s
+let mul a b = let p = a * b in if mul_overflows a b p then overflow () else p
 let neg a = if a = min_int then overflow () else -a
 
 (* Wolfram's Quotient is floored division *)
