@@ -8,12 +8,7 @@ let sym_of = function Expr.Sym s -> Some s | _ -> None
 (* ------------------------------------------------------------------ *)
 (* Part access                                                         *)
 
-let list_index args i =
-  let n = Array.length args in
-  let j = if i < 0 then n + i else i - 1 in
-  if i = 0 || j < 0 || j >= n then
-    raise (Errors.Runtime_error (Errors.Part_out_of_range (i, n)))
-  else j
+let list_index args i = Tensor.part_index (Array.length args) i
 
 let rec part_get e idxs =
   match idxs with
