@@ -464,13 +464,8 @@ let build_cmd =
       | None, Some f -> Filename.remove_extension (Filename.basename f)
       | None, None -> "a.out"
     in
-    let fexpr = Parser.parse src in
-    match Wolf_compiler.Pipeline.compile ~options ~name:output fexpr with
-    | exception e ->
-      Printf.eprintf "wolfc build: compile failed: %s\n" (Printexc.to_string e);
-      1
-    | compiled ->
-      (match Wolf_backends.C_emit.emit_standalone compiled with
+    let compiled = Wolf_compiler.Pipeline.compile ~options ~name:output (Parser.parse src) in
+    (match Wolf_backends.C_emit.emit_standalone compiled with
        | Error e -> Printf.eprintf "wolfc build: %s\n" e; 1
        | Ok emitted ->
          let cflags =
@@ -568,15 +563,18 @@ let fuzz_cmd =
     in
     let whiles_before = jit_loops "while" and blocks_before = jit_loops "blocks" in
     let rejected_before = Wolf_backends.Jit.rejected () in
+    let mismatches () = Wolf_obs.Metrics.counter_value Wolf_runtime.Prims.view_mismatches in
+    let mismatches_before = mismatches () in
     let report = Driver.run cfg in
     let jit_selected = List.exists (fun a -> a.Oracle.name = "jit") arms in
     let jit_whiles = jit_loops "while" - whiles_before in
     let jit_rejected = Wolf_backends.Jit.rejected () - rejected_before in
+    let jit_mismatches = mismatches () - mismatches_before in
     if jit_selected then
       Printf.printf
         "fuzz: jit arm emitted %d while loop(s), kept %d loop(s) as blocks; \
-         ocamlopt rejected %d module(s)\n"
-        jit_whiles (jit_loops "blocks" - blocks_before) jit_rejected;
+         ocamlopt rejected %d module(s); %d view mismatch(es)\n"
+        jit_whiles (jit_loops "blocks" - blocks_before) jit_rejected jit_mismatches;
     Printf.printf "fuzz: %d programs, %d disagreement(s)\n" report.generated
       report.disagreements;
     let par_selected = List.exists (fun a -> a.Oracle.name = "par") arms in
@@ -598,6 +596,15 @@ let fuzz_cmd =
       prerr_endline
         "fuzz: ocamlopt rejected generated code (each module and its .ml.log are in \
          $TMPDIR/wolfram-compiler-jit)";
+      1
+    end
+    else if jit_selected && jit_mismatches > 0 then begin
+      (* a view bound to a tensor of another element type or rank falls back
+         to the interpreter: the values agree, but some producer returned a
+         representation its TWIR type does not declare *)
+      prerr_endline
+        "fuzz: jit code bound an array view to a tensor of another element type or \
+         rank (jit_view_mismatches_total)";
       1
     end
     else if jit_selected && count >= 100 && jit_whiles = 0 then begin
@@ -1470,8 +1477,21 @@ let () =
     Cmd.info "wolfc" ~version:(fst Wolf_backends.Compiled_function.versions)
       ~doc:"Wolfram Language compiler reproduction (CGO 2020)."
   in
-  exit (Cmd.eval' (Cmd.group info
-                     [ emit_cmd; run_cmd; compile_cmd; build_cmd; eval_cmd; fuzz_cmd;
-                       stats_cmd; obs_check_cmd; repl_cmd; cache_cmd;
-                       wolfd_cmd; connect_cmd; flight_cmd; top_cmd;
-                       bench_cmd; twir_digest_cmd ]))
+  let cmd =
+    Cmd.group info
+      [ emit_cmd; run_cmd; compile_cmd; build_cmd; eval_cmd; fuzz_cmd;
+        stats_cmd; obs_check_cmd; repl_cmd; cache_cmd;
+        wolfd_cmd; connect_cmd; flight_cmd; top_cmd;
+        bench_cmd; twir_digest_cmd ]
+  in
+  (* a program the user got wrong is one line and exit 1, not a crash *)
+  let fail kind msg = Printf.eprintf "wolfc: %s: %s\n" kind msg; 1 in
+  exit
+    (match Cmd.eval' ~catch:false cmd with
+     | code -> code
+     | exception Parser.Parse_error m -> fail "parse error" m
+     | exception Wolf_base.Errors.Compile_error m -> fail "compile error" m
+     | exception e ->
+       Printf.eprintf "wolfc: internal error, uncaught exception:\n%s\n%s" (Printexc.to_string e)
+         (Printexc.get_backtrace ());
+       Cmd.Exit.internal_error)

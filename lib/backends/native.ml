@@ -298,7 +298,7 @@ let compile_instr ctx (i : instr) : frame -> unit =
         Atomic.set budget stride;
         Abort_signal.check ()
       end
-  | Copy { dst; src } | Copy_value { dst; src } ->
+  | Copy { dst; src } ->
     (match (slot_of ctx dst).bank with
      | I -> let g = get_i ctx src and set = set_i ctx dst in fun fr -> set fr (g fr)
      | R -> let g = get_r ctx src and set = set_r ctx dst in fun fr -> set fr (g fr)

@@ -154,13 +154,12 @@ let as_real_expr ctx op =
 
 module IS = Set.Make (Int)
 
-(* Typed array views.  A PackedArray[Integer64|Real64, r] variable whose
-   elements the code reads or stores gets, wherever it is bound, its data
-   array (v<id>_a), its dims (v<id>_d<k>) and a representation check
-   (v<id>_ok) bound once as locals.  The check is false when the data is not
-   of the TWIR element type or rank; each element access then goes through
-   the generic wolf_iread/wolf_rread/wolf_iwrite/wolf_rwrite, which convert
-   as before, so a view never changes a result. *)
+(* Typed array views.  A PackedArray[Integer64|Real64, r] tensor whose
+   elements the code reads or stores is accessed through its view: its data
+   array (<t>_a) and dims (<t>_d<k>), bound once as locals wherever the
+   tensor is bound.  Projecting the data array checks the element type and
+   the rank; on a mismatch it raises, so the call falls back softly to the
+   interpreter, and an element access is a plain unsafe_get or unsafe_set. *)
 type vkind = Vints | Vreals
 
 let view_shape ty =
@@ -172,14 +171,14 @@ let view_shape ty =
      | _ -> None)
   | _ -> None
 
-(* (suffix, projection) for each local of a view of the tensor expression [t] *)
+(* (local, projection) for each local of the view of tensor [t]; the data
+   array comes first, so the rank is checked before a dim is read *)
 let view_parts (kind, r) t =
-  let data, ok =
-    match kind with Vints -> ("wolf_ints", "wolf_is_ints") | Vreals -> ("wolf_reals", "wolf_is_reals")
-  in
-  ("a", Printf.sprintf "(%s %s)" data t)
-  :: ("ok", Printf.sprintf "(%s %s %d)" ok t r)
-  :: List.init r (fun k -> (Printf.sprintf "d%d" k, Printf.sprintf "(wolf_dim %s %d)" t k))
+  let data = match kind with Vints -> "wolf_ints" | Vreals -> "wolf_reals" in
+  (t ^ "_a", Printf.sprintf "(%s %s %d)" data t r)
+  :: List.init r (fun k -> (Printf.sprintf "%s_d%d" t k, Printf.sprintf "(wolf_dim %s %d)" t k))
+
+let view_locals shape t = List.map fst (view_parts shape t)
 
 let int_lit i = if i < 0 then Printf.sprintf "(%d)" i else string_of_int i
 
@@ -248,7 +247,12 @@ let prim_expr ctx ~base ~(args : operand array) ~dst_ty : string option =
   | "binary_plus" when dst_is "Real64" -> Some (Printf.sprintf "%s +. %s" (ri 0) (ri 1))
   | "binary_subtract" when dst_is "Real64" -> Some (Printf.sprintf "%s -. %s" (ri 0) (ri 1))
   | "binary_times" when dst_is "Real64" -> Some (Printf.sprintf "%s *. %s" (ri 0) (ri 1))
-  | "binary_divide" when dst_is "Real64" -> Some (Printf.sprintf "%s /. %s" (ri 0) (ri 1))
+  | "binary_divide" when dst_is "Real64" ->
+    (* the row raises on a zero divisor; a non-zero literal needs no test *)
+    (match args.(1) with
+     | Oconst (Creal d) when d <> 0.0 -> Some (Printf.sprintf "%s /. %s" (ri 0) (ri 1))
+     | Oconst (Cint c) when c <> 0 -> Some (Printf.sprintf "%s /. %s" (ri 0) (ri 1))
+     | _ -> Some (Printf.sprintf "wolf_fdiv %s %s" (ri 0) (ri 1)))
   | "binary_power" when dst_is "Real64" -> Some (Printf.sprintf "Float.pow %s %s" (ri 0) (ri 1))
   | "binary_power_ri" when dst_is "Real64" ->
     (match args.(1) with
@@ -330,34 +334,6 @@ let prim_expr ctx ~base ~(args : operand array) ~dst_ty : string option =
     Some (Printf.sprintf "Char.code (String.unsafe_get %s (%s - 1))" (a 0) (ii 1))
   | "string_join" -> Some (Printf.sprintf "%s ^ %s" (a 0) (a 1))
   | "array_length" -> Some (Printf.sprintf "(Wolf_wexpr.Tensor.dims %s).(0)" (a 0))
-  | "part_get_1" when dst_is "Integer64" ->
-    Some (Printf.sprintf "wolf_part1_int %s %s" (a 0) (ii 1))
-  | "part_get_1" when dst_is "Real64" ->
-    Some (Printf.sprintf "wolf_part1_real %s %s" (a 0) (ii 1))
-  | "part_get_1_unchecked" when dst_is "Integer64" ->
-    Some (Printf.sprintf "wolf_iread %s (%s - 1)" (a 0) (ii 1))
-  | "part_get_1_unchecked" when dst_is "Real64" ->
-    Some (Printf.sprintf "wolf_rread %s (%s - 1)" (a 0) (ii 1))
-  | "part_get_2" when dst_is "Integer64" ->
-    Some (Printf.sprintf "(wolf_part2_int %s %s %s)" (a 0) (ii 1) (ii 2))
-  | "part_get_2" when dst_is "Real64" ->
-    Some (Printf.sprintf "(wolf_part2_real %s %s %s)" (a 0) (ii 1) (ii 2))
-  | "part_set_1" | "part_set_1_inplace" ->
-    let inplace = if base = "part_set_1_inplace" then "true" else "false" in
-    (match Types.repr (op_ty_of args.(2)) with
-     | Types.Con ("Integer64", _) ->
-       Some (Printf.sprintf "(wolf_set1_int ~inplace:%s %s %s %s)" inplace (a 0) (ii 1) (a 2))
-     | Types.Con ("Real64", _) ->
-       Some (Printf.sprintf "(wolf_set1_real ~inplace:%s %s %s %s)" inplace (a 0) (ii 1) (ri 2))
-     | _ -> None)
-  | "part_set_2" | "part_set_2_inplace" ->
-    let inplace = if base = "part_set_2_inplace" then "true" else "false" in
-    (match Types.repr (op_ty_of args.(3)) with
-     | Types.Con ("Integer64", _) ->
-       Some (Printf.sprintf "(wolf_set2_int ~inplace:%s %s %s %s %s)" inplace (a 0) (ii 1) (ii 2) (a 3))
-     | Types.Con ("Real64", _) ->
-       Some (Printf.sprintf "(wolf_set2_real ~inplace:%s %s %s %s %s)" inplace (a 0) (ii 1) (ii 2) (ri 3))
-     | _ -> None)
   | _ -> None
 
 let prelude = {|
@@ -407,6 +383,9 @@ let[@inline always] wolf_quotient a b =
     if (a < 0) <> (b < 0) && a mod b <> 0 then q - 1 else q
   end
 
+let[@inline always] wolf_fdiv (a : float) b =
+  if b = 0.0 then raise (Wolf_rt Wolf_base.Errors.Division_by_zero) else a /. b
+
 let[@inline always] wolf_neg a =
   if a = min_int then raise (Wolf_rt Wolf_base.Errors.Integer_overflow) else -a
 
@@ -428,14 +407,12 @@ let[@inline always] wolf_string_byte s i =
     raise (Wolf_rt (Wolf_base.Errors.Part_out_of_range (i, n)));
   Char.code (String.unsafe_get s j)
 
-(* Packed arrays: element access open-coded over the private representation
-   so the JIT competes with hand-written loops (no cross-module calls).
-   Wolfram Part indexing of one axis of length [n], and of a rank-2 array
-   of dims [n; m], flat and 0-based. *)
-(* the common case 1 <= i <= n in one test: both i - 1 and n - i are
-   non-negative (a wrapped difference is negative).  The other cases raise
-   in line rather than call out: a call would make ocamlopt spill the
-   loop's live values on the hot path. *)
+(* Packed arrays.  Wolfram Part indexing of one axis of length [n], and of
+   a rank-2 array of dims [n; m], flat and 0-based: the common case
+   1 <= i <= n in one test (both i - 1 and n - i are non-negative; a
+   wrapped difference is negative).  The other cases raise in line rather
+   than call out: a call would make ocamlopt spill the loop's live values
+   on the hot path. *)
 let[@inline always] wolf_vindex1 n i =
   let j = i - 1 in
   if j lor (n - i) >= 0 then j
@@ -445,89 +422,23 @@ let[@inline always] wolf_vindex1 n i =
     else raise (Wolf_rt (Wolf_base.Errors.Part_out_of_range (i, n)))
   end
 
-let[@inline always] wolf_vflat2 n m i k =
-  let j1 = i - 1 and j2 = k - 1 in
-  if j1 lor (n - i) lor j2 lor (m - k) >= 0 then (j1 * m) + j2
-  else begin
-    let j1 = wolf_vindex1 n i in
-    let j2 = wolf_vindex1 m k in
-    (j1 * m) + j2
-  end
-
-let[@inline always] wolf_index1 (t : Wolf_wexpr.Tensor.t) i =
-  wolf_vindex1 (Array.unsafe_get t.Wolf_wexpr.Tensor.dims 0) i
-
-let[@inline always] wolf_flat2 (t : Wolf_wexpr.Tensor.t) i k =
-  let dims = t.Wolf_wexpr.Tensor.dims in
-  wolf_vflat2 (Array.unsafe_get dims 0) (Array.unsafe_get dims 1) i k
-
-(* typed views: projected once per binding of a tensor variable *)
-let[@inline always] wolf_ints (t : Wolf_wexpr.Tensor.t) =
+(* typed views: projected once per binding of a tensor variable; a tensor
+   whose element type or rank is not the view's raises *)
+let[@inline always] wolf_ints (t : Wolf_wexpr.Tensor.t) r =
   match t.Wolf_wexpr.Tensor.data with
-  | Wolf_wexpr.Tensor.Ints a -> a
-  | Wolf_wexpr.Tensor.Reals _ -> [||]
+  | Wolf_wexpr.Tensor.Ints a when Array.length t.Wolf_wexpr.Tensor.dims = r -> a
+  | _ -> Wolf_runtime.Prims.view_mismatch ()
 
-let[@inline always] wolf_reals (t : Wolf_wexpr.Tensor.t) =
+let[@inline always] wolf_reals (t : Wolf_wexpr.Tensor.t) r =
   match t.Wolf_wexpr.Tensor.data with
-  | Wolf_wexpr.Tensor.Reals a -> a
-  | Wolf_wexpr.Tensor.Ints _ -> [||]
+  | Wolf_wexpr.Tensor.Reals a when Array.length t.Wolf_wexpr.Tensor.dims = r -> a
+  | _ -> Wolf_runtime.Prims.view_mismatch ()
 
-let[@inline always] wolf_is_ints (t : Wolf_wexpr.Tensor.t) r =
-  (match t.Wolf_wexpr.Tensor.data with Wolf_wexpr.Tensor.Ints _ -> true | _ -> false)
-  && Array.length t.Wolf_wexpr.Tensor.dims = r
-
-let[@inline always] wolf_is_reals (t : Wolf_wexpr.Tensor.t) r =
-  (match t.Wolf_wexpr.Tensor.data with Wolf_wexpr.Tensor.Reals _ -> true | _ -> false)
-  && Array.length t.Wolf_wexpr.Tensor.dims = r
-
-let[@inline always] wolf_dim (t : Wolf_wexpr.Tensor.t) k =
-  let d = t.Wolf_wexpr.Tensor.dims in
-  if k < Array.length d then Array.unsafe_get d k else 0
-
-let[@inline always] wolf_iread (t : Wolf_wexpr.Tensor.t) j =
-  match t.Wolf_wexpr.Tensor.data with
-  | Wolf_wexpr.Tensor.Ints a -> Array.unsafe_get a j
-  | Wolf_wexpr.Tensor.Reals a -> int_of_float (Array.unsafe_get a j)
-
-let[@inline always] wolf_rread (t : Wolf_wexpr.Tensor.t) j =
-  match t.Wolf_wexpr.Tensor.data with
-  | Wolf_wexpr.Tensor.Reals a -> Array.unsafe_get a j
-  | Wolf_wexpr.Tensor.Ints a -> float_of_int (Array.unsafe_get a j)
-
-let[@inline always] wolf_iwrite (t : Wolf_wexpr.Tensor.t) j v =
-  match t.Wolf_wexpr.Tensor.data with
-  | Wolf_wexpr.Tensor.Ints a -> Array.unsafe_set a j v
-  | Wolf_wexpr.Tensor.Reals a -> Array.unsafe_set a j (float_of_int v)
-
-let[@inline always] wolf_rwrite (t : Wolf_wexpr.Tensor.t) j v =
-  match t.Wolf_wexpr.Tensor.data with
-  | Wolf_wexpr.Tensor.Reals a -> Array.unsafe_set a j v
-  | Wolf_wexpr.Tensor.Ints a -> Array.unsafe_set a j (int_of_float v)
-
-let[@inline always] wolf_part1_int t i = wolf_iread t (wolf_index1 t i)
-let[@inline always] wolf_part1_real t i = wolf_rread t (wolf_index1 t i)
-let[@inline always] wolf_part2_int t i k = wolf_iread t (wolf_flat2 t i k)
-let[@inline always] wolf_part2_real t i k = wolf_rread t (wolf_flat2 t i k)
+let[@inline always] wolf_dim (t : Wolf_wexpr.Tensor.t) k = Array.unsafe_get t.Wolf_wexpr.Tensor.dims k
 
 let[@inline always] wolf_cow ~inplace (t : Wolf_wexpr.Tensor.t) =
   if inplace || t.Wolf_wexpr.Tensor.refcount <= 1 then t
   else Wolf_wexpr.Tensor.ensure_unique t
-
-let[@inline always] wolf_set1_int ~inplace t i v =
-  let t = wolf_cow ~inplace t in
-  wolf_iwrite t (wolf_index1 t i) v; t
-
-let[@inline always] wolf_set1_real ~inplace t i v =
-  let t = wolf_cow ~inplace t in
-  wolf_rwrite t (wolf_index1 t i) v; t
-
-let[@inline always] wolf_set2_int ~inplace t i k v =
-  let t = wolf_cow ~inplace t in
-  wolf_iwrite t (wolf_flat2 t i k) v; t
-
-let[@inline always] wolf_set2_real ~inplace t i k v =
-  let t = wolf_cow ~inplace t in
-  wolf_rwrite t (wolf_flat2 t i k) v; t
 
 (* Abort_signal.check written out: plugins see only .cmi files, so the
    call would not be inlined across the module boundary *)
@@ -836,51 +747,65 @@ let viewed_vars ctx (f : func) =
   end;
   t
 
-(* The view locals of operand [a] seen as [shape]: the names of [a]'s bound
-   view, or projections of [a]. *)
-let view_of ctx env shape a =
-  match a with
-  | Ovar s when IS.mem s.vid env.views && view_shape (var_ty s) = Some shape ->
-    List.map (fun (sfx, _) -> (sfx, Printf.sprintf "v%d_%s" s.vid sfx)) (view_parts shape "")
-  | _ -> view_parts shape (operand_expr ctx a)
+let bind_parts b env shape t =
+  List.iter (fun (x, e) -> add_line b env (Printf.sprintf "let %s = %s in" x e)) (view_parts shape t)
 
-(* Bind the view of [v], if it gets one, from [src]: [v] is being bound to
-   [src], or rebound, and any view [v] had is of its old value. *)
-let bind_view ctx b ~viewed env (v : var) (src : operand) =
+(* The tensor whose view locals of [shape] stand for operand [a], with the
+   environment they are bound in: a variable's view, bound here if it is not
+   bound yet, or a literal's constant, projected in line. *)
+let view_of ctx b env shape a =
+  match a with
+  | Ovar s when view_shape (var_ty s) = Some shape ->
+    let t = Printf.sprintf "v%d" s.vid in
+    if IS.mem s.vid env.views then (env, t)
+    else begin
+      bind_parts b env shape t;
+      ({ env with views = IS.add s.vid env.views }, t)
+    end
+  | _ ->
+    let t = operand_expr ctx a in
+    bind_parts b env shape t;
+    (env, t)
+
+(* Bind the view of [v], if it gets one: [v] is being bound to [src], or
+   rebound, and any view [v] had is of its old value.  A variable source
+   with a bound view lends its locals; anything else is projected from [v]. *)
+let bind_view b ~viewed env (v : var) (src : operand) =
   match view_shape (var_ty v) with
   | Some shape when Hashtbl.mem viewed v.vid ->
-    List.iter
-      (fun (sfx, e) -> add_line b env (Printf.sprintf "let v%d_%s = %s in" v.vid sfx e))
-      (view_of ctx { env with views = IS.remove v.vid env.views } shape src);
+    let env = { env with views = IS.remove v.vid env.views } in
+    let t = Printf.sprintf "v%d" v.vid in
+    (match src with
+     | Ovar s when IS.mem s.vid env.views && view_shape (var_ty s) = Some shape ->
+       List.iter2
+         (fun x y -> add_line b env (Printf.sprintf "let %s = %s in" x y))
+         (view_locals shape t) (view_locals shape (Printf.sprintf "v%d" s.vid))
+     | _ -> bind_parts b env shape t);
     { env with views = IS.add v.vid env.views }
   | _ -> env
 
-let project ctx b ~viewed env v = bind_view ctx b ~viewed env v (Ovar v)
+let project b ~viewed env v = bind_view b ~viewed env v (Ovar v)
 
-(* The flat index of an element of [t]'s view: Wolfram Part checks of each
-   axis (the helpers' checks and payloads, from the projected dims), each
-   bound once and reused by later accesses in scope with the same dims and
-   index.  A reused check passed earlier on every path to the access, so the
-   first failing check, and its error, is the same as without reuse.  The
-   checks run whatever the view's representation check says: with the
-   element type wrong they are the helpers' own checks on the same dims;
-   with the rank wrong the helpers would read past the dims array, while a
-   missing axis here has length 0 and fails its check. *)
-let view_index ctx b env ~(dst : var) (t : var) (idx : operand array) =
+(* The flat index of an element of [t]'s view: the Wolfram Part check of
+   each axis against the projected dims, each bound once and reused by later
+   accesses in scope with the same dims and index.  A reused check passed
+   earlier on every path to the access, so the first failing check, and its
+   error, is the same as without reuse. *)
+let view_index ctx b env ~(dst : var) t (idx : operand array) =
   let env = ref env in
   let js =
     Array.mapi
       (fun k op ->
          let e = as_int_expr ctx op in
-         let key = Printf.sprintf "v%d_d%d %s" t.vid k e in
+         let key = Printf.sprintf "%s_d%d %s" t k e in
          match List.assoc_opt key !env.checked with
          | Some j -> j
          | None ->
            let j = Printf.sprintf "v%d_j%d" dst.vid k in
            (* a row index is bound as the row's offset *)
-           let scale = if k = 0 && Array.length idx = 2 then Printf.sprintf " * v%d_d1" t.vid else "" in
+           let scale = if k = 0 && Array.length idx = 2 then Printf.sprintf " * %s_d1" t else "" in
            add_line b !env
-             (Printf.sprintf "let %s = wolf_vindex1 v%d_d%d %s%s in" j t.vid k e scale);
+             (Printf.sprintf "let %s = wolf_vindex1 %s_d%d %s%s in" j t k e scale);
            env := { !env with checked = (key, j) :: !env.checked };
            j)
       idx
@@ -900,53 +825,47 @@ let elem_kind ty =
   | Types.Con ("Real64", _) -> Some Vreals
   | _ -> None
 
-let letter = function Vints -> "i" | Vreals -> "r"
-
-(* An element read through a view, or None for the generic helpers. *)
+(* An element read through a view, or None when the result is not an
+   element (a row of a matrix), which is a boxed call. *)
 let view_read ctx b env ~(dst : var) ~base ~(args : operand array) =
   let rank = if base = "part_get_2" then 2 else 1 in
-  match args.(0), elem_kind (var_ty dst) with
-  | Ovar t, Some kind
-    when IS.mem t.vid env.views && view_shape (var_ty t) = Some (kind, rank) ->
+  match elem_kind (var_ty dst) with
+  | Some kind when view_shape (op_ty_of args.(0)) = Some (kind, rank) ->
+    let env, t = view_of ctx b env (kind, rank) args.(0) in
     let env, index =
       if base = "part_get_1_unchecked" then (env, Printf.sprintf "%s - 1" (as_int_expr ctx args.(1)))
       else view_index ctx b env ~dst t (Array.sub args 1 rank)
     in
     add_line b env
-      (Printf.sprintf "let v%d : %s = if v%d_ok then Array.unsafe_get v%d_a (%s) else wolf_%sread v%d (%s) in"
-         dst.vid (ocaml_ty (var_ty dst)) t.vid t.vid index (letter kind) t.vid index);
+      (Printf.sprintf "let v%d : %s = Array.unsafe_get %s_a (%s) in"
+         dst.vid (ocaml_ty (var_ty dst)) t index);
     Some env
   | _ -> None
 
-(* A store through a view: the copy-on-write test as today, then the data
-   array of the result (the copy has the operand's dims and element type, so
-   its check and dims are the operand's), then the checked write. *)
-let view_store ctx b ~viewed env ~dst ~base ~(args : operand array) =
+(* A store through a view: the copy-on-write test, then the view of the
+   result, then the checked write. *)
+let view_store ctx b env ~dst ~base ~(args : operand array) =
   let rank = if base = "part_set_1" || base = "part_set_1_inplace" then 1 else 2 in
   let value = args.(rank + 1) in
-  match args.(0), elem_kind (op_ty_of value) with
-  | Ovar t, Some kind
-    when IS.mem t.vid env.views && Hashtbl.mem viewed dst.vid
-         && view_shape (var_ty t) = Some (kind, rank)
+  match elem_kind (op_ty_of value) with
+  | Some kind
+    when view_shape (op_ty_of args.(0)) = Some (kind, rank)
          && view_shape (var_ty dst) = Some (kind, rank) ->
+    let shape = (kind, rank) in
+    let env, t = view_of ctx b env shape args.(0) in
     let line fmt = Printf.ksprintf (add_line b env) fmt in
     let inplace = base = "part_set_1_inplace" || base = "part_set_2_inplace" in
-    line "let v%d : Wolf_wexpr.Tensor.t = wolf_cow ~inplace:%b v%d in" dst.vid inplace t.vid;
-    List.iter
-      (fun (sfx, e) ->
-         if sfx = "a" then line "let v%d_a = %s in" dst.vid e
-         else line "let v%d_%s = v%d_%s in" dst.vid sfx t.vid sfx)
-      (view_parts (kind, rank) (Printf.sprintf "v%d" dst.vid));
+    let d = Printf.sprintf "v%d" dst.vid in
+    line "let %s : Wolf_wexpr.Tensor.t = wolf_cow ~inplace:%b %s in" d inplace t;
+    bind_parts b env shape d;
     let env, index = view_index ctx b env ~dst t (Array.sub args 1 rank) in
-    let v = operand_expr ctx value in
-    line "let () = if v%d_ok then Array.unsafe_set v%d_a (%s) %s else wolf_%swrite v%d (%s) %s in"
-      dst.vid dst.vid index v (letter kind) dst.vid index v;
+    line "let () = Array.unsafe_set %s_a (%s) %s in" d index (operand_expr ctx value);
     Some { env with views = IS.add dst.vid env.views }
   | _ -> None
 
 let emit_instr ctx b ~viewed env i =
   let line fmt = Printf.ksprintf (add_line b env) fmt in
-  let defined (dst : var) = project ctx b ~viewed env dst in
+  let defined (dst : var) = project b ~viewed env dst in
   match i with
   | Load_argument _ -> env
   | Abort_check -> line "let () = wolf_abort_check () in"; env
@@ -958,10 +877,7 @@ let emit_instr ctx b ~viewed env i =
     env
   | Copy { dst; src } ->
     line "let v%d : %s = %s in" dst.vid (ocaml_ty (var_ty dst)) (operand_expr ctx src);
-    bind_view ctx b ~viewed env dst src
-  | Copy_value { dst; src } ->
-    line "let v%d : %s = %s in" dst.vid (ocaml_ty (var_ty dst)) (operand_expr ctx src);
-    defined dst
+    bind_view b ~viewed env dst src
   | Mem_acquire op ->
     (match Types.repr (op_ty_of op) with
      | Types.Con ("PackedArray", _) ->
@@ -1013,7 +929,7 @@ let emit_instr ctx b ~viewed env i =
   | Call { dst; callee = Resolved { base; _ }; args } ->
     let stored =
       if not ctx.einline then None
-      else if is_store base then view_store ctx b ~viewed env ~dst ~base ~args
+      else if is_store base then view_store ctx b env ~dst ~base ~args
       else if is_access base then view_read ctx b env ~dst ~base ~args
       else None
     in
@@ -1126,11 +1042,24 @@ let emit_func ctx (f : func) ~first =
     Array.iteri
       (fun i p ->
          line !env "let v%d : %s = %s in" p.vid (ocaml_ty (var_ty p)) (operand_expr ctx args.(i));
-         env := bind_view ctx b ~viewed !env p args.(i))
+         env := bind_view b ~viewed !env p args.(i))
       ps;
     !env
   in
-  let project_all env vs = List.fold_left (fun env v -> project ctx b ~viewed env v) env vs in
+  let project_all env vs = List.fold_left (fun env v -> project b ~viewed env v) env vs in
+  (* the view shape of parameter [p], if it has a view *)
+  let pview p =
+    match view_shape (var_ty p) with Some sh when Hashtbl.mem viewed p.vid -> Some sh | _ -> None
+  in
+  (* [x] and, if parameter [p] has a view, the view's locals named after [x] *)
+  let with_view p x = x :: (match pview p with Some sh -> view_locals sh x | None -> []) in
+  (* the expressions passed for parameter [p] of argument [a]: [a], then the
+     locals of its view if [p] has one *)
+  let arg_of env p a =
+    match pview p with
+    | Some sh -> let env, t = view_of ctx b env sh a in (env, with_view p t)
+    | None -> (env, [ operand_expr ctx a ])
+  in
   let rec do_return env e =
     match env.opens with
     | [] -> line env "%s" e
@@ -1144,17 +1073,21 @@ let emit_func ctx (f : func) ~first =
       let y = j.target in
       if y = w.w_hdr then begin
         (* back edge: the header's refs take the arguments *)
-        Array.iteri
-          (fun i p ->
-             if not (Hashtbl.mem w.w_fixed p.vid) then begin
-               line env "rp%d := %s;" p.vid (operand_expr ctx j.jargs.(i));
-               if Hashtbl.mem viewed p.vid then
-                 List.iter
-                   (fun (sfx, e) -> line env "rp%d_%s := %s;" p.vid sfx e)
-                   (param_view env p j.jargs.(i))
-             end)
-          (block y).bparams;
-        line env "()"
+        let env = ref env in
+        let assigns =
+          List.concat
+            (List.mapi
+               (fun i p ->
+                  if Hashtbl.mem w.w_fixed p.vid then []
+                  else begin
+                    let env', es = arg_of !env p j.jargs.(i) in
+                    env := env';
+                    List.combine (with_view p (Printf.sprintf "rp%d" p.vid)) es
+                  end)
+               (Array.to_list (block y).bparams))
+        in
+        List.iter (fun (r, e) -> line !env "%s := %s;" r e) assigns;
+        line !env "()"
       end
       else if not (Hashtbl.mem w.w_body y) then begin
         let ps = (block y).bparams in
@@ -1176,18 +1109,17 @@ let emit_func ctx (f : func) ~first =
   and join_params y = join_extra y @ Array.to_list (block y).bparams
   and join_call env y args =
     let args = List.map (fun v -> Ovar v) (join_extra y) @ args in
-    match
+    let env = ref env in
+    let es =
       List.concat
         (List.map2
            (fun p a ->
-              operand_expr ctx a
-              :: (if Hashtbl.mem viewed p.vid then List.map snd (param_view env p a) else []))
+              let env', es = arg_of !env p a in
+              env := env';
+              es)
            (join_params y) args)
-    with
-    | [] -> line env "j%d ()" y
-    | args -> line env "j%d %s" y (String.concat " " args)
-  (* the view locals for parameter [p] taken from its argument [a] *)
-  and param_view env p a = view_of ctx env (Option.get (view_shape (var_ty p))) a
+    in
+    if es = [] then line !env "j%d ()" y else line !env "j%d %s" y (String.concat " " es)
   (* [y]'s code, its parameters bound *)
   and do_tree env y =
     match Hashtbl.find_opt plan.whiles y with
@@ -1196,25 +1128,21 @@ let emit_func ctx (f : func) ~first =
   and define_join env y =
     let ps = join_params y in
     let view_params p =
-      match view_shape (var_ty p) with
-      | Some ((kind, _) as shape) when Hashtbl.mem viewed p.vid ->
-        List.map
-          (fun (sfx, _) ->
-             Printf.sprintf "(v%d_%s : %s)" p.vid sfx
-               (match sfx with
-                | "a" -> if kind = Vints then "int array" else "float array"
-                | "ok" -> "bool"
-                | _ -> "int"))
-          (view_parts shape "")
-      | _ -> []
+      match pview p with
+      | Some ((kind, _) as sh) ->
+        List.mapi
+          (fun k x ->
+             Printf.sprintf "(%s : %s)" x
+               (if k > 0 then "int" else if kind = Vints then "int array" else "float array"))
+          (view_locals sh (Printf.sprintf "v%d" p.vid))
+      | None -> []
     in
     line env "let j%d %s =" y
       (if ps = [] then "()" else String.concat " " (List.concat_map (fun p -> typed p :: view_params p) ps));
     let body = { (indent env) with checked = [] } in
     let body =
       List.fold_left
-        (fun env p ->
-           if view_params p = [] then env else { env with views = IS.add p.vid env.views })
+        (fun env p -> if pview p = None then env else { env with views = IS.add p.vid env.views })
         body ps
     in
     do_tree body y;
@@ -1246,13 +1174,15 @@ let emit_func ctx (f : func) ~first =
       Array.of_list
         (List.filter (fun p -> not (Hashtbl.mem w.w_fixed p.vid)) (Array.to_list (block h).bparams))
     in
-    Array.iter
-      (fun p ->
-         line env "let rp%d = ref v%d in" p.vid p.vid;
-         if Hashtbl.mem viewed p.vid then
-           List.iter (fun (sfx, e) -> line env "let rp%d_%s = ref %s in" p.vid sfx e)
-             (param_view env p (Ovar p)))
-      ps;
+    let env =
+      Array.fold_left
+        (fun env p ->
+           let env, es = arg_of env p (Ovar p) in
+           List.iter2 (fun r e -> line env "let %s = ref %s in" r e)
+             (with_view p (Printf.sprintf "rp%d" p.vid)) es;
+           env)
+        env ps
+    in
     let all_carried =
       List.concat_map (carried w) w.w_exits
       |> List.sort_uniq (fun a b -> compare a.vid b.vid)
@@ -1272,12 +1202,12 @@ let emit_func ctx (f : func) ~first =
       Array.fold_left
         (fun env p ->
            line env "let v%d : %s = !rp%d in" p.vid (ocaml_ty (var_ty p)) p.vid;
-           if Hashtbl.mem viewed p.vid then begin
-             List.iter (fun (sfx, _) -> line env "let v%d_%s = !rp%d_%s in" p.vid sfx p.vid sfx)
-               (view_parts (Option.get (view_shape (var_ty p))) "");
+           match pview p with
+           | Some sh ->
+             List.iter2 (fun x r -> line env "let %s = !%s in" x r)
+               (view_locals sh (Printf.sprintf "v%d" p.vid)) (view_locals sh (Printf.sprintf "rp%d" p.vid));
              { env with views = IS.add p.vid env.views }
-           end
-           else env)
+           | None -> env)
         body ps
     in
     node_within body h;
@@ -1303,7 +1233,7 @@ let emit_func ctx (f : func) ~first =
                (fun env v ->
                   line env "let v%d : %s = !x%d_%d in" v.vid (ocaml_ty (var_ty v)) h v.vid;
                   (* the code of an outermost loop's exit is a block function *)
-                  if env.opens = [] then env else project ctx b ~viewed env v)
+                  if env.opens = [] then env else project b ~viewed env v)
                arm (carried w e)
            in
            let ps = (block y).bparams in

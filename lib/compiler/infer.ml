@@ -67,7 +67,7 @@ let rec generate ~env (p : program) =
                  | Load_argument { dst; index } ->
                    if index < Array.length f.fparams then
                      unify_or_fail ~where (var_ty dst) (var_ty f.fparams.(index))
-                 | Copy { dst; src } | Copy_value { dst; src } ->
+                 | Copy { dst; src } ->
                    unify_or_fail ~where (var_ty dst) (op_ty src)
                  | Call { dst; callee = Prim name; args } ->
                    let ret = var_ty dst in

@@ -15,7 +15,7 @@ let run (p : program) =
               (fun i ->
                  List.iter (fun v -> Hashtbl.replace def_instr v.vid i) (instr_defs i);
                  match i with
-                 | Copy { src = Ovar v; _ } | Copy_value { src = Ovar v; _ } ->
+                 | Copy { src = Ovar v; _ } ->
                    Hashtbl.replace aliased v.vid ()
                  | New_closure { captured; _ } ->
                    Array.iter

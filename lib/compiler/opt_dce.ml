@@ -8,7 +8,7 @@ open Wir
    compiled code must reach it too (the differential fuzzer found a dead
    Quotient[x, 0] folded away, which turned a Failed run into a value). *)
 let pure_instr = function
-  | Copy _ | New_closure _ | Copy_value _ -> true
+  | Copy _ | New_closure _ -> true
   | Call { callee = Resolved { base; _ }; _ } ->
     Wolf_runtime.Prims.holds base (fun r -> r.effect = Pure && r.fails <> May_fail)
   | Call _ -> false

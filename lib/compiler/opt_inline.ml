@@ -37,7 +37,6 @@ let clone_for_inline (callee : func) ~label_base =
     match i with
     | Load_argument { dst; index } -> Load_argument { dst = clone_var dst; index }
     | Copy { dst; src } -> Copy { dst = clone_var dst; src = clone_op src }
-    | Copy_value { dst; src } -> Copy_value { dst = clone_var dst; src = clone_op src }
     | Call { dst; callee; args } ->
       let callee = match callee with
         | Indirect op -> Indirect (clone_op op)

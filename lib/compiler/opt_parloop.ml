@@ -238,7 +238,6 @@ let recognize (f : func) (l : Analysis.loop) : (reco, string) result =
               | Call { callee = Indirect _; _ } -> reject "indirect call"
               | New_closure _ -> reject "builds a closure"
               | Kernel_call _ -> reject "escapes to the kernel"
-              | Copy_value _ -> reject "deep-copies a value"
               | Mem_acquire _ | Mem_release _ -> reject "reference-counted body"
               | Load_argument _ -> reject "argument load in loop"
               | Abort_check | Abort_poll _ -> ())
@@ -523,8 +522,7 @@ let transform (p : program) (f : func) (r : reco) counter =
       Call { dst = clone_var dst; callee; args = Array.map map_op args }
     | Abort_check -> Abort_check
     | Abort_poll a -> Abort_poll a
-    | Load_argument _ | New_closure _ | Kernel_call _ | Copy_value _
-    | Mem_acquire _ | Mem_release _ ->
+    | Load_argument _ | New_closure _ | Kernel_call _ | Mem_acquire _ | Mem_release _ ->
       assert false
   in
   let cloned =

@@ -34,7 +34,6 @@ type instr =
   | Abort_poll of { stride : int; site : int }
   | Mem_acquire of operand
   | Mem_release of operand
-  | Copy_value of { dst : var; src : operand }
 
 type jump = { target : int; jargs : operand array }
 
@@ -110,13 +109,13 @@ let main p =
 
 let instr_defs = function
   | Load_argument { dst; _ } | Copy { dst; _ } | Call { dst; _ }
-  | New_closure { dst; _ } | Kernel_call { dst; _ } | Copy_value { dst; _ } ->
+  | New_closure { dst; _ } | Kernel_call { dst; _ } ->
     [ dst ]
   | Abort_check | Abort_poll _ | Mem_acquire _ | Mem_release _ -> []
 
 let instr_uses = function
   | Load_argument _ | Abort_check | Abort_poll _ -> []
-  | Copy { src; _ } | Copy_value { src; _ } -> [ src ]
+  | Copy { src; _ } -> [ src ]
   | Call { callee; args; _ } ->
     let base = Array.to_list args in
     (match callee with Indirect op -> op :: base | Prim _ | Resolved _ | Func _ -> base)
@@ -126,13 +125,13 @@ let instr_uses = function
 
 let iter_instr_defs f = function
   | Load_argument { dst; _ } | Copy { dst; _ } | Call { dst; _ }
-  | New_closure { dst; _ } | Kernel_call { dst; _ } | Copy_value { dst; _ } ->
+  | New_closure { dst; _ } | Kernel_call { dst; _ } ->
     f dst
   | Abort_check | Abort_poll _ | Mem_acquire _ | Mem_release _ -> ()
 
 let iter_instr_uses f = function
   | Load_argument _ | Abort_check | Abort_poll _ -> ()
-  | Copy { src; _ } | Copy_value { src; _ } -> f src
+  | Copy { src; _ } -> f src
   | Call { callee; args; _ } ->
     (match callee with Indirect op -> f op | Prim _ | Resolved _ | Func _ -> ());
     Array.iter f args
@@ -167,7 +166,6 @@ let map_instr_operands f = function
   | Load_argument _ as i -> i
   | (Abort_check | Abort_poll _) as i -> i
   | Copy { dst; src } -> Copy { dst; src = f src }
-  | Copy_value { dst; src } -> Copy_value { dst; src = f src }
   | Call { dst; callee; args } ->
     let callee = match callee with
       | Indirect op -> Indirect (f op)

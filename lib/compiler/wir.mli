@@ -48,8 +48,6 @@ type instr =
           {!Opt_abort_stride}. *)
   | Mem_acquire of operand
   | Mem_release of operand             (** inserted by {!Memory_pass} *)
-  | Copy_value of { dst : var; src : operand }
-      (** deep copy inserted by {!Mutability_pass} *)
 
 type jump = { target : int; jargs : operand array }
 

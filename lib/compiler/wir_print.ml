@@ -47,8 +47,6 @@ let instr_to_string = function
   | Abort_poll { stride; site } -> Printf.sprintf "AbortPoll stride=%d site=%d" stride site
   | Mem_acquire op -> Printf.sprintf "MemoryAcquire %s" (operand_to_string op)
   | Mem_release op -> Printf.sprintf "MemoryRelease %s" (operand_to_string op)
-  | Copy_value { dst; src } ->
-    Printf.sprintf "%s = CopyValue %s" (var_to_string dst) (operand_to_string src)
 
 let jump_to_string j =
   if Array.length j.jargs = 0 then Printf.sprintf "b%d" j.target

@@ -162,7 +162,7 @@ let check_func f =
                f.fname b.label index dst.vid (Types.to_string dt) (Types.to_string pt)
            | _ -> ()
          end
-       | Copy { dst; src } | Copy_value { dst; src } -> (
+       | Copy { dst; src } -> (
          match dst.vty, operand_ty src with
          | Some dt, Some st when not (agree dt st) ->
            err "%s: b%d copy %%%d : %s from operand of type %s" f.fname b.label

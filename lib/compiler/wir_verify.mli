@@ -18,7 +18,7 @@
     {- {b Jump agreement}: every jump passes exactly as many arguments as
        the target declares parameters, and each argument's type agrees with
        the parameter's type wherever both are ground.}
-    {- {b TWIR types}: [Copy]/[Copy_value] source and destination agree,
+    {- {b TWIR types}: [Copy] source and destination agree,
        branch conditions are Boolean, [Return] operands agree with the
        function's return type, [Load_argument] destinations agree with the
        declared parameter types — all modulo gradual typing: a check only

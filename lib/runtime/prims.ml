@@ -100,6 +100,15 @@ let set_flat t j v =
   | Real x -> Tensor.set_real t j x
   | _ -> raise (Errors.Runtime_error (Errors.Invalid_runtime_argument "SetPart value"))
 
+let view_mismatches =
+  Wolf_obs.Metrics.counter
+    ~help:"JIT array views bound to a tensor of another element type or rank"
+    "jit_view_mismatches_total"
+
+let view_mismatch () =
+  Wolf_obs.Metrics.incr view_mismatches;
+  raise (Errors.Runtime_error (Errors.Invalid_runtime_argument "packed array representation"))
+
 (* Copy-on-write unless the mutability pass proved the update unaliased. *)
 let part_set_1 ~inplace args =
   match args with

@@ -85,6 +85,15 @@ val set_flat : Wolf_wexpr.Tensor.t -> int -> Rtval.t -> unit
     [Part] assignment does (an integer into a real tensor converts).
     @raise Wolf_base.Errors.Runtime_error when [v] is not a number. *)
 
+val view_mismatch : unit -> 'a
+(** What JIT code calls when it binds a typed array view to a tensor whose
+    element type or rank is not the view's: counts [view_mismatches] and
+    raises [Runtime_error (Invalid_runtime_argument _)], so the call falls
+    back to the interpreter. *)
+
+val view_mismatches : Wolf_obs.Metrics.counter
+(** [jit_view_mismatches_total]: the calls of {!view_mismatch}. *)
+
 val pow_ri : float -> int -> float
 (** [x ^ e] for an integer exponent by repeated squaring: the
     [binary_power_ri] primitive. *)

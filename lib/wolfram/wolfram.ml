@@ -19,29 +19,7 @@ module Tier = Tier
    compile a scalar real expression in one free variable into float -> float.
    The threaded backend keeps auto-compilation latency small, like the
    bytecode compiler the engine historically used for this. *)
-let auto_compile_cache : (string, (float -> float) option) Hashtbl.t = Hashtbl.create 32
-let auto_compile_lock = Mutex.create ()
-
-let rec auto_compile_scalar expr sym =
-  let key = Expr.to_string expr ^ "|" ^ Symbol.name sym in
-  let cached =
-    Mutex.lock auto_compile_lock;
-    let r = Hashtbl.find_opt auto_compile_cache key in
-    Mutex.unlock auto_compile_lock;
-    r
-  in
-  match cached with
-  | Some cached -> cached
-  | None ->
-    (* compiled outside the lock; a concurrent duplicate compile of the same
-       scalar is harmless (last writer wins, results are interchangeable) *)
-    let result = auto_compile_scalar_uncached expr sym in
-    Mutex.lock auto_compile_lock;
-    Hashtbl.replace auto_compile_cache key result;
-    Mutex.unlock auto_compile_lock;
-    result
-
-and auto_compile_scalar_uncached expr sym =
+let auto_compile_scalar expr sym =
   let fexpr =
     Expr.normal (Expr.Sym Expr.Sy.function_)
       [ Expr.list

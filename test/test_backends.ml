@@ -599,7 +599,82 @@ let test_jit_view_part_errors () =
          Module[{a = m, t = 0}, While[t < 2, a[[i, k]] = 1.5; t = t + 1]; a]]|}
       [ ([ m; int 0; int 1 ], Some (0, 2)); ([ m; int 3; int 1 ], Some (3, 2));
         ([ m; int 1; int (-4) ], Some (-4, 3)); ([ m; int 2; int 4 ], Some (4, 3));
-        ([ m; int 2; int 3 ], None) ]
+        ([ m; int 2; int 3 ], None) ];
+    (* a literal operand is projected in line; a variable bound to a literal
+       projects its own view *)
+    check "literal read"
+      {|Function[{Typed[i, "MachineInteger"]},
+         Module[{s = 0, k = 0}, While[k < 2, s = s + {1, 2, 3}[[i]]; k = k + 1]; s]]|}
+      [ ([ int 0 ], Some (0, 3)); ([ int (-4) ], Some (-4, 3)); ([ int 4 ], Some (4, 3));
+        ([ int (-1) ], None) ];
+    let literal_store =
+      {|Function[{Typed[i, "MachineInteger"]},
+         Module[{k = 0, s = 0},
+          While[k < 2, Module[{a = {1, 2, 3}}, a[[i]] = 10; s = s + a[[1]]]; k = k + 1]; s]]|}
+    in
+    check "literal store" literal_store
+      [ ([ int 0 ], Some (0, 3)); ([ int (-4) ], Some (-4, 3)); ([ int 4 ], Some (4, 3));
+        ([ int (-3) ], None); ([ int 2 ], None) ];
+    let _, _, e = jit_of "literal once" literal_store in
+    Alcotest.(check int) "the literal is one module constant" 1
+      (List.length e.B.Ocaml_emit.constants)
+  end
+
+(* The raw JIT entry skips admission: a tensor whose element type or rank is
+   not its parameter's makes the view's projection raise, and counts in
+   jit_view_mismatches_total. *)
+let test_jit_view_mismatch () =
+  if Lazy.force jit_on then begin
+    let _, j, _ =
+      jit_of "mismatch"
+        {|Function[{Typed[v, "PackedArray"["Real64", 1]]}, v[[1]] + 0.5]|}
+    in
+    let count () = Wolf_obs.Metrics.counter_value Prims.view_mismatches in
+    List.iter
+      (fun (label, arg) ->
+         let before = count () in
+         (match outcome (fun () -> j.Rtval.call [| Rtval.of_expr (parse arg) |]) with
+          | Error (Wolf_base.Errors.Invalid_runtime_argument _) -> ()
+          | Error f -> Alcotest.failf "%s: %s" label (Wolf_base.Errors.describe_failure f)
+          | Ok r -> Alcotest.failf "%s: no error, got %s" label (Expr.to_string r));
+         Alcotest.(check int) (label ^ " counted") 1 (count () - before))
+      [ ("Integer64 data", "{1, 2}"); ("rank 2", "{{1.5, 2.5}}") ];
+    let before = count () in
+    Alcotest.check expr "Real64 data" (Expr.Real 2.0)
+      (Rtval.to_expr (j.Rtval.call [| Rtval.of_expr (parse "{1.5, 2.5}") |]));
+    Alcotest.(check int) "not counted" 0 (count () - before)
+  end
+
+(* Real division by zero: the primitive raises Division_by_zero, so the JIT
+   falls back to the interpreter as the threaded backend does, and a built
+   binary panics with exit status 3. *)
+let test_real_division_by_zero () =
+  Wolfram.init ();
+  B.Compiled_function.quiet := true;
+  let src = {|Function[{Typed[x, "Real64"], Typed[y, "Real64"]}, x/y]|} in
+  let args = [ Expr.Real 1.0; Expr.Real 0.0 ] in
+  let reference = Wolf_kernel.Session.eval (Expr.Normal (parse src, Array.of_list args)) in
+  List.iter
+    (fun target ->
+       match Wolfram.function_compile ~target ~name:"rdiv" (parse src) with
+       | Wolfram.Native cf as compiled ->
+         let fallbacks () = Atomic.get cf.B.Compiled_function.fallbacks in
+         let before = fallbacks () in
+         Alcotest.check expr "1./0." reference (Wolfram.call compiled args);
+         Alcotest.(check int) "one fallback" 1 (fallbacks () - before)
+       | _ -> Alcotest.fail "rdiv: not a native function")
+    [ Wolfram.Threaded; (if Lazy.force jit_on then Wolfram.Jit else Wolfram.Threaded) ];
+  if B.C_build.available () then begin
+    match B.C_emit.emit_standalone (Pipeline.compile ~name:"rdiv" (parse src)) with
+    | Error e -> Alcotest.fail e
+    | Ok emitted ->
+      let exe = Filename.temp_file "wolf_rdiv" "" in
+      Fun.protect ~finally:(fun () -> Sys.remove exe) (fun () ->
+          (match B.C_build.build ~source:emitted.B.C_emit.source ~output:exe () with
+           | Ok () -> ()
+           | Error e -> Alcotest.failf "cc failed: %s" e);
+          Alcotest.(check int) "binary exits 3" 3
+            (Sys.command (Filename.quote exe ^ " 1. 0. >/dev/null 2>&1")))
   end
 
 (* Abort[] stops a while-form loop that carries a float, within a stride *)
@@ -836,6 +911,8 @@ let tests =
     Alcotest.test_case "jit while loop keeps floats unboxed" `Quick test_jit_float_loop_unboxed;
     Alcotest.test_case "jit copy-on-write mid-loop" `Quick test_jit_cow_mid_loop;
     Alcotest.test_case "jit view Part errors" `Quick test_jit_view_part_errors;
+    Alcotest.test_case "jit view of another representation raises" `Quick test_jit_view_mismatch;
+    Alcotest.test_case "real division by zero falls back" `Quick test_real_division_by_zero;
     Alcotest.test_case "jit Abort[] in a float while loop" `Quick test_jit_abort_while_float;
     Alcotest.test_case "jit checked arithmetic by a literal" `Quick test_jit_literal_arith;
     Alcotest.test_case "jit irreducible loop kept as blocks" `Quick
