@@ -100,7 +100,7 @@ let f4_new () =
   let ok_threaded = match B.Native.compile c with _ -> true | exception _ -> false in
   let ok_c = match B.C_emit.emit c with Ok _ -> true | Error _ -> false in
   let ok_ocaml =
-    match B.Ocaml_emit.emit ~module_name:"Feat" c with _ -> true | exception _ -> false
+    match B.Ocaml_emit.emit ~module_name:"Feat" c with Ok _ -> true | Error _ | exception _ -> false
   in
   if ok_threaded && ok_c && ok_ocaml then Full else Partial
 

@@ -77,7 +77,7 @@ let compile_to_cmxs (c : Wolf_compiler.Pipeline.compiled) =
   | Some dirs, Some compiler ->
     let serial = Atomic.fetch_and_add counter 1 + 1 in
     let module_name = Printf.sprintf "Wolfjit_%d_%d" (Unix.getpid ()) serial in
-    let emitted = Ocaml_emit.emit ~module_name c in
+    Result.bind (Ocaml_emit.emit ~module_name c) @@ fun emitted ->
     let dir = sessions_dir () in
     let ml = Filename.concat dir (String.lowercase_ascii module_name ^ ".ml") in
     let cmxs = Filename.concat dir (String.lowercase_ascii module_name ^ ".cmxs") in
