@@ -592,10 +592,11 @@ let compile_time () =
        Printf.printf "%-12s total %8.2fms  (%d program functions)\n" name (total *. 1e3)
          (List.length c.Pipeline.program.Wir.funcs);
        List.iter
-         (fun (pass, t) ->
-            Hashtbl.replace totals pass
-              (t +. Option.value ~default:0.0 (Hashtbl.find_opt totals pass)))
-         c.Pipeline.timings)
+         (fun (st : Pass_manager.stat) ->
+            if st.st_runs > 0 then
+              Hashtbl.replace totals st.st_pass
+                (st.st_time +. Option.value ~default:0.0 (Hashtbl.find_opt totals st.st_pass)))
+         c.Pipeline.stats)
     specs;
   Printf.printf "\nper-pass totals across benchmarks:\n";
   Hashtbl.fold (fun pass t acc -> (pass, t) :: acc) totals []

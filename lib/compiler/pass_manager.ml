@@ -38,7 +38,6 @@ type t = {
   dump : string -> Wir.program -> unit;
   accs : (string, acc) Hashtbl.t;
   mutable order : string list;          (* reverse first-seen order *)
-  mutable timeline : (string * float) list;  (* reverse chronological *)
 }
 
 let instr_count (prog : Wir.program) =
@@ -54,8 +53,7 @@ let default_dump name prog =
   Printf.eprintf "; ---- IR after %s ----\n%s\n%!" name (Wir_print.program_to_string prog)
 
 let create ?(lint = false) ?(dump_after = []) ?(dump = default_dump) () =
-  { lint; dump_after; dump; accs = Hashtbl.create 16; order = [];
-    timeline = [] }
+  { lint; dump_after; dump; accs = Hashtbl.create 16; order = [] }
 
 (* Registry instruments shared by every pass-manager instance: the central
    place later perf PRs read compile-side costs from.  Created at module
@@ -123,7 +121,6 @@ let run_pass t pass prog =
          { d_instrs_before = ib; d_instrs_after = ia;
            d_blocks_before = bb; d_blocks_after = ba }
        | Some d -> { d with d_instrs_after = ia; d_blocks_after = ba });
-  t.timeline <- (pass.pass_name, dt) :: t.timeline;
   (* a pass reporting no change (corroborated by identical instruction and
      block counts) left the already-verified IR of the previous step in
      place; re-verifying the same structure would only inflate the
@@ -168,7 +165,6 @@ let record t name f =
   Wolf_obs.Metrics.incr m_pass_runs;
   a.a_runs <- a.a_runs + 1;
   a.a_time <- a.a_time +. dt;
-  t.timeline <- (name, dt) :: t.timeline;
   r
 
 let checkpoint t name prog =
@@ -186,8 +182,6 @@ let stats t =
        { st_pass = a.a_pass; st_runs = a.a_runs; st_changed = a.a_changed;
          st_time = a.a_time; st_verify = a.a_verify; st_delta = a.a_delta })
     t.order
-
-let timings t = List.rev t.timeline
 
 (* The one source of truth for report footers: pass seconds and verify
    seconds are disjoint by construction ([run_pass] times the pass body

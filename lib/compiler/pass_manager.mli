@@ -73,7 +73,7 @@ val run_fixpoint : ?budget:int -> t -> pass list -> Wir.program -> bool
 
 val record : t -> string -> (unit -> 'a) -> 'a
 (** Time a stage that is not a WIR-to-WIR pass (e.g. macro expansion +
-    lowering); contributes to {!timings} and {!stats} without an IR delta. *)
+    lowering); contributes to {!stats} without an IR delta. *)
 
 val checkpoint : t -> string -> Wir.program -> unit
 (** Lint and run the dump hook for a stage boundary that was not executed
@@ -93,10 +93,6 @@ val totals : stat list -> totals
     [st_time] never includes verification — so each is reported exactly
     once: [tot_pass] is the fold of the ms column, [tot_verify] the fold of
     the verify-ms column. *)
-
-val timings : t -> (string * float) list
-(** Per-run (pass name, seconds) in chronological order — the legacy
-    pipeline timings format (experiment E8). *)
 
 val instr_count : Wir.program -> int
 val block_count : Wir.program -> int

@@ -19,11 +19,8 @@ type user_pass = {
 
 type compiled = {
   program : Wir.program;
-  resolution : (string, Infer.resolved) Hashtbl.t;
   coptions : Options.t;
   source : Expr.t;
-  expanded : Expr.t;           (** after macro expansion (CompileToAST) *)
-  timings : (string * float) list;  (** pass name → seconds, per run, in order *)
   stats : Pass_manager.stat list;
       (** aggregated per-pass instrumentation (runs, time, IR deltas) *)
   inplace_updates : int;       (** SetParts proven safe by Mutability_pass *)

@@ -97,13 +97,10 @@ val export_library :
 (** [FunctionCompileExportLibrary]: native shared object on disk. *)
 
 val pipeline_of : compiled -> Wolf_compiler.Pipeline.compiled option
-(** Pass timings, instrumentation stats, resolution table, IR — for tooling
-    and the E8 benchmark.  The pipeline travels with the compiled function,
-    so it is this compile's own; [None] for WVM and tiered functions and
-    for a JIT function revived from the disk cache.  Only [program],
-    [stats], [inplace_updates], [coptions] and [source] are kept:
-    [resolution] is empty, [expanded] is the source and [timings] is
-    empty. *)
+(** Per-pass instrumentation stats and the final IR — for tooling and the
+    E8 benchmark.  The pipeline travels with the compiled function, so it
+    is this compile's own; [None] for WVM and tiered functions and for a
+    JIT function revived from the disk cache. *)
 
 val fallback_count : compiled -> int
 
