@@ -14,9 +14,8 @@ let ty_str = function
 (* ---- resolved primitive calls against {!Wolf_runtime.Prims} ----
    A [Resolved] call names a row of the primitive table, passes that row's
    arity, and, once its types are ground, carries the mangled name
-   [base_T1_..._Tn] of its operand types (a store the mutability pass made
-   in place appends [_inplace]), and its operand and result types fit a
-   declaration of the primitive in the builtin type environment.  A
+   [base_T1_..._Tn] of its operand types, and its operand and result types
+   fit a declaration of the primitive in the builtin type environment.  A
    pass-made variant ([_unchecked], [_inplace]) is checked against the
    primitive it specialises; the primitives passes create from nothing
    ([parallel_*], [materializeconstant]) have no declaration, and their
@@ -44,9 +43,8 @@ let fits_key : fit Fits.t Domain.DLS.key = Domain.DLS.new_key (fun () -> Fits.cr
 let first_fit (row : Wolf_runtime.Prims.t) ~base ~mangled tys ret =
   let decl_base = Option.value row.specialises ~default:row.name in
   let expect = Types.mangled row.name tys in
-  if not (mangled = expect
-          || (row.effect = Mutates_arg0 && mangled = expect ^ "_inplace"))
-  then Error (Printf.sprintf "mangled name %s does not match its operand types (%s)" mangled expect)
+  if mangled <> expect then
+    Error (Printf.sprintf "mangled name %s does not match its operand types (%s)" mangled expect)
   else
     let signature = Types.fn (Array.to_list tys) ret in
     let fits scheme =
