@@ -181,7 +181,7 @@ let solve alternatives =
            Errors.compile_errorf
              "no matching definition for %s in %s (signature %s); \
               declare it in the type environment"
-             alt.aname alt.afunc (Types.to_string alt.asig)
+             alt.aname alt.afunc (List.hd (Types.to_strings [ alt.asig ]))
          | [ only ] ->
            commit alt only;
            progress := true
@@ -277,7 +277,7 @@ let check_ground p =
            | Some t ->
              Errors.compile_errorf
                "variable %%%d in %s has unresolved type %s (annotate with Typed)"
-               v.vid f.fname (Types.to_string t)
+               v.vid f.fname (List.hd (Types.to_strings [ t ]))
            | None ->
              Errors.compile_errorf "variable %%%d in %s has no type" v.vid f.fname))
     p.funcs

@@ -211,24 +211,38 @@ let rec is_ground t =
   | Con (_, args) -> Array.for_all is_ground args
   | Fun (args, ret) -> Array.for_all is_ground args && is_ground ret
 
-let rec to_string t =
+(* [var_name id] numbers an unbound variable; arguments print left to
+   right, so a numbering by first appearance follows the text *)
+let rec print var_name t =
+  let all ts = String.concat ", " (List.map (print var_name) (Array.to_list ts)) in
   match repr t with
   | Con (name, [||]) -> Printf.sprintf "%S" name
-  | Con (name, args) ->
-    Printf.sprintf "%S[%s]" name
-      (String.concat ", " (Array.to_list (Array.map to_string args)))
+  | Con (name, args) -> Printf.sprintf "%S[%s]" name (all args)
   | Lit n -> string_of_int n
   | Fun (args, ret) ->
-    Printf.sprintf "{%s} -> %s"
-      (String.concat ", " (Array.to_list (Array.map to_string args)))
-      (to_string ret)
+    let args = all args in
+    Printf.sprintf "{%s} -> %s" args (print var_name ret)
   | Var { contents = Unbound u } ->
     let quals = match u.classes with
       | [] -> ""
       | cs -> Printf.sprintf "∈%s" (String.concat "&" cs)
     in
-    Printf.sprintf "α%d%s" u.id quals
+    Printf.sprintf "α%d%s" (var_name u.id) quals
   | Var { contents = Link _ } -> assert false
+
+let to_string t = print Fun.id t
+
+let to_strings ts =
+  let seen = ref [] in
+  let var_name id =
+    match List.assoc_opt id !seen with
+    | Some k -> k
+    | None ->
+      let k = List.length !seen + 1 in
+      seen := (id, k) :: !seen;
+      k
+  in
+  List.map (print var_name) ts
 
 let pp fmt t = Format.pp_print_string fmt (to_string t)
 

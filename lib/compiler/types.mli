@@ -65,6 +65,13 @@ val equal : t -> t -> bool
 
 val is_ground : t -> bool
 val to_string : t -> string
+(** Unbound variables print as [α<id>], their process-wide id. *)
+
+val to_strings : t list -> string list
+(** The types of one message, printed in order: unbound variables are
+    named [α1], [α2], … by first appearance across the list, so the text
+    does not depend on how many variables the process made before. *)
+
 val pp : Format.formatter -> t -> unit
 val mangle : t -> string
 (** Stable name component for monomorphisation ("I64", "PA_R64_1", …). *)

@@ -40,7 +40,9 @@ let rec unify a b =
       Ok ()
     | Var ({ contents = Unbound u } as r), t | t, Var ({ contents = Unbound u } as r) ->
       if occurs u.id t then
-        Error ("occurs check: " ^ to_string (Var r) ^ " in " ^ to_string t)
+        Error (match to_strings [ Var r; t ] with
+            | [ v; t ] -> "occurs check: " ^ v ^ " in " ^ t
+            | _ -> assert false)
       else begin
         let unsatisfied =
           List.filter (fun cls -> not (Type_class.satisfiable cls ~ty:t)) u.classes
@@ -56,7 +58,7 @@ let rec unify a b =
           Ok ()
         | cls :: _ ->
           Error
-            (Printf.sprintf "type %s does not implement class %S" (to_string t) cls)
+            (Printf.sprintf "type %s does not implement class %S" (List.hd (to_strings [ t ])) cls)
       end
     | Con (n1, a1), Con (n2, a2)
       when String.equal n1 n2 && Array.length a1 = Array.length a2 ->
@@ -66,7 +68,10 @@ let rec unify a b =
       (match unify_all a1 a2 with
        | Ok () -> unify r1 r2
        | Error _ as e -> e)
-    | _ -> Error (Printf.sprintf "cannot unify %s with %s" (to_string a) (to_string b))
+    | _ ->
+      (match to_strings [ a; b ] with
+       | [ a; b ] -> Error (Printf.sprintf "cannot unify %s with %s" a b)
+       | _ -> assert false)
 
 and unify_all xs ys =
   let n = Array.length xs in

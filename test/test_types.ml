@@ -117,6 +117,16 @@ let test_redeclare_polymorphic () =
     ~body:(parse "Function[{e1, e2}, If[e1 < e2, e1, e2]]");
   Alcotest.(check int) "other qualifier appended" 5 (List.length (Type_env.lookup env "Min"))
 
+(* A message names its type variables by first appearance, whatever ids the
+   process drew before. *)
+let test_message_type_variables () =
+  let a = Types.fresh_var () and b = Types.fresh_var () in
+  Alcotest.(check (list string)) "numbered across the list" [ "{α1} -> α2"; "α1" ]
+    (Types.to_strings [ Types.fn [ b ] a; b ]);
+  match Unify.unify Types.int64 (Types.fn [ a ] b) with
+  | Ok () -> Alcotest.fail "Integer64 unified with a function type"
+  | Error m -> Alcotest.(check string) "unify error" {|cannot unify "Integer64" with {α1} -> α2|} m
+
 let test_mangle () =
   Alcotest.(check string) "scalar" "I64" (Types.mangle Types.int64);
   Alcotest.(check string) "array" "PA_R64_2" (Types.mangle (Types.packed Types.real64 2));
@@ -233,6 +243,7 @@ let tests =
     Alcotest.test_case "redeclared polymorphic scheme replaces" `Quick
       test_redeclare_polymorphic;
     Alcotest.test_case "shared environments are isolated" `Quick test_shared_env_isolation;
+    Alcotest.test_case "type variables in a message" `Quick test_message_type_variables;
     Alcotest.test_case "mangling" `Quick test_mangle;
     Alcotest.test_case "inference results" `Quick test_inference_results;
     Alcotest.test_case "inference errors" `Quick test_inference_errors;
