@@ -52,7 +52,8 @@ smoke: build
 
 # fixed-seed differential fuzzing campaign: 200 generated programs run on
 # threaded + WVM at O0/O1/O2 against the interpreter, with the full IR
-# verifier after every pass, then 100 more through the ocamlopt JIT (the
+# verifier after every pass (failing if the mutability pass put no loop
+# store in place, a drift guard), then 100 more through the ocamlopt JIT (the
 # backend whose generated code inlines the abort check; ~30 s), which fails
 # if the emitter turned zero loops into while loops (drift guard, like
 # par-loop-smoke's), declined a module, or wrote a module ocamlopt rejected

@@ -257,7 +257,15 @@ let print_program_stats (c : Wolf_compiler.Pipeline.compiled) =
     (List.length c.Pipeline.program.Wir.funcs)
     (Pass_manager.instr_count c.Pipeline.program)
     (Pass_manager.block_count c.Pipeline.program)
-    c.Pipeline.inplace_updates
+    (Pipeline.inplace_updates c);
+  List.iter
+    (fun (p : Mutability_pass.promotion) ->
+       Printf.printf "  in place: %s %s, %d store(s)\n" p.pfunc
+         (match p.pheader with
+          | Some l -> Printf.sprintf "loop at b%d" l
+          | None -> "straight-line")
+         p.pstores)
+    c.Pipeline.promotions
 
 let run_cmd =
   let run expr file args target tier tier_threshold disk_cache parallel_loops
@@ -320,7 +328,7 @@ let run_cmd =
                  (Pass_manager.instr_count c.Pipeline.program);
                Printf.sprintf "\"blocks\":%d"
                  (Pass_manager.block_count c.Pipeline.program);
-               Printf.sprintf "\"inplace_updates\":%d" c.Pipeline.inplace_updates ]
+               Printf.sprintf "\"inplace_updates\":%d" (Pipeline.inplace_updates c) ]
            | None -> [])
         @ [ "\"cache\":" ^ cache_json (Wolfram.compile_cache_stats ()) ]
         @ (match Wolfram.tier_of cf with
@@ -578,6 +586,8 @@ let fuzz_cmd =
         jit_whiles jit_declined jit_rejected jit_mismatches;
     Printf.printf "fuzz: %d programs, %d disagreement(s)\n" report.generated
       report.disagreements;
+    Printf.printf "fuzz: promoted %d store(s) in place in %d program(s), %d of them in loops\n"
+      report.promoted_stores report.promoted_programs report.promoted_loop_stores;
     let par_selected = List.exists (fun a -> a.Oracle.name = "par") arms in
     if par_selected then
       Printf.printf "fuzz: par arm parallelised %d loop(s) in %d program(s)\n"
@@ -589,6 +599,14 @@ let fuzz_cmd =
          pass is rejecting every loop — that is a failure of the arm, not a
          clean run *)
       prerr_endline "fuzz: par arm parallelised zero loops in a >=300-program campaign";
+      1
+    end
+    else if count >= 200 && report.promoted_loop_stores = 0 then begin
+      (* the same guard for the mutability pass: no loop-carried array
+         proven unique in a sizeable campaign means the proof rejects every
+         loop *)
+      prerr_endline
+        "fuzz: the mutability pass promoted no loop store in a >=200-program campaign";
       1
     end
     else if jit_selected && jit_rejected > 0 then begin

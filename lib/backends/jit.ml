@@ -69,6 +69,16 @@ let rejected_counter () =
 
 let rejected () = Wolf_obs.Metrics.counter_value (rejected_counter ())
 
+(* Delete what compiling the module [ml] left in the sessions directory
+   (a loaded module needs none of it), all but the source and its ocamlopt
+   log when [keep_source]. *)
+let remove_products ~keep_source ml =
+  let base = Filename.remove_extension ml in
+  List.iter
+    (fun f -> try Sys.remove f with Sys_error _ -> ())
+    ((if keep_source then [] else [ ml; ml ^ ".log" ])
+     @ List.map (( ^ ) base) [ ".cmi"; ".cmx"; ".o"; ".cmxs" ])
+
 let compile_to_cmxs (c : Wolf_compiler.Pipeline.compiled) =
   Wolf_obs.Trace.with_span ~cat:"codegen" "jit-codegen" @@ fun () ->
   match include_dirs (), ocamlopt () with
@@ -113,8 +123,10 @@ let compile_to_cmxs (c : Wolf_compiler.Pipeline.compiled) =
          with _ -> "(no diagnostic)"
        in
        Wolf_obs.Metrics.incr (rejected_counter ());
+       (* a rejected module keeps its source and diagnostic for the report *)
+       remove_products ~keep_source:true ml;
        Error (Printf.sprintf "ocamlopt failed:\n%s" diag)
-     | None -> Ok (emitted, cmxs))
+     | None -> Ok (emitted, ml, cmxs))
 
 (* Everything needed to relink a compiled module in another process of the
    same build: the .cmxs on disk plus the host-side state its entry needs.
@@ -151,29 +163,26 @@ let link_artifact ~cmxs art =
    | exception Dynlink.Error e -> Error ("Dynlink: " ^ Dynlink.error_message e)
    | exception e -> Error ("Dynlink: " ^ Printexc.to_string e))
 
-let compile_artifact c =
+let compile ?(persist = fun _ ~cmxs:_ -> ()) c =
   match compile_to_cmxs c with
   | Error e -> Error e
-  | Ok (emitted, cmxs) ->
+  | Ok (emitted, ml, cmxs) ->
+    Fun.protect ~finally:(fun () -> remove_products ~keep_source:false ml) @@ fun () ->
     let main = Wolf_compiler.Wir.main c.Wolf_compiler.Pipeline.program in
     let art =
       { a_entry_symbol = emitted.Ocaml_emit.entry_symbol;
         a_constants = emitted.Ocaml_emit.constants;
         a_arity = Array.length main.Wolf_compiler.Wir.fparams }
     in
-    (match link_artifact ~cmxs art with
-     | Ok closure -> Ok (art, cmxs, closure)
-     | Error e -> Error e)
-
-let compile c =
-  match compile_artifact c with
-  | Error e -> Error e
-  | Ok (_, _, closure) -> Ok closure
+    let linked = link_artifact ~cmxs art in
+    if Result.is_ok linked then persist art ~cmxs;
+    linked
 
 let export_library c ~path =
   match compile_to_cmxs c with
   | Error _ as e -> e
-  | Ok (emitted, cmxs) ->
+  | Ok (emitted, ml, cmxs) ->
+    Fun.protect ~finally:(fun () -> remove_products ~keep_source:false ml) @@ fun () ->
     let ic = open_in_bin cmxs in
     let n = in_channel_length ic in
     let contents = really_input_string ic n in

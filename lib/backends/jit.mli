@@ -15,11 +15,6 @@ open Wolf_runtime
 
 val available : unit -> bool
 
-val compile : Wolf_compiler.Pipeline.compiled -> (Rtval.closure, string) result
-(** Returns [Error reason] (toolchain missing, compile failure with the
-    ocamlopt diagnostic) rather than raising; JIT failures must never break
-    compilation, only deoptimise it. *)
-
 val rejected : unit -> int
 (** How many emitted modules ocamlopt has rejected in this process (the
     metric [jit_ocamlopt_failures_total]).  Such a compile deoptimises to
@@ -38,11 +33,16 @@ type artifact = {
   a_arity : int;
 }
 
-val compile_artifact :
+val compile :
+  ?persist:(artifact -> cmxs:string -> unit) ->
   Wolf_compiler.Pipeline.compiled ->
-  (artifact * string * Rtval.closure, string) result
-(** Like {!compile} but also returns the relink recipe and the .cmxs path
-    (for the disk cache to slurp). *)
+  (Rtval.closure, string) result
+(** Returns [Error reason] (toolchain missing, compile failure with the
+    ocamlopt diagnostic) rather than raising; JIT failures must never break
+    compilation, only deoptimise it.  [persist] sees a loaded module's
+    relink recipe and its .cmxs (for the disk cache to slurp); then the
+    module's build products leave {!sessions_dir}.  A module ocamlopt
+    rejected keeps its .ml and .ml.log there. *)
 
 val link_artifact : cmxs:string -> artifact -> (Rtval.closure, string) result
 (** Register the constants, dynlink [cmxs] privately, look up the entry.
@@ -55,4 +55,5 @@ val export_library : Wolf_compiler.Pipeline.compiled -> path:string -> (string, 
     into a later session with [Dynlink]. *)
 
 val sessions_dir : unit -> string
-(** Scratch directory used for generated sources and objects. *)
+(** Scratch directory for each module's source and build products while it
+    compiles. *)

@@ -436,8 +436,8 @@ let[@inline always] wolf_reals (t : Wolf_wexpr.Tensor.t) r =
 
 let[@inline always] wolf_dim (t : Wolf_wexpr.Tensor.t) k = Array.unsafe_get t.Wolf_wexpr.Tensor.dims k
 
-let[@inline always] wolf_cow ~inplace (t : Wolf_wexpr.Tensor.t) =
-  if inplace || t.Wolf_wexpr.Tensor.refcount <= 1 then t
+let[@inline always] wolf_cow (t : Wolf_wexpr.Tensor.t) =
+  if t.Wolf_wexpr.Tensor.refcount <= 1 then t
   else Wolf_wexpr.Tensor.ensure_unique t
 
 (* Abort_signal.check written out: plugins see only .cmi files, so the
@@ -794,7 +794,8 @@ let view_read ctx b env ~(dst : var) ~base ~(args : operand array) =
   | _ -> None
 
 (* A store through a view: the copy-on-write test, then the view of the
-   result, then the checked write. *)
+   result, then the checked write.  An in-place store's result is its
+   operand, so it lends the operand's view locals. *)
 let view_store ctx b env ~dst ~base ~(args : operand array) =
   let rank = if base = "part_set_1" || base = "part_set_1_inplace" then 1 else 2 in
   let value = args.(rank + 1) in
@@ -805,10 +806,15 @@ let view_store ctx b env ~dst ~base ~(args : operand array) =
     let shape = (kind, rank) in
     let env, t = view_of ctx b env shape args.(0) in
     let line fmt = Printf.ksprintf (add_line b env) fmt in
-    let inplace = base = "part_set_1_inplace" || base = "part_set_2_inplace" in
     let d = Printf.sprintf "v%d" dst.vid in
-    line "let %s : Wolf_wexpr.Tensor.t = wolf_cow ~inplace:%b %s in" d inplace t;
-    bind_parts b env shape d;
+    if base = "part_set_1_inplace" || base = "part_set_2_inplace" then begin
+      line "let %s : Wolf_wexpr.Tensor.t = %s in" d t;
+      List.iter2 (line "let %s = %s in") (view_locals shape d) (view_locals shape t)
+    end
+    else begin
+      line "let %s : Wolf_wexpr.Tensor.t = wolf_cow %s in" d t;
+      bind_parts b env shape d
+    end;
     let env, index = view_index ctx b env ~dst t (Array.sub args 1 rank) in
     line "let () = Array.unsafe_set %s_a (%s) %s in" d index (operand_expr ctx value);
     Some { env with views = IS.add dst.vid env.views }

@@ -413,10 +413,7 @@ let counted_loop f (l : loop) =
     | _ -> Error "not a counted loop")
   | _ -> Error "no counted exit test"
 
-let op_var_ids ops =
-  List.filter_map (function Ovar v -> Some v.vid | Oconst _ -> None) ops
-
-let liveness f =
+let liveness ?(only = fun _ -> true) f =
   let cfg = build_cfg f in
   let live_in : (int, (int, unit) Hashtbl.t) Hashtbl.t = Hashtbl.create 16 in
   let live_out_t : (int, (int, unit) Hashtbl.t) Hashtbl.t = Hashtbl.create 16 in
@@ -445,11 +442,15 @@ let liveness f =
         cfg.succs.(i);
       (* in = (out - defs) + uses, walking instructions backwards *)
       let live = Hashtbl.copy out in
-      List.iter (fun v -> Hashtbl.replace live v ()) (op_var_ids (term_uses b.term));
+      let use = function
+        | Ovar v when only v.vid -> Hashtbl.replace live v.vid ()
+        | Ovar _ | Oconst _ -> ()
+      in
+      iter_term_uses use b.term;
       List.iter
         (fun i ->
-           List.iter (fun v -> Hashtbl.remove live v.vid) (instr_defs i);
-           List.iter (fun v -> Hashtbl.replace live v ()) (op_var_ids (instr_uses i)))
+           iter_instr_defs (fun v -> Hashtbl.remove live v.vid) i;
+           iter_instr_uses use i)
         (List.rev b.instrs);
       Array.iter (fun v -> Hashtbl.remove live v.vid) b.bparams;
       let inn = Hashtbl.find live_in l in
@@ -464,7 +465,7 @@ let liveness f =
   done;
   (live_in, live_out_t)
 
-let live_out f = snd (liveness f)
+let live_out ?only f = snd (liveness ?only f)
 let live_in f = fst (liveness f)
 
 let use_counts f =

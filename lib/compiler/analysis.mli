@@ -114,8 +114,9 @@ val sibling : Wir.callee -> string -> Wir.callee
 (** [sibling prim base]: the resolved primitive [base] at the same type
     suffix as the resolved [prim]. *)
 
-val live_out : Wir.func -> (int, (int, unit) Hashtbl.t) Hashtbl.t
-(** Variable ids live out of each block. *)
+val live_out : ?only:(int -> bool) -> Wir.func -> (int, (int, unit) Hashtbl.t) Hashtbl.t
+(** Variable ids live out of each block; with [only], just the ids it
+    accepts. *)
 
 val live_in : Wir.func -> (int, (int, unit) Hashtbl.t) Hashtbl.t
 (** Variable ids live into each block (excluding the block's own

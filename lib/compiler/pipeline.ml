@@ -10,8 +10,11 @@ type compiled = {
   coptions : Options.t;
   source : Expr.t;
   stats : Pass_manager.stat list;
-  inplace_updates : int;
+  promotions : Mutability_pass.promotion list;
 }
+
+let inplace_updates c =
+  List.fold_left (fun n p -> n + p.Mutability_pass.pstores) 0 c.promotions
 
 (* Overridable sink for --dump-after IR dumps (tests capture it; wolfc keeps
    the stderr default so dumps do not mix with the printed result). *)
@@ -106,12 +109,12 @@ let compile ?(options = Options.default) ?type_env ?macro_env ?(user_passes = []
             (Pass_manager.of_unit ("user:" ^ up.pass_name) up.pass_run)
             prog))
     user_passes;
-  let inplace = ref 0 in
+  let promotions = ref [] in
   ignore
     (Pass_manager.run_pass mgr
        (Pass_manager.mk "mutability" (fun prog ->
-            inplace := Mutability_pass.run prog;
-            true))
+            promotions := Mutability_pass.run prog;
+            !promotions <> []))
        prog);
   if options.Options.abort_handling then begin
     ignore
@@ -151,7 +154,7 @@ let compile ?(options = Options.default) ?type_env ?macro_env ?(user_passes = []
     coptions = options;
     source = fexpr;
     stats = Pass_manager.stats mgr;
-    inplace_updates = !inplace;
+    promotions = !promotions;
   }
 
 let compile_to_ast ?(options = Options.default) ?macro_env fexpr =

@@ -23,8 +23,12 @@ type compiled = {
   source : Expr.t;
   stats : Pass_manager.stat list;
       (** aggregated per-pass instrumentation (runs, time, IR deltas) *)
-  inplace_updates : int;       (** SetParts proven safe by Mutability_pass *)
+  promotions : Mutability_pass.promotion list;
+      (** the webs whose stores {!Mutability_pass} put in place *)
 }
+
+val inplace_updates : compiled -> int
+(** The stores of all [promotions]. *)
 
 val dump_hook : (string -> Wir.program -> unit) ref
 (** Sink for [Options.dump_after] IR dumps (default: print to stderr). *)

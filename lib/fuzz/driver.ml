@@ -35,6 +35,9 @@ type report = {
   written : string list;
   par_programs : int;
   par_loops : int;
+  promoted_programs : int;
+  promoted_stores : int;
+  promoted_loop_stores : int;
 }
 
 (* program i depends on (seed, i) only: regenerating one program never
@@ -155,14 +158,28 @@ let describe (f : failure) =
             (Ast.size f.shrunk.Ast.fn))
        @ lines fs)
 
+(* The stores the mutability pass puts in place when the program compiles
+   at -O1, as (in loops, in straight-line code). *)
+let promotions (case : Ast.case) =
+  match
+    Wolf_compiler.Pipeline.compile ~name:"fz" (Parser.parse (Ast.to_source case.Ast.fn))
+  with
+  | exception _ -> (0, 0)
+  | c ->
+    List.fold_left
+      (fun (l, b) (p : Wolf_compiler.Mutability_pass.promotion) ->
+         if p.pheader = None then (l, b + p.pstores) else (l + p.pstores, b))
+      (0, 0) c.Wolf_compiler.Pipeline.promotions
+
 (* Per-program work unit: generate, check, and (on disagreement) shrink.
    Everything here depends on (seed, i) only, so the array of outcomes is
    the same whatever the domain count; all IO (progress, corpus writes) is
    kept out of the workers and done in the deterministic merge below. *)
 let check_one cfg ~progress i =
-  let outcome = investigate ~check:(check_case cfg) ~progress i (case_for cfg i) in
+  let case = case_for cfg i in
+  let outcome = investigate ~check:(check_case cfg) ~progress i case in
   progress "";  (* tick *)
-  outcome
+  (outcome, promotions case)
 
 let run cfg =
   (* Force one-time initialisation on this domain before sharding: kernel
@@ -189,8 +206,15 @@ let run cfg =
   let failures = ref [] in
   let written = ref [] in
   let disagreements = ref 0 in
+  let promoted_programs = ref 0 and promoted_stores = ref 0 and loop_stores = ref 0 in
+  Array.iter
+    (fun (_, (l, b)) ->
+       if l + b > 0 then incr promoted_programs;
+       promoted_stores := !promoted_stores + l + b;
+       loop_stores := !loop_stores + l)
+    outcomes;
   Array.iteri
-    (fun i outcome ->
+    (fun i (outcome, _) ->
        match outcome with
        | None -> ()
        | Some f ->
@@ -217,4 +241,5 @@ let run cfg =
   let par_programs, par_loops = Oracle.par_stats () in
   { generated = cfg.count; disagreements = !disagreements;
     failures = List.rev !failures; written = List.rev !written;
-    par_programs; par_loops }
+    par_programs; par_loops; promoted_programs = !promoted_programs;
+    promoted_stores = !promoted_stores; promoted_loop_stores = !loop_stores }

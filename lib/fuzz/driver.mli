@@ -51,6 +51,11 @@ type report = {
       (** programs where the [par] arm parallelised >= 1 loop (0 when the
           par arm was not selected) *)
   par_loops : int;                 (** total loops parallelised by the arm *)
+  promoted_programs : int;
+      (** generated programs in which the mutability pass put >= 1 store in
+          place, compiled once at -O1 whatever the arms *)
+  promoted_stores : int;           (** their stores on the in-place row *)
+  promoted_loop_stores : int;      (** of those, the stores of loop webs *)
 }
 
 val case_for : config -> int -> Ast.case

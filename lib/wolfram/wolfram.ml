@@ -141,19 +141,6 @@ let rec function_compile ?options ?type_env ?macro_env ?user_passes
         Wvm w
       | Jit | Threaded ->
         let c = Pipeline.compile ~options:opts ?type_env ?macro_env ?user_passes ~name fexpr in
-        let closure, jit_artifact =
-          match target with
-          | Jit when not opts.Options.profile ->
-            (match Jit.compile_artifact c with
-             | Ok (art, cmxs, f) -> f, Some (art, cmxs)
-             | Error _ -> Native.compile c, None)
-          | Jit | Threaded | Bytecode | Tier ->
-            (* profiling instruments per function, which only the threaded
-               backend's closure tree supports — a profiled jit request runs
-               threaded so the hot-function table is per-function, not one
-               opaque entry *)
-            Native.compile c, None
-        in
         let main = Wir.main c.Pipeline.program in
         let arg_tys =
           Array.map
@@ -161,13 +148,27 @@ let rec function_compile ?options ?type_env ?macro_env ?user_passes
             main.Wir.fparams
         in
         let ret_ty = Option.value ~default:Types.expression main.Wir.ret_ty in
+        let closure =
+          match target with
+          | Jit when not opts.Options.profile ->
+            let persist art ~cmxs =
+              match disk, key with
+              | Some d, Some k -> Disk_store.store_jit d ~key:k ~art ~cmxs ~arg_tys ~ret_ty
+              | _ -> ()
+            in
+            (match Jit.compile ~persist c with
+             | Ok f -> f
+             | Error _ -> Native.compile c)
+          | Jit | Threaded | Bytecode | Tier ->
+            (* profiling instruments per function, which only the threaded
+               backend's closure tree supports — a profiled jit request runs
+               threaded so the hot-function table is per-function, not one
+               opaque entry *)
+            Native.compile c
+        in
         let wrapped =
           Compiled_function.wrap ~pipeline:c ~name ~source:fexpr ~arg_tys ~ret_ty closure
         in
-        (match disk, key, jit_artifact with
-         | Some d, Some k, Some (art, cmxs) ->
-           Disk_store.store_jit d ~key:k ~art ~cmxs ~arg_tys ~ret_ty
-         | _ -> ());
         Native wrapped
   in
   match key with

@@ -1003,6 +1003,49 @@ let prop_options_semantics_preserving =
        | first :: rest -> List.for_all (Expr.equal first) rest
        | [] -> true)
 
+(* A promoted loop hands back its array at refcount 1: the Module binding's
+   copy takes over the fresh allocation's claim, and no store copies it. *)
+let test_promoted_result_unshared () =
+  Wolfram.init ();
+  let c =
+    Pipeline.compile ~name:"bins"
+      (parse
+         {|Function[{Typed[n, "MachineInteger"]},
+            Module[{bins = ConstantArray[0, 4], i = 1},
+             While[i <= n, bins[[Mod[i, 4] + 1]] = bins[[Mod[i, 4] + 1]] + i; i = i + 1];
+             bins]]|})
+  in
+  Alcotest.(check int) "one store in place" 1 (Pipeline.inplace_updates c);
+  let check what (f : Rtval.closure) =
+    match f.Rtval.call [| Rtval.Int 6 |] with
+    | Rtval.Tensor t ->
+      Alcotest.check expr (what ^ " value") (parse "{4, 6, 8, 3}") (Rtval.to_expr (Rtval.Tensor t));
+      Alcotest.(check int) (what ^ " refcount") 1 (Wolf_wexpr.Tensor.refcount t)
+    | v -> Alcotest.failf "%s returned %s" what (Expr.to_string (Rtval.to_expr v))
+  in
+  check "threaded" (B.Native.compile c);
+  if Lazy.force jit_on then
+    match B.Jit.compile c with
+    | Ok j -> check "jit" j
+    | Error e -> Alcotest.failf "jit: %s" e
+
+(* a loaded JIT module leaves none of its build products behind *)
+let test_jit_removes_products () =
+  if Lazy.force jit_on then begin
+    let mine = Printf.sprintf "wolfjit_%d_" (Unix.getpid ()) in
+    let count () =
+      Array.fold_left
+        (fun n f -> if String.starts_with ~prefix:mine f then n + 1 else n)
+        0 (Sys.readdir (B.Jit.sessions_dir ()))
+    in
+    let before = count () in
+    let c = Pipeline.compile ~name:"p" (parse {|Function[{Typed[n, "MachineInteger"]}, n + 1]|}) in
+    (match B.Jit.compile c with
+     | Ok j -> Alcotest.check expr "runs" (Expr.Int 8) (Rtval.to_expr (j.Rtval.call [| Rtval.Int 7 |]))
+     | Error e -> Alcotest.failf "jit: %s" e);
+    Alcotest.(check int) "files of this process in the sessions directory" before (count ())
+  end
+
 let tests =
   [ Alcotest.test_case "scalar programs" `Quick test_scalar_programs;
     Alcotest.test_case "control flow" `Quick test_control_flow_programs;
@@ -1010,6 +1053,9 @@ let tests =
     Alcotest.test_case "arrays" `Quick test_array_programs;
     Alcotest.test_case "array mutation" `Quick test_array_mutation_program;
     Alcotest.test_case "mutability isolation (F5)" `Quick test_mutability_isolated;
+    Alcotest.test_case "a promoted loop returns its array unshared" `Quick
+      test_promoted_result_unshared;
+    Alcotest.test_case "jit removes its build products" `Quick test_jit_removes_products;
     Alcotest.test_case "closures" `Quick test_closures;
     Alcotest.test_case "recursion" `Quick test_recursion;
     Alcotest.test_case "soft numerical failure (F2)" `Quick test_soft_failure_both_backends;

@@ -55,6 +55,19 @@ let test_regressions_on_par () =
 let test_regressions_on_binary () =
   List.iter (check_clean ~arms:(arms "binary") ~levels:[ 0; 2 ]) (regressions ())
 
+(* the aliasing shapes whose loop stores must keep copy-on-write, replayed
+   on every arm, each with its campaign setup (the serve arm's daemon) *)
+let test_alias_regressions_on_every_arm () =
+  let alias =
+    List.filter
+      (fun e -> String.starts_with ~prefix:"regress-alias" (Filename.basename e.Driver.ce_path))
+      (Lazy.force entries)
+  in
+  Alcotest.(check int) "five alias shapes" 5 (List.length alias);
+  let teardowns = List.map (fun a -> a.Oracle.setup ignore) Oracle.arms in
+  Fun.protect ~finally:(fun () -> List.iter (fun t -> t ()) teardowns) @@ fun () ->
+  List.iter (check_clean ~arms:Oracle.arms) alias
+
 (* ---- the arm table ----------------------------------------------------- *)
 
 let names = List.map (fun a -> a.Oracle.name)
@@ -94,7 +107,7 @@ let test_wvm_predicate () =
   in
   Alcotest.(check (list string)) "excluded = annotated"
     (base (List.filter annotated (Lazy.force entries))) (base excluded);
-  Alcotest.(check int) "two annotated files" 2 (List.length excluded)
+  Alcotest.(check int) "three annotated files" 3 (List.length excluded)
 
 (* the par arm's coverage counters read each compile's own pipeline, so a
    sharded campaign counts exactly what a sequential one does *)
@@ -217,6 +230,8 @@ let tests =
       test_regressions_on_par;
     Alcotest.test_case "regressions as built binaries" `Slow
       test_regressions_on_binary;
+    Alcotest.test_case "alias regressions on every arm" `Slow
+      test_alias_regressions_on_every_arm;
     Alcotest.test_case "arm names round-trip through --backends" `Quick
       test_arm_names_roundtrip;
     Alcotest.test_case "an unknown arm lists every arm" `Quick

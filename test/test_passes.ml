@@ -1005,9 +1005,9 @@ let test_mutability_promotion () =
       {|Function[{Typed[n, "MachineInteger"]},
          Module[{a = ConstantArray[0, n]}, a[[1]] = 7; 0]]|}
   in
-  Alcotest.(check bool) "promoted" true (c.Pipeline.inplace_updates >= 1);
+  Alcotest.(check bool) "promoted" true ((Pipeline.inplace_updates c) >= 1);
   (* the store calls the in-place row, which every backend dispatches on *)
-  Alcotest.(check int) "one in-place row" c.Pipeline.inplace_updates
+  Alcotest.(check int) "one in-place row" (Pipeline.inplace_updates c)
     (count_instrs
        (function
          | Wir.Call { callee = Wir.Resolved { base = "part_set_1_inplace"; mangled }; _ } ->
@@ -1036,31 +1036,30 @@ let test_mutability_blocked_by_alias () =
   in
   Alcotest.(check int) "aliased update stays checked" 0 inplace
 
-(* The stores of a corpus regression (replayed on every fuzz arm), by the
-   row they call, in program order. *)
+(* The stores of a function, by the row they call, in program order. *)
+let stores_of (f : Wir.func) =
+  List.concat_map
+    (fun (b : Wir.block) ->
+       List.filter_map
+         (function
+           | Wir.Call { callee = Wir.Resolved { base; _ }; _ }
+             when String.starts_with ~prefix:"part_set" base -> Some base
+           | _ -> None)
+         b.Wir.instrs)
+    f.Wir.blocks
+
+(* The stores of a corpus regression (replayed on every fuzz arm), and how
+   many the mutability pass promoted. *)
 let corpus_stores file =
   let c = compile (In_channel.with_open_bin ("corpus/" ^ file) In_channel.input_all) in
-  let stores = ref [] in
-  List.iter
-    (fun f ->
-       List.iter
-         (fun (b : Wir.block) ->
-            List.iter
-              (function
-                | Wir.Call { callee = Wir.Resolved { base; _ }; _ }
-                  when String.starts_with ~prefix:"part_set" base ->
-                  stores := base :: !stores
-                | _ -> ())
-              b.Wir.instrs)
-         f.Wir.blocks)
-    c.Pipeline.program.Wir.funcs;
-  (List.rev !stores, c.Pipeline.inplace_updates)
+  (List.concat_map stores_of c.Pipeline.program.Wir.funcs, Pipeline.inplace_updates c)
 
-(* of its two stores, the one after the fresh ConstantArray is on the
-   in-place row and the one after b = a keeps the copy-on-write test *)
+(* b = a copies the array between its two stores, so the web of both
+   stores has a use that is not a read, a store or a return: both keep the
+   copy-on-write test *)
 let test_mutability_corpus_regression () =
-  Alcotest.(check (pair (list string) int)) "in place, then copy-on-write"
-    ([ "part_set_1_inplace"; "part_set_1" ], 1)
+  Alcotest.(check (pair (list string) int)) "copy-on-write, twice"
+    ([ "part_set_1"; "part_set_1" ], 0)
     (corpus_stores "regress-inplace-store-promotion.wl")
 
 (* the store in the loop writes a copy of an array allocated before the
@@ -1068,6 +1067,102 @@ let test_mutability_corpus_regression () =
 let test_mutability_loop_store_checked () =
   Alcotest.(check (pair (list string) int)) "copy-on-write" ([ "part_set_1" ], 0)
     (corpus_stores "regress-inplace-store-in-loop.wl")
+
+(* The Histogram shape on hand-built TWIR, and one variant per aliasing
+   shape the mutability pass must reject:
+
+   b0: a0 = constant_array_int(0, 3); a = Copy a0; Jump b1(a, 1)
+   b1(p, i): c = i <= n; Branch c ? b2 : b3
+   b2: x = p[[i]]; r = part_set_1(p, i, x + 1); Jump b1(r, i + 1)
+   b3: Return p *)
+type hist_variant =
+  | Plain
+  | Copied_before_loop   (* k = Copy a in b0, read in b3 *)
+  | Captured             (* a closure in b2 captures p *)
+  | Call_in_loop         (* t = Total[p] in b2 *)
+  | Pooled_literal       (* a = Copy of a constant array *)
+  | Old_value_kept       (* p read after the store in b2 *)
+
+let hist_twir variant =
+  let pa = Types.packed Types.int64 1 in
+  let tensor () = Wir.fresh_var ~ty:pa () in
+  let n = int_var () and a0 = tensor () and a = tensor () and k = tensor () in
+  let p = tensor () and i = int_var () and c = Wir.fresh_var ~ty:Types.boolean () in
+  let x = int_var () and y = int_var () and r = tensor () and i1 = int_var () in
+  let extra = int_var () in
+  let prim base mangled dst args =
+    Wir.Call { dst; callee = Wir.Resolved { base; mangled }; args }
+  in
+  let v x = Wir.Ovar x in
+  let alloc =
+    match variant with
+    | Pooled_literal ->
+      [ copy a (Wir.Oconst (Wir.Cexpr (Expr.Tensor (Tensor.of_int_array [| 0; 0; 0 |])))) ]
+    | _ ->
+      [ prim "constant_array_int" "constant_array_int_I64_I64" a0 [| cint 0; cint 3 |];
+        copy a (v a0) ]
+  in
+  let body_extra, after_store =
+    match variant with
+    | Captured -> ([ Wir.New_closure { dst = extra; fname = "g"; captured = [| v p |] } ], [])
+    | Call_in_loop -> ([ prim "array_total" "array_total_PA_I64_1" extra [| v p |] ], [])
+    | Old_value_kept ->
+      ([], [ prim "part_get_1" "part_get_1_PA_I64_1_I64" extra [| v p; cint 1 |] ])
+    | Plain | Copied_before_loop | Pooled_literal -> ([], [])
+  in
+  let b0_extra, b3_instrs =
+    match variant with
+    | Copied_before_loop ->
+      ([ copy k (v a) ], [ prim "part_get_1" "part_get_1_PA_I64_1_I64" extra [| v k; cint 1 |] ])
+    | _ -> ([], [])
+  in
+  mk_f ~fparams:[| n |] ~ret_ty:(Some pa)
+    [ block 0
+        ([ Wir.Load_argument { dst = n; index = 0 } ] @ alloc @ b0_extra)
+        (goto 1 ~args:[| v a; cint 1 |]);
+      block 1 ~params:[| p; i |]
+        [ prim "binary_less_equal" "binary_less_equal_I64_I64" c [| v i; v n |] ]
+        (Wir.Branch { cond = v c; if_true = { target = 2; jargs = [||] };
+                      if_false = { target = 3; jargs = [||] } });
+      block 2
+        (body_extra
+         @ [ prim "part_get_1" "part_get_1_PA_I64_1_I64" x [| v p; v i |];
+             prim "checked_binary_plus" "checked_binary_plus_I64_I64" y [| v x; cint 1 |];
+             prim "part_set_1" "part_set_1_PA_I64_1_I64_I64" r [| v p; v i; v y |] ]
+         @ after_store
+         @ [ prim "checked_binary_plus" "checked_binary_plus_I64_I64" i1 [| v i; cint 1 |] ])
+        (goto 1 ~args:[| v r; v i1 |]);
+      block 3 b3_instrs (Wir.Return (v p)) ]
+
+let test_mutability_hist_promoted () =
+  let f = hist_twir Plain in
+  let promoted = Mutability_pass.run { Wir.funcs = [ f ]; pmeta = [] } in
+  Alcotest.(check (list string)) "the store is in place" [ "part_set_1_inplace" ] (stores_of f);
+  Alcotest.(check (list (pair (option int) int))) "one loop web, one store" [ (Some 1, 1) ]
+    (List.map (fun p -> (p.Mutability_pass.pheader, p.Mutability_pass.pstores)) promoted);
+  Alcotest.(check int) "the header carries only i" 1
+    (Array.length (Wir.find_block f 1).Wir.bparams);
+  (match (Wir.find_block f 0).Wir.term with
+   | Wir.Jump { jargs; _ } -> Alcotest.(check int) "the entry passes only i" 1 (Array.length jargs)
+   | _ -> Alcotest.fail "b0 no longer jumps");
+  match Wir_verify.check_func f with
+  | Ok () -> ()
+  | Error es -> Alcotest.failf "verifier: %s" (String.concat "; " es)
+
+let test_mutability_alias_rows () =
+  List.iter
+    (fun (what, variant) ->
+       let f = hist_twir variant in
+       let promoted = Mutability_pass.run { Wir.funcs = [ f ]; pmeta = [] } in
+       Alcotest.(check (pair (list string) int)) what ([ "part_set_1" ], 0)
+         (stores_of f, List.length promoted);
+       Alcotest.(check int) (what ^ ": the header still carries p") 2
+         (Array.length (Wir.find_block f 1).Wir.bparams))
+    [ ("copied before the loop", Copied_before_loop);
+      ("captured by a closure", Captured);
+      ("passed to a call in the loop", Call_in_loop);
+      ("a pooled literal", Pooled_literal);
+      ("the old value read after the store", Old_value_kept) ]
 
 let test_user_pass_injection () =
   (* §4.7: users can inject passes into the pipeline *)
@@ -1161,6 +1256,10 @@ let tests =
     Alcotest.test_case "in-place corpus regression" `Quick test_mutability_corpus_regression;
     Alcotest.test_case "store in a loop after an outer allocation stays checked" `Quick
       test_mutability_loop_store_checked;
+    Alcotest.test_case "loop-carried array promoted (Histogram TWIR)" `Quick
+      test_mutability_hist_promoted;
+    Alcotest.test_case "aliased loop-carried arrays stay checked" `Quick
+      test_mutability_alias_rows;
     Alcotest.test_case "user pass injection (§4.7)" `Quick test_user_pass_injection;
     Alcotest.test_case "per-pass timings (E8)" `Quick test_pass_timings_recorded ]
   @ List.map
