@@ -25,6 +25,10 @@ module H = Bench_support.Baselines
 let quota = ref 0.6
 let batches = 5
 
+(* the noise band of the arms measured since the last reset: the largest
+   relative distance from an arm's best batch to its median batch *)
+let noise = ref 0.0
+
 (* Arms that will be compared against each other (a benchmark's hand /
    compiled / no-abort variants) are timed interleaved — one batch of every
    arm per round — so drift slower than a round hits all of them equally
@@ -41,19 +45,24 @@ let measure_group (arms : (unit -> unit) list) : float list =
            max 1
              (int_of_float (!quota /. float_of_int batches /. Float.max once 1e-9))
          in
-         (f, n, ref infinity))
+         (f, n, ref []))
       arms
   in
   for _ = 1 to batches do
     List.iter
-      (fun (f, n, best) ->
+      (fun (f, n, times) ->
          let t0 = Unix.gettimeofday () in
          for _ = 1 to n do f () done;
-         let dt = (Unix.gettimeofday () -. t0) /. float_of_int n in
-         if dt < !best then best := dt)
+         times := ((Unix.gettimeofday () -. t0) /. float_of_int n) :: !times)
       calibrated
   done;
-  List.map (fun (_, _, best) -> !best) calibrated
+  List.map
+    (fun (_, _, times) ->
+       let sorted = List.sort compare !times in
+       let best = List.hd sorted and median = List.nth sorted (batches / 2) in
+       noise := Float.max !noise ((median -. best) /. best);
+       best)
+    calibrated
 
 let measure _name (f : unit -> unit) : float =
   match measure_group [ f ] with [ t ] -> t | _ -> assert false
@@ -155,7 +164,7 @@ type fig2_row = {
   bname : string;
   hand : float;
   compiled : float;         (* new compiler, abort checks on *)
-  compiled_noloop : float;  (* loop layer (LICM/BCE/strided polls) off *)
+  compiled_noloop : float;  (* loop layer (LICM/range facts/strided polls) off *)
   compiled_noabort : float;
   bytecode : float option;
   backend_used : string;
@@ -384,16 +393,19 @@ let fig2_benchmarks () =
 
   List.rev !rows
 
-(* "no-loopopt" is the pre-loop-layer compiler (LICM, bounds-check
-   elimination and strided abort polls all disabled), so compiled vs
+(* "no-loopopt" is the pre-loop-layer compiler (LICM, range facts and
+   strided abort polls all disabled), so compiled vs
    no-loopopt is this layer's effect and compiled vs no-abort is the
    residual abortability overhead. *)
 let fig2_record rows =
   write_record "fig2"
     ~info:
       (("abort_stride", string_of_int Options.default.Options.abort_stride)
+       :: ("batches", Printf.sprintf "%d per arm, best kept" batches)
+       :: ("batch_quota_s", Printf.sprintf "%g per arm" !quota)
        :: List.map (fun r -> (String.lowercase_ascii r.bname ^ ".backend", r.backend_used)) rows)
-    (List.concat_map
+    (("noise_band", !noise, "ratio")
+     :: List.concat_map
        (fun r ->
           let m name v unit = (String.lowercase_ascii r.bname ^ "." ^ name, v, unit) in
           [ m "hand_s" r.hand "s"; m "compiled_s" r.compiled "s";
@@ -407,6 +419,7 @@ let fig2_record rows =
 
 let fig2 () =
   B.Compiled_function.quiet := true;
+  noise := 0.0;
   let rows = fig2_benchmarks () in
   print_table ~title:"Figure 2: slowdown normalised to the hand-written baseline"
     ~columns:[ "hand"; "compiled"; "no-loopopt"; "no-abort"; "bytecode"; "backend" ]

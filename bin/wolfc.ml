@@ -265,7 +265,11 @@ let print_program_stats (c : Wolf_compiler.Pipeline.compiled) =
           | Some l -> Printf.sprintf "loop at b%d" l
           | None -> "straight-line")
          p.pstores)
-    c.Pipeline.promotions
+    c.Pipeline.promotions;
+  let r = c.Pipeline.ranges in
+  Printf.printf
+    "  range facts: %d overflow check(s) and %d Part check(s) proved in range, %d loop nest(s) versioned\n"
+    r.Opt_range.overflow r.Opt_range.bounds r.Opt_range.versioned
 
 let run_cmd =
   let run expr file args target tier tier_threshold disk_cache parallel_loops
@@ -588,6 +592,10 @@ let fuzz_cmd =
       report.disagreements;
     Printf.printf "fuzz: promoted %d store(s) in place in %d program(s), %d of them in loops\n"
       report.promoted_stores report.promoted_programs report.promoted_loop_stores;
+    Printf.printf
+      "fuzz: range analysis proved %d overflow check(s) and %d Part check(s) in range, \
+       versioned %d loop nest(s)\n"
+      report.range_overflow report.range_bounds report.range_versioned;
     let par_selected = List.exists (fun a -> a.Oracle.name = "par") arms in
     if par_selected then
       Printf.printf "fuzz: par arm parallelised %d loop(s) in %d program(s)\n"
@@ -607,6 +615,12 @@ let fuzz_cmd =
          loop *)
       prerr_endline
         "fuzz: the mutability pass promoted no loop store in a >=200-program campaign";
+      1
+    end
+    else if count >= 200 && report.range_bounds = 0 then begin
+      (* the same guard for the range analysis: no Part check proved in a
+         sizeable campaign means it proves nothing *)
+      prerr_endline "fuzz: the range analysis proved no Part check in a >=200-program campaign";
       1
     end
     else if jit_selected && jit_rejected > 0 then begin

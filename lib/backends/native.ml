@@ -235,7 +235,8 @@ let compile_prim ctx ~base ~dst ~(args : operand array) : (frame -> unit) option
     | "part_get_1_unchecked", R ->
       let gt = get_o ctx args.(0) and gi = get_i ctx args.(1) and set = set_r ctx dst in
       Some (fun fr -> set fr (Tensor.get_real (Rtval.as_tensor (gt fr)) (gi fr - 1)))
-    | "part_get_2", (I | R) ->
+    (* the range analysis's matrix and store variants keep the check *)
+    | ("part_get_2" | "part_get_2_unchecked"), (I | R) ->
       let gt = get_o ctx args.(0) and gi = get_i ctx args.(1) and gk = get_i ctx args.(2) in
       if dst_bank = I then begin
         let set = set_i ctx dst in
@@ -251,8 +252,11 @@ let compile_prim ctx ~base ~dst ~(args : operand array) : (frame -> unit) option
              let t = Rtval.as_tensor (gt fr) in
              set fr (Tensor.get_real t (Tensor.flat_index2 t (gi fr) (gk fr))))
       end
-    | ("part_set_1" | "part_set_1_inplace" | "part_set_2" | "part_set_2_inplace"), O ->
-      let inplace = String.ends_with ~suffix:"_inplace" base in
+    | ( ( "part_set_1" | "part_set_1_inplace" | "part_set_2" | "part_set_2_inplace"
+        | "part_set_1_unchecked" | "part_set_1_inplace_unchecked" | "part_set_2_unchecked"
+        | "part_set_2_inplace_unchecked" ),
+        O ) ->
+      let inplace = Wolf_compiler.Mutability_pass.is_in_place_store base in
       let last = Array.length args - 1 in
       let two = last = 3 in
       let gt = get_o ctx args.(0) and gi = get_i ctx args.(1) in

@@ -244,6 +244,10 @@ let prim_expr ctx ~base ~(args : operand array) ~dst_ty : string option =
   | "checked_binary_power" when all_int -> Some (Printf.sprintf "wolf_ipow %s %s" (a 0) (a 1))
   | "checked_unary_minus" -> Some (Printf.sprintf "wolf_neg %s" (a 0))
   | "checked_unary_abs" -> Some (Printf.sprintf "wolf_abs %s" (a 0))
+  (* a checked op the range analysis proved in range *)
+  | "binary_plus" when all_int -> Some (Printf.sprintf "%s + %s" (a 0) (a 1))
+  | "binary_subtract" when all_int -> Some (Printf.sprintf "%s - %s" (a 0) (a 1))
+  | "binary_times" when all_int -> Some (Printf.sprintf "%s * %s" (a 0) (a 1))
   | "binary_plus" when dst_is "Real64" -> Some (Printf.sprintf "%s +. %s" (ri 0) (ri 1))
   | "binary_subtract" when dst_is "Real64" -> Some (Printf.sprintf "%s -. %s" (ri 0) (ri 1))
   | "binary_times" when dst_is "Real64" -> Some (Printf.sprintf "%s *. %s" (ri 0) (ri 1))
@@ -334,6 +338,7 @@ let prim_expr ctx ~base ~(args : operand array) ~dst_ty : string option =
     Some (Printf.sprintf "Char.code (String.unsafe_get %s (%s - 1))" (a 0) (ii 1))
   | "string_join" -> Some (Printf.sprintf "%s ^ %s" (a 0) (a 1))
   | "array_length" -> Some (Printf.sprintf "(Wolf_wexpr.Tensor.dims %s).(0)" (a 0))
+  | "array_dim" -> Some (Printf.sprintf "(Wolf_wexpr.Tensor.dims %s).(%s - 1)" (a 0) (ii 1))
   | _ -> None
 
 let prelude = {|
@@ -638,12 +643,22 @@ let add_line b env s =
 
 let indent env = { env with ind = env.ind + 2 }
 
-let is_store base =
-  base = "part_set_1" || base = "part_set_1_inplace" || base = "part_set_2"
-  || base = "part_set_2_inplace"
+(* every [part_set_*] row: checked or proved, copy-on-write or in place *)
+let is_store base = String.starts_with ~prefix:"part_set_" base
 
 let is_access base =
-  is_store base || base = "part_get_1" || base = "part_get_1_unchecked" || base = "part_get_2"
+  is_store base
+  || (match base with
+      | "part_get_1" | "part_get_1_unchecked" | "part_get_2" | "part_get_2_unchecked" -> true
+      | _ -> false)
+
+(* the rank an access indexes, and whether a range proof dropped its test *)
+let access_rank base =
+  if String.starts_with ~prefix:"part_get_2" base || String.starts_with ~prefix:"part_set_2" base
+  then 2
+  else 1
+
+let unchecked base = String.ends_with ~suffix:"_unchecked" base
 
 (* The tensor variables that get views: operands of element accesses, the
    results of stores (a copy-on-write point is a new SSA value with its own
@@ -742,13 +757,14 @@ let project b ~viewed env v = bind_view b ~viewed env v (Ovar v)
    accesses in scope with the same dims and index.  A reused check passed
    earlier on every path to the access, so the first failing check, and its
    error, is the same as without reuse. *)
-let view_index ctx b env ~(dst : var) t (idx : operand array) =
+let view_index ?(unchecked = false) ctx b env ~(dst : var) t (idx : operand array) =
   let env = ref env in
   let js =
     Array.mapi
       (fun k op ->
          let e = as_int_expr ctx op in
-         let key = Printf.sprintf "%s_d%d %s" t k e in
+         (* an index a range proof put in 1..dim needs no check *)
+         let key = Printf.sprintf "%s%s_d%d %s" (if unchecked then "u " else "") t k e in
          match List.assoc_opt key !env.checked with
          | Some j -> j
          | None ->
@@ -756,7 +772,8 @@ let view_index ctx b env ~(dst : var) t (idx : operand array) =
            (* a row index is bound as the row's offset *)
            let scale = if k = 0 && Array.length idx = 2 then Printf.sprintf " * %s_d1" t else "" in
            add_line b !env
-             (Printf.sprintf "let %s = wolf_vindex1 %s_d%d %s%s in" j t k e scale);
+             (if unchecked then Printf.sprintf "let %s = (%s - 1)%s in" j e scale
+              else Printf.sprintf "let %s = wolf_vindex1 %s_d%d %s%s in" j t k e scale);
            env := { !env with checked = (key, j) :: !env.checked };
            j)
       idx
@@ -779,13 +796,12 @@ let elem_kind ty =
 (* An element read through a view, or None when the result is not an
    element (a row of a matrix), which is a boxed call. *)
 let view_read ctx b env ~(dst : var) ~base ~(args : operand array) =
-  let rank = if base = "part_get_2" then 2 else 1 in
+  let rank = access_rank base in
   match elem_kind (var_ty dst) with
   | Some kind when view_shape (op_ty_of args.(0)) = Some (kind, rank) ->
     let env, t = view_of ctx b env (kind, rank) args.(0) in
     let env, index =
-      if base = "part_get_1_unchecked" then (env, Printf.sprintf "%s - 1" (as_int_expr ctx args.(1)))
-      else view_index ctx b env ~dst t (Array.sub args 1 rank)
+      view_index ~unchecked:(unchecked base) ctx b env ~dst t (Array.sub args 1 rank)
     in
     add_line b env
       (Printf.sprintf "let v%d : %s = Array.unsafe_get %s_a (%s) in"
@@ -797,7 +813,7 @@ let view_read ctx b env ~(dst : var) ~base ~(args : operand array) =
    result, then the checked write.  An in-place store's result is its
    operand, so it lends the operand's view locals. *)
 let view_store ctx b env ~dst ~base ~(args : operand array) =
-  let rank = if base = "part_set_1" || base = "part_set_1_inplace" then 1 else 2 in
+  let rank = access_rank base in
   let value = args.(rank + 1) in
   match elem_kind (op_ty_of value) with
   | Some kind
@@ -807,7 +823,7 @@ let view_store ctx b env ~dst ~base ~(args : operand array) =
     let env, t = view_of ctx b env shape args.(0) in
     let line fmt = Printf.ksprintf (add_line b env) fmt in
     let d = Printf.sprintf "v%d" dst.vid in
-    if base = "part_set_1_inplace" || base = "part_set_2_inplace" then begin
+    if Wolf_compiler.Mutability_pass.is_in_place_store base then begin
       line "let %s : Wolf_wexpr.Tensor.t = %s in" d t;
       List.iter2 (line "let %s = %s in") (view_locals shape d) (view_locals shape t)
     end
@@ -815,7 +831,9 @@ let view_store ctx b env ~dst ~base ~(args : operand array) =
       line "let %s : Wolf_wexpr.Tensor.t = wolf_cow %s in" d t;
       bind_parts b env shape d
     end;
-    let env, index = view_index ctx b env ~dst t (Array.sub args 1 rank) in
+    let env, index =
+      view_index ~unchecked:(unchecked base) ctx b env ~dst t (Array.sub args 1 rank)
+    in
     line "let () = Array.unsafe_set %s_a (%s) %s in" d index (operand_expr ctx value);
     Some { env with views = IS.add dst.vid env.views }
   | _ -> None

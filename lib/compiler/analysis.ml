@@ -383,7 +383,7 @@ let counted_loop f (l : loop) =
                  match resolved_def def_of s with
                  | Some
                      (Call
-                        { callee = Resolved { base = "checked_binary_plus"; _ };
+                        { callee = Resolved { base = "checked_binary_plus" | "binary_plus"; _ };
                           args = [| Ovar i'; Oconst (Cint 1) |];
                           _ }) ->
                    (chase_copies def_of i').vid = iv.vid

@@ -75,9 +75,9 @@ val loop_defs : Wir.func -> loop -> (int, unit) Hashtbl.t
 
 (** {2 Counted loops}
 
-    The one recogniser behind bounds-check elimination ({!Opt_licm}),
-    strip-mining ({!Opt_abort_stride}) and {!Opt_parloop}.  It matches a
-    loop whose header ends in [Branch c ? body : _] where [c] is defined as
+    The one recogniser behind strip-mining ({!Opt_abort_stride}) and
+    {!Opt_parloop}.  It matches a loop whose header ends in
+    [Branch c ? body : _] where [c] is defined as
     [binary_less{,_equal}(i, n)]: [i] chases through copies to a header
     parameter and [n] is an [Integer64] variable defined outside the loop or
     an integer constant.  The integer-bound rule exists because every client
@@ -101,7 +101,8 @@ type counted_loop = {
   exits : bool;                       (** [on_false] leaves the loop *)
   guard_in_header : bool;             (** [c] is computed in the header *)
   guard_single_use : bool;            (** [c] has no use besides the branch *)
-  steps_by_one : bool;                (** every latch passes [i + 1] for [i] *)
+  steps_by_one : bool;
+      (** every latch passes [i + 1] (checked, or proved in range) for [i] *)
   starts_at_least : int -> bool;
       (** [starts_at_least k]: every entry value of [i] is an integer
           constant [>= k] (through up to three forwarding blocks) *)

@@ -85,8 +85,7 @@ let run (p : program) =
          && List.for_all
               (function
                 | Call { dst; callee = Resolved { base; _ }; args }
-                  when Mutability_pass.reads base dst
-                       || base = "part_set_1_inplace" || base = "part_set_2_inplace" ->
+                  when Mutability_pass.reads base dst || Mutability_pass.is_in_place_store base ->
                   Array.for_all (function Ovar u -> u.vid <> v.vid | Oconst _ -> true)
                     (Array.sub args 1 (Array.length args - 1))
                 | Copy { dst; _ } -> transfers dst v

@@ -10,7 +10,21 @@ let promoted_counter form =
 let promoted_block = promoted_counter "block"
 let promoted_loop = promoted_counter "loop"
 
-let is_store = function "part_set_1" | "part_set_2" -> true | _ -> false
+let is_store = function
+  | "part_set_1" | "part_set_2" | "part_set_1_unchecked" | "part_set_2_unchecked" -> true
+  | _ -> false
+
+(* the in-place row of a store, keeping a range proof's [_unchecked] *)
+let in_place base =
+  if String.ends_with ~suffix:"_unchecked" base then
+    String.sub base 0 (String.length base - 10) ^ "_inplace_unchecked"
+  else base ^ "_inplace"
+
+let is_in_place_store = function
+  | "part_set_1_inplace" | "part_set_2_inplace" | "part_set_1_inplace_unchecked"
+  | "part_set_2_inplace_unchecked" ->
+    true
+  | _ -> false
 
 let is_tensor (v : var) =
   match v.vty with
@@ -19,7 +33,9 @@ let is_tensor (v : var) =
 
 let reads base (dst : var) =
   match base with
-  | "part_get_1" | "part_get_1_unchecked" | "part_get_2" | "array_length" -> not (is_tensor dst)
+  | "part_get_1" | "part_get_1_unchecked" | "part_get_2" | "part_get_2_unchecked" | "array_length"
+  | "array_dim" ->
+    not (is_tensor dst)
   | _ -> false
 
 (* a use of a web member at argument [pos] of [base] that neither keeps the
@@ -271,7 +287,7 @@ let promote_func (f : func) =
              (fun i ->
                 match map_instr_operands rename i with
                 | Call { dst; callee = Resolved { base; _ } as callee; args } when candidate i ->
-                  Call { dst; callee = Analysis.sibling callee (base ^ "_inplace"); args }
+                  Call { dst; callee = Analysis.sibling callee (in_place base); args }
                 | i -> i)
              b.instrs;
          b.term <-

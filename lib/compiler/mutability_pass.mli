@@ -27,6 +27,10 @@ val reads : string -> Wir.var -> bool
     array argument without keeping it: an element read with a scalar
     result, or [Length]. *)
 
+val is_in_place_store : string -> bool
+(** [part_set_{1,2}_inplace], with or without a range proof's
+    [_unchecked]. *)
+
 type promotion = {
   pfunc : string;        (** the function *)
   pheader : int option;

@@ -1,5 +1,4 @@
-(* Loop-invariant code motion plus bounds-check elimination (the loop
-   optimisation layer).
+(* Loop-invariant code motion (the loop optimisation layer).
 
    LICM hoists pure instructions whose operands are defined outside the
    loop (or themselves hoisted) into the loop's preheader.  Hoisting is
@@ -8,21 +7,10 @@
    the table says never fail.  Checked integer arithmetic (an overflow in
    the preheader of a loop that never runs would fail a program that
    succeeds), division, element accesses (range traps) and the like stay
-   put.
-
-   BCE then takes the counted loops of {!Analysis.counted_loop}
-
-     i = k (k >= 1); While[i <= n (or i < n), ... t[[i]] ..., i = i + 1]
-
-   whose false arm leaves the loop and whose bound n = Length[t] (or
-   StringLength[s]) of a loop-invariant container — after LICM has hoisted
-   it when needed — and rewrites the guarded accesses to their _unchecked
-   primitives.  Safety argument: i is an SSA header parameter, so it is
-   fixed within an iteration; the false arm of the guard leaves the loop,
-   so every body block executes only under i <= n; initial values on all
-   entry edges are integer constants >= 1 and every latch steps the
-   parameter by exactly +1, so 1 <= i <= Length holds at each rewritten
-   access. *)
+   put — until {!Opt_range}, which runs right after it in the same
+   fixpoint member, proves a checked [i + 1] or [i - 1] in range and gives
+   it the unchecked row, which never fails and is hoisted on the next
+   round.  Bounds checks are that analysis's business too. *)
 
 open Wir
 
@@ -82,56 +70,6 @@ let licm_loop f (l : Analysis.loop) =
     pre.instrs <- pre.instrs @ instrs;
     true
 
-(* ------------------------------------------------------------------ *)
-(* Bounds-check elimination. *)
-
-let bce_loop f (l : Analysis.loop) =
-  match Analysis.counted_loop f l with
-  | Ok v when v.exits && v.steps_by_one && v.starts_at_least 1 -> (
-    let chase = Analysis.chase_copies v.def_of in
-    (* the access primitive the bound covers, and its container *)
-    let covered =
-      match v.bound with
-      | Ovar n -> (
-        match Analysis.resolved_def v.def_of n with
-        | Some
-            (Call
-               { callee =
-                   Resolved { base = ("array_length" | "string_length") as len; _ };
-                 args = [| Ovar t |];
-                 _ })
-          when v.invariant (Ovar (chase t)) ->
-          Some ((if len = "array_length" then "part_get_1" else "string_byte"), chase t)
-        | _ -> None)
-      | Oconst _ -> None
-    in
-    match covered with
-    | None -> false
-    | Some (access, t) ->
-      let changed = ref false in
-      List.iter
-        (fun b ->
-           if Analysis.loop_contains l b.label && b.label <> l.lheader then
-             b.instrs <-
-               List.map
-                 (function
-                   | Call
-                       { dst;
-                         callee = Resolved { base; _ } as callee;
-                         args = [| Ovar t'; Ovar i' |] }
-                     when base = access && (chase t').vid = t.vid
-                          && (chase i').vid = v.iv.vid ->
-                     changed := true;
-                     Call
-                       { dst;
-                         callee = Analysis.sibling callee (access ^ "_unchecked");
-                         args = [| Ovar t'; Ovar i' |] }
-                   | i -> i)
-                 b.instrs)
-        f.blocks;
-      !changed)
-  | _ -> false
-
 let run (p : program) =
   let changed = ref false in
   List.iter
@@ -145,13 +83,6 @@ let run (p : program) =
        List.iter
          (fun (l : Analysis.loop) ->
             if l.lheader <> entry_label && licm_loop f l then changed := true)
-         loops;
-       (* the CFG may have gained preheaders; recompute for BCE *)
-       let cfg = Analysis.build_cfg f in
-       let loops = Analysis.natural_loops f cfg in
-       List.iter
-         (fun (l : Analysis.loop) ->
-            if l.lheader <> entry_label && bce_loop f l then changed := true)
          loops)
     p.funcs;
   !changed

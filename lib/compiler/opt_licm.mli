@@ -1,6 +1,5 @@
-(** Loop-invariant code motion into preheaders, plus bounds-check
-    elimination for induction-variable accesses provably within
-    [Length]/[StringLength] (rewritten to the [_unchecked] primitives).
-    Runs in the -O1+ fixpoint when [Options.loop_opts] is set. *)
+(** Loop-invariant code motion into preheaders.  Runs in the -O1+
+    fixpoint when [Options.loop_opts] is set, followed by {!Opt_range} in
+    the same fixpoint member ([licm]). *)
 
 val run : Wir.program -> bool

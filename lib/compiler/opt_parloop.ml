@@ -226,7 +226,7 @@ let recognize (f : func) (l : Analysis.loop) : (reco, string) result =
                 then reject "aliases a managed value"
               | Call { callee = Resolved { base; _ }; _ } ->
                 if String.starts_with ~prefix:"part_set" base then begin
-                  if base <> "part_set_1" then
+                  if base <> "part_set_1" && base <> "part_set_1_unchecked" then
                     reject ("unsupported write primitive " ^ base)
                 end
                 (* a pure primitive can be re-executed and chunked freely *)
@@ -313,7 +313,7 @@ let recognize (f : func) (l : Analysis.loop) : (reco, string) result =
          List.iter
            (fun i ->
               match i with
-              | Call { dst; callee = Resolved { base = "part_set_1"; _ }; _ }
+              | Call { dst; callee = Resolved { base = "part_set_1" | "part_set_1_unchecked"; _ }; _ }
                 when not (Hashtbl.mem tainted dst.vid) ->
                 reject "writes a shared value"
               | _ -> ())
@@ -351,7 +351,7 @@ let recognize (f : func) (l : Analysis.loop) : (reco, string) result =
           | ( `Map,
               Call
                 { dst;
-                  callee = Resolved { base = "part_set_1"; _ };
+                  callee = Resolved { base = "part_set_1" | "part_set_1_unchecked"; _ };
                   args = [| Ovar t; idx; value |] } )
             when t.vid = v.vid ->
             (match idx with
@@ -395,7 +395,9 @@ let recognize (f : func) (l : Analysis.loop) : (reco, string) result =
           | "binary_min", true -> Kreduce 4
           | "binary_max", false -> Kreduce 5
           | "binary_max", true -> Kreduce 6
-          | ("checked_binary_plus" | "checked_binary_times"), _ ->
+          | ("checked_binary_plus" | "checked_binary_times"), _
+          | ("binary_plus" | "binary_times"), false ->
+            (* a range proof covers the serial order's partial sums only *)
             reject "integer overflow order is observable"
           | _ -> reject ("non-associative reduction " ^ op))
         | [] -> reject "accumulator is only copied"
@@ -506,11 +508,13 @@ let transform (p : program) (f : func) (r : reco) counter =
   in
   let clone_instr i =
     match i with
-    | Call { dst; callee = Resolved { base = "part_set_1"; _ } as callee; args }
+    | Call { dst; callee = Resolved { base = ("part_set_1" | "part_set_1_unchecked") as base; _ } as callee; args }
       when Hashtbl.mem r.r_tainted dst.vid ->
       Call
         { dst = clone_var dst;
-          callee = Analysis.sibling callee "part_set_1_inplace";
+          callee =
+            Analysis.sibling callee
+              (if base = "part_set_1" then "part_set_1_inplace" else "part_set_1_inplace_unchecked");
           args = Array.map map_op args }
     | Call { dst; _ } when dst.vid = cl.guard.vid ->
       Call

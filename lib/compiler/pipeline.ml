@@ -11,6 +11,7 @@ type compiled = {
   source : Expr.t;
   stats : Pass_manager.stat list;
   promotions : Mutability_pass.promotion list;
+  ranges : Opt_range.tally;
 }
 
 let inplace_updates c =
@@ -32,13 +33,26 @@ let front ~options ~macro_env ~name fexpr =
 
 (* The optimisation fixpoint members (paper §4.5).  Level 2 widens the
    inlining budget and lets the fixpoint run longer. *)
-let opt_passes ~(options : Options.t) =
+let opt_passes ~ranges ~(options : Options.t) =
   let max_instrs = if options.Options.opt_level >= 2 then 96 else 48 in
   [ Pass_manager.mk "fold" Opt_fold.run;
     Pass_manager.mk "simplify-cfg" Opt_simplify_cfg.run;
     Pass_manager.mk "indirect" Opt_indirect.run;
     Pass_manager.mk "cse" Opt_cse.run ]
-  @ (if options.Options.loop_opts then [ Pass_manager.mk "licm" Opt_licm.run ] else [])
+  (* the loop layer: LICM, then range facts on the hoisted code, as one
+     fixpoint member.  The analysis runs on the first round and after a
+     round that hoisted something: what other passes change rarely lets it
+     prove more, and skipping a round proves less, never wrongly *)
+  @ (if options.Options.loop_opts then
+       let analysed = ref false in
+       [ Pass_manager.mk "licm" (fun prog ->
+             let hoisted = Opt_licm.run prog in
+             if hoisted || not !analysed then begin
+               analysed := true;
+               Opt_range.run ranges prog || hoisted
+             end
+             else false) ]
+     else [])
   @ [ Pass_manager.mk "dce" Opt_dce.run;
       Pass_manager.mk "bparam-elim" Opt_bparam.run ]
   @ (if options.Options.inline_level > 0 then
@@ -93,10 +107,11 @@ let compile ?(options = Options.default) ?type_env ?macro_env ?(user_passes = []
        (Pass_manager.of_unit "function-resolution" (fun prog ->
             Resolve.run ~compile_instance ~table:resolution prog))
        prog);
+  let ranges = Opt_range.tally () in
   if options.Options.opt_level > 0 then
     ignore
       (Pass_manager.run_fixpoint ~budget:(fixpoint_budget options) mgr
-         (opt_passes ~options) prog);
+         (opt_passes ~options ~ranges) prog);
   if options.Options.parallel_loops && options.Options.opt_level > 0 then
     ignore
       (Pass_manager.run_pass mgr
@@ -155,6 +170,7 @@ let compile ?(options = Options.default) ?type_env ?macro_env ?(user_passes = []
     source = fexpr;
     stats = Pass_manager.stats mgr;
     promotions = !promotions;
+    ranges;
   }
 
 let compile_to_ast ?(options = Options.default) ?macro_env fexpr =

@@ -25,6 +25,8 @@ type compiled = {
       (** aggregated per-pass instrumentation (runs, time, IR deltas) *)
   promotions : Mutability_pass.promotion list;
       (** the webs whose stores {!Mutability_pass} put in place *)
+  ranges : Opt_range.tally;
+      (** the checks {!Opt_range} proved away and the nests it versioned *)
 }
 
 val inplace_updates : compiled -> int
@@ -33,9 +35,10 @@ val inplace_updates : compiled -> int
 val dump_hook : (string -> Wir.program -> unit) ref
 (** Sink for [Options.dump_after] IR dumps (default: print to stderr). *)
 
-val opt_passes : options:Options.t -> Pass_manager.pass list
+val opt_passes : ranges:Opt_range.tally -> options:Options.t -> Pass_manager.pass list
 (** The optimisation-fixpoint members for the given options (level ≥ 2
-    widens the inlining budget). *)
+    widens the inlining budget); [ranges] collects what {!Opt_range}
+    proves. *)
 
 val compile :
   ?options:Options.t ->

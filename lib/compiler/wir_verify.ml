@@ -23,11 +23,19 @@ let ty_str = function
    mangled name and domain; later calls compare types against its result. *)
 
 (* base name -> declared schemes, for the primitives the builtin
-   environment declares *)
+   environment declares.  A checked [Plus], [Subtract] or [Times] that the
+   range analysis proved in range takes its unchecked [binary_*] sibling at
+   the same types, so those also fit the checked row's declarations. *)
 let declared =
   Wolf_base.Once.make (fun () ->
       let h = Hashtbl.create 128 in
-      List.iter (fun (base, scheme) -> Hashtbl.add h base scheme)
+      List.iter
+        (fun (base, scheme) ->
+           Hashtbl.add h base scheme;
+           match base with
+           | "checked_binary_plus" | "checked_binary_subtract" | "checked_binary_times" ->
+             Hashtbl.add h (String.sub base 8 (String.length base - 8)) scheme
+           | _ -> ())
         (Type_env.prims (Type_env.builtin ()));
       h)
 

@@ -38,6 +38,9 @@ type report = {
   promoted_programs : int;
   promoted_stores : int;
   promoted_loop_stores : int;
+  range_overflow : int;
+  range_bounds : int;
+  range_versioned : int;
 }
 
 (* program i depends on (seed, i) only: regenerating one program never
@@ -158,18 +161,20 @@ let describe (f : failure) =
             (Ast.size f.shrunk.Ast.fn))
        @ lines fs)
 
-(* The stores the mutability pass puts in place when the program compiles
-   at -O1, as (in loops, in straight-line code). *)
-let promotions (case : Ast.case) =
+(* What one -O1 compile of the program does: the stores the mutability
+   pass puts in place, as (in loops, in straight-line code), and what the
+   range analysis proves. *)
+let compile_stats (case : Ast.case) =
   match
     Wolf_compiler.Pipeline.compile ~name:"fz" (Parser.parse (Ast.to_source case.Ast.fn))
   with
-  | exception _ -> (0, 0)
+  | exception _ -> ((0, 0), Wolf_compiler.Opt_range.tally ())
   | c ->
-    List.fold_left
-      (fun (l, b) (p : Wolf_compiler.Mutability_pass.promotion) ->
-         if p.pheader = None then (l, b + p.pstores) else (l + p.pstores, b))
-      (0, 0) c.Wolf_compiler.Pipeline.promotions
+    ( List.fold_left
+        (fun (l, b) (p : Wolf_compiler.Mutability_pass.promotion) ->
+           if p.pheader = None then (l, b + p.pstores) else (l + p.pstores, b))
+        (0, 0) c.Wolf_compiler.Pipeline.promotions,
+      c.Wolf_compiler.Pipeline.ranges )
 
 (* Per-program work unit: generate, check, and (on disagreement) shrink.
    Everything here depends on (seed, i) only, so the array of outcomes is
@@ -179,7 +184,7 @@ let check_one cfg ~progress i =
   let case = case_for cfg i in
   let outcome = investigate ~check:(check_case cfg) ~progress i case in
   progress "";  (* tick *)
-  (outcome, promotions case)
+  (outcome, compile_stats case)
 
 let run cfg =
   (* Force one-time initialisation on this domain before sharding: kernel
@@ -207,11 +212,15 @@ let run cfg =
   let written = ref [] in
   let disagreements = ref 0 in
   let promoted_programs = ref 0 and promoted_stores = ref 0 and loop_stores = ref 0 in
+  let ranges = Wolf_compiler.Opt_range.tally () in
   Array.iter
-    (fun (_, (l, b)) ->
+    (fun (_, ((l, b), (r : Wolf_compiler.Opt_range.tally))) ->
        if l + b > 0 then incr promoted_programs;
        promoted_stores := !promoted_stores + l + b;
-       loop_stores := !loop_stores + l)
+       loop_stores := !loop_stores + l;
+       ranges.overflow <- ranges.overflow + r.overflow;
+       ranges.bounds <- ranges.bounds + r.bounds;
+       ranges.versioned <- ranges.versioned + r.versioned)
     outcomes;
   Array.iteri
     (fun i (outcome, _) ->
@@ -242,4 +251,6 @@ let run cfg =
   { generated = cfg.count; disagreements = !disagreements;
     failures = List.rev !failures; written = List.rev !written;
     par_programs; par_loops; promoted_programs = !promoted_programs;
-    promoted_stores = !promoted_stores; promoted_loop_stores = !loop_stores }
+    promoted_stores = !promoted_stores; promoted_loop_stores = !loop_stores;
+    range_overflow = ranges.overflow; range_bounds = ranges.bounds;
+    range_versioned = ranges.versioned }

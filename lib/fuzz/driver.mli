@@ -56,6 +56,11 @@ type report = {
           place, compiled once at -O1 whatever the arms *)
   promoted_stores : int;           (** their stores on the in-place row *)
   promoted_loop_stores : int;      (** of those, the stores of loop webs *)
+  range_overflow : int;
+      (** checked arithmetic the range analysis proved in range, in the
+          same -O1 compiles *)
+  range_bounds : int;              (** element accesses it proved in range *)
+  range_versioned : int;           (** loop nests it versioned *)
 }
 
 val case_for : config -> int -> Ast.case

@@ -25,6 +25,7 @@ let rec stmt_used v s =
     expr_used v c || List.exists (stmt_used v) ts || List.exists (stmt_used v) fs
   | While (n, _, body) -> n = v || List.exists (stmt_used v) body
   | DoLoop (n, _, body) -> n = v || List.exists (stmt_used v) body
+  | RawSum (c, a, r, cap, _, _) -> c = v || a = v || r = v || cap = Some v
 
 let fn_uses fn v =
   List.exists (fun l -> expr_used v l.linit) (fn.withs @ fn.locals)
@@ -40,6 +41,7 @@ let rec assigns v s =
   | SIf (_, ts, fs) -> List.exists (assigns v) ts || List.exists (assigns v) fs
   | While (n, _, body) | DoLoop (n, _, body) ->
     n = v || List.exists (assigns v) body
+  | RawSum (c, _, r, _, _, _) -> c = v || r = v
 
 let fn_assigns fn v = List.exists (assigns v) fn.body
 
@@ -69,6 +71,8 @@ let rec stmt_part_target v s =
     || List.exists (stmt_part_target v) fs
   | While (_, _, body) | DoLoop (_, _, body) ->
     List.exists (stmt_part_target v) body
+  (* names only: neither the array nor the cap may become a literal *)
+  | RawSum (_, a, _, cap, _, _) -> a = v || cap = Some v
 
 let fn_part_target fn v =
   List.exists (fun l -> expr_part_target v l.linit) (fn.withs @ fn.locals)
@@ -104,6 +108,7 @@ let rec subst_stmt v r s =
          List.map (subst_stmt v r) fs)
   | While (n, k, body) -> While (n, k, List.map (subst_stmt v r) body)
   | DoLoop (n, k, body) -> DoLoop (n, k, List.map (subst_stmt v r) body)
+  | RawSum _ -> s
 
 let subst_fn v r fn =
   { fn with
@@ -212,6 +217,7 @@ let rec stmt_variants s : stmt list list =
     @ (if List.exists (stmt_used v) body then [] else [ body ])
     @ (if k > 1 then [ [ DoLoop (v, 1, body) ] ] else [])
     @ List.map (fun b' -> [ DoLoop (v, k, b') ]) (stmts_variants body)
+  | RawSum _ -> drop
 
 and stmts_variants ss : stmt list list =
   (* replace one statement at a time by each of its variants *)
@@ -230,10 +236,11 @@ let measure (case : case) =
   let rec bounds_stmt s =
     match s with
     | While (_, k, body) | DoLoop (_, k, body) ->
-      k + List.fold_left (fun a s -> a + bounds_stmt s) 0 body
+      (* a counter may start near the top of the machine range *)
+      min k 64 + List.fold_left (fun a s -> a + bounds_stmt s) 0 body
     | SIf (_, ts, fs) ->
       List.fold_left (fun a s -> a + bounds_stmt s) 0 (ts @ fs)
-    | Assign _ | PartSet _ | PartSetIv _ -> 0
+    | Assign _ | PartSet _ | PartSetIv _ | RawSum _ -> 0
   in
   let args_size =
     List.fold_left (fun a e -> a + Ast.expr_size e) 0 case.args

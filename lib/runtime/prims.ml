@@ -233,6 +233,11 @@ let complex_power name args =
 let power_ri name args =
   match args with [| a; Int e |] -> Real (pow_ri (real a) e) | _ -> bad name args
 
+let part_get_2 name args =
+  match args with
+  | [| Tensor t; Int i; Int k |] -> tensor_get t (Tensor.flat_index2 t i k)
+  | _ -> bad name args
+
 let part_get_1 ~checked name args =
   match args with
   | [| Tensor t; Int i |] ->
@@ -418,10 +423,11 @@ let rows =
        elsewhere an index may be out of range, so they may fail *)
     row "part_get_1_unchecked" 2 ~fails:May_fail ~specialises:"part_get_1"
       (part_get_1 ~checked:false);
-    row "part_get_2" 3 ~fails:May_fail (fun n args ->
-        match args with
-        | [| Tensor t; Int i; Int k |] -> tensor_get t (Tensor.flat_index2 t i k)
-        | _ -> bad n args);
+    row "part_get_2" 3 ~fails:May_fail part_get_2;
+    (* the range analysis's variants of the matrix read and the stores
+       keep the checked implementation: only the text emitters drop the
+       test *)
+    row "part_get_2_unchecked" 3 ~fails:May_fail ~specialises:"part_get_2" part_get_2;
     row "part_get_row" 2 ~fails:May_fail ~fresh:true (fun n args ->
         match args with
         | [| Tensor t; Int i |] -> Tensor (Tensor.slice t (Tensor.normalize_index t i))
@@ -436,8 +442,22 @@ let rows =
         part_set_2 ~inplace:false);
     row "part_set_2_inplace" 4 ~effect:Mutates_arg0 ~fails:May_fail ~fresh:true
       ~specialises:"part_set_2" (fun _ -> part_set_2 ~inplace:true);
+    row "part_set_1_unchecked" 3 ~effect:Mutates_arg0 ~fails:May_fail ~fresh:true
+      ~specialises:"part_set_1" (fun _ -> part_set_1 ~inplace:false);
+    row "part_set_1_inplace_unchecked" 3 ~effect:Mutates_arg0 ~fails:May_fail ~fresh:true
+      ~specialises:"part_set_1" (fun _ -> part_set_1 ~inplace:true);
+    row "part_set_2_unchecked" 4 ~effect:Mutates_arg0 ~fails:May_fail ~fresh:true
+      ~specialises:"part_set_2" (fun _ -> part_set_2 ~inplace:false);
+    row "part_set_2_inplace_unchecked" 4 ~effect:Mutates_arg0 ~fails:May_fail ~fresh:true
+      ~specialises:"part_set_2" (fun _ -> part_set_2 ~inplace:true);
     row "array_length" 1 (fun n args ->
         match args with [| Tensor t |] -> Int (Tensor.dims t).(0) | _ -> bad n args);
+    (* [array_dim t k]: the k-th dimension (1-based), made by the range
+       analysis's version guards *)
+    row "array_dim" 2 ~fails:May_fail (fun n args ->
+        match args with
+        | [| Tensor t; Int k |] when k >= 1 && k <= Tensor.rank t -> Int (Tensor.dims t).(k - 1)
+        | _ -> bad n args);
     row "array_total" 1 (fun n args ->
         match args with
         | [| Tensor t |] -> (match Tensor.total t with `Int i -> Int i | `Real r -> Real r)

@@ -68,6 +68,20 @@ let test_alias_regressions_on_every_arm () =
   Fun.protect ~finally:(fun () -> List.iter (fun t -> t ()) teardowns) @@ fun () ->
   List.iter (check_clean ~arms:Oracle.arms) alias
 
+(* the range analysis's proofs and versioned nests: reads proved in range,
+   checks that must stay, and both copies of a versioned Blur, replayed on
+   every arm *)
+let test_range_regressions_on_every_arm () =
+  let range =
+    List.filter
+      (fun e -> String.starts_with ~prefix:"regress-range" (Filename.basename e.Driver.ce_path))
+      (Lazy.force entries)
+  in
+  Alcotest.(check int) "five range shapes" 5 (List.length range);
+  let teardowns = List.map (fun a -> a.Oracle.setup ignore) Oracle.arms in
+  Fun.protect ~finally:(fun () -> List.iter (fun t -> t ()) teardowns) @@ fun () ->
+  List.iter (check_clean ~arms:Oracle.arms) range
+
 (* ---- the arm table ----------------------------------------------------- *)
 
 let names = List.map (fun a -> a.Oracle.name)
@@ -225,6 +239,7 @@ let tests =
   [ Alcotest.test_case "corpus present" `Quick test_corpus_present;
     Alcotest.test_case "corpus replay (threaded+wvm, O0-O2, abort)" `Slow
       test_corpus_replay;
+    Alcotest.test_case "range regressions on every arm" `Slow test_range_regressions_on_every_arm;
     Alcotest.test_case "regressions on jit" `Slow test_regressions_on_jit;
     Alcotest.test_case "regressions on par (repeated calls)" `Quick
       test_regressions_on_par;

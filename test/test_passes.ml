@@ -1056,16 +1056,17 @@ let corpus_stores file =
 
 (* b = a copies the array between its two stores, so the web of both
    stores has a use that is not a read, a store or a return: both keep the
-   copy-on-write test *)
+   copy-on-write test (their constant indices are proved in range) *)
 let test_mutability_corpus_regression () =
   Alcotest.(check (pair (list string) int)) "copy-on-write, twice"
-    ([ "part_set_1"; "part_set_1" ], 0)
+    ([ "part_set_1_unchecked"; "part_set_1_unchecked" ], 0)
     (corpus_stores "regress-inplace-store-promotion.wl")
 
 (* the store in the loop writes a copy of an array allocated before the
-   loop; in place it would write that one array on every iteration *)
+   loop; in place it would write that one array on every iteration (its
+   index 1 + Mod[i, 3] is proved in range) *)
 let test_mutability_loop_store_checked () =
-  Alcotest.(check (pair (list string) int)) "copy-on-write" ([ "part_set_1" ], 0)
+  Alcotest.(check (pair (list string) int)) "copy-on-write" ([ "part_set_1_unchecked" ], 0)
     (corpus_stores "regress-inplace-store-in-loop.wl")
 
 (* The Histogram shape on hand-built TWIR, and one variant per aliasing
@@ -1203,6 +1204,163 @@ let test_twir_digest () =
   Alcotest.(check string) "final-TWIR digest of perfbench/corpus.txt" expected
     (Wolf_fuzz.Twir_digest.digest (Corpus_pool.programs ()))
 
+(* ---------------- range facts ---------------- *)
+
+(* The program as the range analysis leaves it: a user pass runs after the
+   optimisation fixpoint and before mutability and abort-stride rewrite
+   the loops. *)
+let at_range src probe =
+  ignore
+    (Pipeline.compile ~name:"p"
+       ~user_passes:[ { Pipeline.pass_name = "probe"; pass_run = probe } ]
+       (parse src))
+
+let calls_in (f : Wir.func) labels =
+  List.concat_map
+    (fun (b : Wir.block) ->
+       if List.mem b.Wir.label labels then
+         List.filter_map
+           (function Wir.Call { callee = Wir.Resolved { base; _ }; _ } -> Some base | _ -> None)
+           b.Wir.instrs
+       else [])
+    f.Wir.blocks
+
+let loops_of (f : Wir.func) = Analysis.natural_loops f (Analysis.build_cfg f)
+
+let checked base =
+  String.starts_with ~prefix:"checked_binary_" base
+  || List.mem base [ "part_get_1"; "part_get_2"; "part_set_1"; "part_set_2"; "string_byte" ]
+
+let fnv1a_src =
+  {|Function[{Typed[s, "String"]},
+     Module[{hash = 2166136261, i = 1, n = StringLength[s]},
+      While[i <= n,
+       hash = BitAnd[BitXor[hash, StringByte[s, i]] * 16777619, 4294967295];
+       i = i + 1];
+      hash]]|}
+
+(* the byte read, the multiply and i + 1 are proved: the mask bounds the
+   loop-carried hash, which bounds the product *)
+let test_range_fnv1a () =
+  let hash_range = ref false in
+  at_range fnv1a_src (fun p ->
+      let f = Wir.main p in
+      List.iter
+        (fun (l : Analysis.loop) ->
+           Array.iter
+             (fun v -> if Opt_range.bounds f v = (0, 4294967295) then hash_range := true)
+             (Wir.find_block f l.Analysis.lheader).Wir.bparams)
+        (loops_of f));
+  Alcotest.(check bool) "the hash is in [0, 2^32 - 1]" true !hash_range;
+  let f = Wir.main (compile fnv1a_src).Pipeline.program in
+  let loops = loops_of f in
+  let inner = List.filter (Analysis.innermost loops) loops in
+  Alcotest.(check int) "one hot loop" 1 (List.length inner);
+  let hot = calls_in f (List.hd inner).Analysis.lbody in
+  Alcotest.(check (list string)) "no checked row in the hot loop" []
+    (List.filter checked hot);
+  Alcotest.(check bool) "the byte read is unchecked" true
+    (List.mem "string_byte_unchecked" hot)
+
+let blur_src =
+  {|Function[{Typed[img, "PackedArray"["Real64", 2]], Typed[n, "MachineInteger"]},
+     Module[{out = img*0.0, i = 2, j = 2},
+      While[i < n,
+       j = 2;
+       While[j < n,
+        out[[i, j]] =
+          (img[[i-1, j-1]] + 2.0*img[[i-1, j]] + img[[i-1, j+1]]
+           + 2.0*img[[i, j-1]] + 4.0*img[[i, j]] + 2.0*img[[i, j+1]]
+           + img[[i+1, j-1]] + 2.0*img[[i+1, j]] + img[[i+1, j+1]]) / 16.0;
+        j = j + 1];
+       i = i + 1];
+      out]]|}
+
+(* Blur's nest is versioned on n <= Min[dims]: the guarded copy keeps no
+   Part or overflow check, the fallback is the same code with all ten Part
+   checks *)
+let test_range_blur_versioned () =
+  let nests = ref [] in
+  at_range blur_src (fun p ->
+      let f = Wir.main p in
+      nests :=
+        List.filter_map
+          (fun (l : Analysis.loop) ->
+             if l.Analysis.ldepth = 1 then Some (calls_in f l.Analysis.lbody) else None)
+          (loops_of f));
+  match List.partition (List.exists checked) !nests with
+  | [ fallback ], [ guarded ] ->
+    let count base calls = List.length (List.filter (( = ) base) calls) in
+    Alcotest.(check (pair int int)) "fallback: nine checked reads, one checked store" (9, 1)
+      (count "part_get_2" fallback, count "part_set_2" fallback);
+    Alcotest.(check (pair int int)) "guarded: nine unchecked reads, one unchecked store" (9, 1)
+      (count "part_get_2_unchecked" guarded, count "part_set_2_unchecked" guarded);
+    let plain base =
+      let base =
+        if String.ends_with ~suffix:"_unchecked" base then
+          String.sub base 0 (String.length base - 10)
+        else base
+      in
+      if String.starts_with ~prefix:"checked_" base then
+        String.sub base 8 (String.length base - 8)
+      else base
+    in
+    Alcotest.(check (list string)) "the same rows but for the proofs"
+      (List.map plain fallback) (List.map plain guarded)
+  | checked_nests, clean ->
+    Alcotest.failf "want one checked and one clean nest, got %d and %d"
+      (List.length checked_nests) (List.length clean)
+
+(* one copy runs per call: the guarded one when n fits the dims (a zero-trip
+   nest either way), the checked one otherwise, which falls back to the
+   interpreter and its Part error *)
+let test_range_blur_runs () =
+  let reference =
+    Wolfram.function_compile_src ~options:{ Options.default with opt_level = 0 }
+      ~target:Wolfram.Threaded blur_src
+  in
+  List.iter
+    (fun target ->
+       let f = Wolfram.function_compile_src ~target blur_src in
+       List.iter
+         (fun (image, n, fallbacks) ->
+            let args = [ parse image; Expr.Int n ] in
+            let run cf =
+              match Wolfram.call cf args with
+              | v -> Expr.to_string v
+              | exception e -> Printexc.to_string e
+            in
+            let want = run reference in
+            let before = Wolfram.fallback_count f in
+            Alcotest.(check string) (Printf.sprintf "n = %d" n) want (run f);
+            Alcotest.(check int) (Printf.sprintf "n = %d: fallbacks" n) fallbacks
+              (Wolfram.fallback_count f - before))
+         [ ("{{1.0, 2.0, 3.0}, {4.0, 5.0, 6.0}, {7.0, 8.0, 9.0}}", 3, 0);
+           ( "{{1.0, 2.0, 3.0, 4.0}, {5.0, 6.0, 7.0, 8.0}, {9.0, 1.0, 2.0, 3.0}, \
+              {4.0, 5.0, 6.0, 7.0}}",
+             4, 0 );
+           ("{{1.0}}", 2, 0);
+           ("{{1.0, 2.0, 3.0}, {4.0, 5.0, 6.0}, {7.0, 8.0, 9.0}}", 4, 1) ])
+    [ Wolfram.Threaded; Wolfram.Jit ]
+
+(* checks a range fact must not remove *)
+let test_range_keeps_checks () =
+  let left src base =
+    count_instrs (is_call base) (compile src).Pipeline.program
+  in
+  Alcotest.(check bool) "i <= 2^62 - 1 keeps its i + 1 check" true
+    (left
+       {|Function[{Typed[k, "MachineInteger"]},
+          Module[{i = k, s = 0}, While[i <= 4611686018427387903, s = s + 1; i = i + 1]; s]]|}
+       "checked_binary_plus"
+     > 0);
+  Alcotest.(check bool) "t[[-i]] keeps its check" true
+    (left
+       {|Function[{Typed[v, "PackedArray"["Integer64", 1]]},
+          Module[{s = 0, i = 1}, While[i <= Length[v], s = s + v[[-i]]; i = i + 1]; s]]|}
+       "part_get_1"
+     > 0)
+
 let tests =
   [ Alcotest.test_case "lint accepts pipeline output" `Quick test_lint_accepts_pipeline_output;
     Alcotest.test_case "final TWIR matches the checked-in digest" `Quick test_twir_digest;
@@ -1261,6 +1419,10 @@ let tests =
     Alcotest.test_case "aliased loop-carried arrays stay checked" `Quick
       test_mutability_alias_rows;
     Alcotest.test_case "user pass injection (§4.7)" `Quick test_user_pass_injection;
+    Alcotest.test_case "range facts: FNV1a" `Quick test_range_fnv1a;
+    Alcotest.test_case "range facts: Blur versioned" `Quick test_range_blur_versioned;
+    Alcotest.test_case "range facts: Blur runs either copy" `Quick test_range_blur_runs;
+    Alcotest.test_case "range facts keep checks" `Quick test_range_keeps_checks;
     Alcotest.test_case "per-pass timings (E8)" `Quick test_pass_timings_recorded ]
   @ List.map
       (fun r -> Alcotest.test_case ("counted loop: " ^ r.shape) `Quick (check_counted_row r))
