@@ -166,12 +166,29 @@ type fig2_row = {
   compiled : float;         (* new compiler, abort checks on *)
   compiled_noloop : float;  (* loop layer (LICM/range facts/strided polls) off *)
   compiled_noabort : float;
+  hand_alloc : float;       (* MB one call allocates *)
+  compiled_alloc : float;
   bytecode : float option;
   backend_used : string;
   paper_note : string;
 }
 
 let run_with f args () = ignore (f args)
+
+(* MB one call of [f] allocates, all heaps *)
+let alloc_mb f =
+  let before = Gc.allocated_bytes () in
+  f ();
+  (Gc.allocated_bytes () -. before) /. 1048576.0
+
+(* [measure_group] of a kernel's arms, the first two of which are the
+   hand-written baseline and the compiled code; after timing, one more
+   call of each measures what it allocates *)
+let measure_kernel arms =
+  let times = measure_group arms in
+  match arms with
+  | hand :: compiled :: _ -> (times, alloc_mb hand, alloc_mb compiled)
+  | _ -> assert false
 
 let fig2_benchmarks () =
   let s = !sizes in
@@ -194,16 +211,17 @@ let fig2_benchmarks () =
   let fn, _ = best_native cn in
   let w = B.Wvm.compile (Parser.parse P.fnv1a_wvm_src) in
   (match
-     measure_group
+     measure_kernel
        [ (fun () -> ignore (H.fnv1a str));
          run_with f.call [| Rtval.Str str |];
          run_with fl.call [| Rtval.Str str |];
          run_with fn.call [| Rtval.Str str |];
          run_with (B.Wvm.call_values w) [| Rtval.Tensor codes |] ]
    with
-   | [ hand; compiled; compiled_noloop; compiled_noabort; bc ] ->
+   | [ hand; compiled; compiled_noloop; compiled_noabort; bc ], hand_alloc, compiled_alloc ->
      add
        { bname = "FNV1a"; hand; compiled; compiled_noloop; compiled_noabort;
+         hand_alloc; compiled_alloc;
          bytecode = Some bc; backend_used = backend;
          paper_note = "~1x; bytecode needs the int64-vector workaround" }
    | _ -> assert false);
@@ -222,16 +240,17 @@ let fig2_benchmarks () =
   let fn, _ = best_native cn in
   let w = B.Wvm.compile (Parser.parse P.mandelbrot_src) in
   (match
-     measure_group
+     measure_kernel
        [ (fun () -> ignore (H.mandelbrot (-1.0) 1.0 (-1.0) 0.5 0.1));
          run_with f.call margs;
          run_with fl.call margs;
          run_with fn.call margs;
          run_with (B.Wvm.call_values w) margs ]
    with
-   | [ hand; compiled; compiled_noloop; compiled_noabort; bc ] ->
+   | [ hand; compiled; compiled_noloop; compiled_noabort; bc ], hand_alloc, compiled_alloc ->
      add
        { bname = "Mandelbrot"; hand; compiled; compiled_noloop; compiled_noabort;
+         hand_alloc; compiled_alloc;
          bytecode = Some bc; backend_used = backend;
          paper_note = "~1x; abort overhead insignificant" }
    | _ -> assert false);
@@ -250,16 +269,17 @@ let fig2_benchmarks () =
   let fn, _ = best_native cn in
   let w = B.Wvm.compile (Parser.parse P.dot_src) in
   (match
-     measure_group
+     measure_kernel
        [ (fun () -> ignore (H.dot m m));
          run_with f.call dargs;
          run_with fl.call dargs;
          run_with fn.call dargs;
          run_with (B.Wvm.call_values w) dargs ]
    with
-   | [ hand; compiled; compiled_noloop; compiled_noabort; bc ] ->
+   | [ hand; compiled; compiled_noloop; compiled_noabort; bc ], hand_alloc, compiled_alloc ->
      add
        { bname = "Dot"; hand; compiled; compiled_noloop; compiled_noabort;
+         hand_alloc; compiled_alloc;
          bytecode = Some bc; backend_used = backend;
          paper_note = "all ~1x: every path calls the same dgemm (the MKL role)" }
    | _ -> assert false);
@@ -278,16 +298,17 @@ let fig2_benchmarks () =
   let w = B.Wvm.compile (Parser.parse P.blur_src) in
   let bargs () = [| Rtval.Tensor (Tensor.copy img); Rtval.Int s.blur_n |] in
   (match
-     measure_group
+     measure_kernel
        [ (fun () -> ignore (H.blur img s.blur_n));
          (fun () -> ignore (f.call (bargs ())));
          (fun () -> ignore (fl.call (bargs ())));
          (fun () -> ignore (fn.call (bargs ())));
          (fun () -> ignore (B.Wvm.call_values w (bargs ()))) ]
    with
-   | [ hand; compiled; compiled_noloop; compiled_noabort; bc ] ->
+   | [ hand; compiled; compiled_noloop; compiled_noabort; bc ], hand_alloc, compiled_alloc ->
      add
        { bname = "Blur"; hand; compiled; compiled_noloop; compiled_noabort;
+         hand_alloc; compiled_alloc;
          bytecode = Some bc; backend_used = backend;
          paper_note = "abort checking adds considerable overhead (paper)" }
    | _ -> assert false);
@@ -306,16 +327,17 @@ let fig2_benchmarks () =
   let fn, _ = best_native cn in
   let w = B.Wvm.compile (Parser.parse P.histogram_src) in
   (match
-     measure_group
+     measure_kernel
        [ (fun () -> ignore (H.histogram data));
          run_with f.call hargs;
          run_with fl.call hargs;
          run_with fn.call hargs;
          run_with (B.Wvm.call_values w) hargs ]
    with
-   | [ hand; compiled; compiled_noloop; compiled_noabort; bc ] ->
+   | [ hand; compiled; compiled_noloop; compiled_noabort; bc ], hand_alloc, compiled_alloc ->
      add
        { bname = "Histogram"; hand; compiled; compiled_noloop; compiled_noabort;
+         hand_alloc; compiled_alloc;
          bytecode = Some bc; backend_used = backend;
          paper_note = "abort checks inhibit vectorised loads (paper)" }
    | _ -> assert false);
@@ -340,15 +362,16 @@ let fig2_benchmarks () =
   let fn, _ = best_native cn in
   let pargs = [| Rtval.Int s.primeq_limit |] in
   (match
-     measure_group
+     measure_kernel
        [ (fun () -> ignore (H.primeq_count ~seed s.primeq_limit));
          run_with f.call pargs;
          run_with fl.call pargs;
          run_with fn.call pargs ]
    with
-   | [ hand; compiled; compiled_noloop; compiled_noabort ] ->
+   | [ hand; compiled; compiled_noloop; compiled_noabort ], hand_alloc, compiled_alloc ->
      add
        { bname = "PrimeQ"; hand; compiled; compiled_noloop; compiled_noabort;
+         hand_alloc; compiled_alloc;
          bytecode = None; (* user-declared helper functions: not bytecode-compilable *)
          backend_used = backend;
          paper_note = "paper: 1.5x (constant-array handling; see ablation-consts)" }
@@ -377,15 +400,16 @@ let fig2_benchmarks () =
   let qargs = [| Rtval.Tensor lst |] in
   let arr = Array.init s.qsort_n (fun i -> i + 1) in
   (match
-     measure_group
+     measure_kernel
        [ (fun () -> ignore (H.qsort ( < ) arr));
          run_with f.call qargs;
          run_with fl.call qargs;
          run_with fn.call qargs ]
    with
-   | [ hand; compiled; compiled_noloop; compiled_noabort ] ->
+   | [ hand; compiled; compiled_noloop; compiled_noabort ], hand_alloc, compiled_alloc ->
      add
        { bname = "QSort"; hand; compiled; compiled_noloop; compiled_noabort;
+         hand_alloc; compiled_alloc;
          bytecode = None; (* function values are not representable (paper L1) *)
          backend_used = backend;
          paper_note = "paper: 1.2x (immutability copies); bytecode not repr." }
@@ -412,7 +436,8 @@ let fig2_record rows =
             m "compiled_no_loop_opts_s" r.compiled_noloop "s";
             m "compiled_no_abort_s" r.compiled_noabort "s" ]
           @ Option.to_list (Option.map (fun b -> m "bytecode_s" b "s") r.bytecode)
-          @ [ m "vs_hand" (r.compiled /. r.hand) "ratio";
+          @ [ m "hand_alloc_mb" r.hand_alloc "MB"; m "compiled_alloc_mb" r.compiled_alloc "MB";
+              m "vs_hand" (r.compiled /. r.hand) "ratio";
               m "abort_overhead" (r.compiled /. r.compiled_noabort) "ratio";
               m "loop_layer_speedup" (r.compiled_noloop /. r.compiled) "ratio" ])
        rows)
@@ -422,7 +447,9 @@ let fig2 () =
   noise := 0.0;
   let rows = fig2_benchmarks () in
   print_table ~title:"Figure 2: slowdown normalised to the hand-written baseline"
-    ~columns:[ "hand"; "compiled"; "no-loopopt"; "no-abort"; "bytecode"; "backend" ]
+    ~columns:
+      [ "hand"; "compiled"; "no-loopopt"; "no-abort"; "bytecode"; "backend"; "hand MB";
+        "compiled MB" ]
     (List.map
        (fun r ->
           ( r.bname,
@@ -431,7 +458,9 @@ let fig2 () =
               ratio r.hand (Some r.compiled_noloop);
               ratio r.hand (Some r.compiled_noabort);
               ratio r.hand r.bytecode;
-              r.backend_used ] ))
+              r.backend_used;
+              Printf.sprintf "%.2f" r.hand_alloc;
+              Printf.sprintf "%.2f" r.compiled_alloc ] ))
        rows);
   Printf.printf "\npaper expectations:\n";
   List.iter (fun r -> Printf.printf "  %-10s %s\n" r.bname r.paper_note) rows;

@@ -590,8 +590,11 @@ let fuzz_cmd =
         jit_whiles jit_declined jit_rejected jit_mismatches;
     Printf.printf "fuzz: %d programs, %d disagreement(s)\n" report.generated
       report.disagreements;
-    Printf.printf "fuzz: promoted %d store(s) in place in %d program(s), %d of them in loops\n"
-      report.promoted_stores report.promoted_programs report.promoted_loop_stores;
+    Printf.printf
+      "fuzz: promoted %d store(s) in place in %d program(s), %d of them in loops; \
+       %d promoted web(s) reach a pure call\n"
+      report.promoted_stores report.promoted_programs report.promoted_loop_stores
+      report.promoted_pure_call_webs;
     Printf.printf
       "fuzz: range analysis proved %d overflow check(s) and %d Part check(s) in range, \
        versioned %d loop nest(s)\n"
@@ -615,6 +618,13 @@ let fuzz_cmd =
          loop *)
       prerr_endline
         "fuzz: the mutability pass promoted no loop store in a >=200-program campaign";
+      1
+    end
+    else if count >= 200 && report.promoted_pure_call_webs = 0 then begin
+      (* and for its pure-call rule: no promoted web reaching a pure call
+         means the rule admits nothing the generator makes *)
+      prerr_endline
+        "fuzz: no promoted web reached a pure call in a >=200-program campaign";
       1
     end
     else if count >= 200 && report.range_bounds = 0 then begin

@@ -364,7 +364,7 @@ let[@inline always] wolf_sub (a : int) b =
 let[@inline always] wolf_imin (a : int) b = if a <= b then a else b
 let[@inline always] wolf_imax (a : int) b = if a >= b then a else b
 
-let[@inline always] wolf_mul a b =
+let[@inline never] wolf_mul_exact a b =
   if a = 0 || b = 0 then 0
   else begin
     let p = a * b in
@@ -372,6 +372,10 @@ let[@inline always] wolf_mul a b =
       raise (Wolf_rt Wolf_base.Errors.Integer_overflow)
     else p
   end
+
+(* operands in [-2^30, 2^30) cannot overflow: one test, no division *)
+let[@inline always] wolf_mul a b =
+  if ((a + 0x4000_0000) lor (b + 0x4000_0000)) lsr 31 = 0 then a * b else wolf_mul_exact a b
 
 let[@inline always] wolf_mod a b =
   if b = 0 then raise (Wolf_rt Wolf_base.Errors.Division_by_zero)

@@ -5,8 +5,13 @@ let div_zero () = raise (Errors.Runtime_error Errors.Division_by_zero)
 let[@inline] add_overflows a b s = (a >= 0) = (b >= 0) && (s >= 0) <> (a >= 0)
 let[@inline] sub_overflows a b s = (a >= 0) <> (b >= 0) && (s >= 0) <> (a >= 0)
 
-let[@inline] mul_overflows a b p =
+(* The exact test divides; it runs only when an operand lies outside
+   [-2^30, 2^30), where the product may not fit in 63 bits. *)
+let[@inline never] mul_overflows_exact a b p =
   a <> 0 && b <> 0 && (p / b <> a || (a = -1 && b = min_int) || (b = -1 && a = min_int))
+
+let[@inline] mul_overflows a b p =
+  ((a + 0x4000_0000) lor (b + 0x4000_0000)) lsr 31 <> 0 && mul_overflows_exact a b p
 
 let add_opt a b = let s = a + b in if add_overflows a b s then None else Some s
 let sub_opt a b = let s = a - b in if sub_overflows a b s then None else Some s

@@ -1,6 +1,6 @@
 open Wir
 
-type promotion = { pfunc : string; pheader : int option; pstores : int }
+type promotion = { pfunc : string; pheader : int option; pstores : int; pcalls : int }
 
 let promoted_counter form =
   Wolf_obs.Metrics.counter ~labels:[ ("form", form) ]
@@ -38,9 +38,16 @@ let reads base (dst : var) =
     not (is_tensor dst)
   | _ -> false
 
-(* a use of a web member at argument [pos] of [base] that neither keeps the
-   array nor lets it escape: an element read, [Length], or a store's operand *)
-let allowed_use base pos dst = pos = 0 && (is_store base || reads base dst)
+let machine_scalar (v : var) =
+  match v.vty with
+  | Some t -> List.exists (Types.equal t) [ Types.int64; Types.real64; Types.boolean ]
+  | None -> false
+
+(* a pure row whose result is a machine scalar or a fresh tensor can
+   neither keep its array argument nor hand it back *)
+let pure_call base dst =
+  Wolf_runtime.Prims.holds base (fun r ->
+      r.effect = Pure && (machine_scalar dst || (r.fresh && is_tensor dst)))
 
 let jumps b =
   match b.term with
@@ -52,6 +59,7 @@ type web = {
   mutable members : var list;
   mutable nparams : int;
   mutable nstores : int;
+  mutable ncalls : int;  (* uses as a pure call's argument *)
   mutable entry : var option;  (* the member that is neither a block
                                   parameter nor a store result *)
   mutable ok : bool;
@@ -123,7 +131,7 @@ let promote_func (f : func) =
     match Hashtbl.find_opt webs r.vid with
     | Some w -> w
     | None ->
-      let w = { members = []; nparams = 0; nstores = 0; entry = None; ok = true } in
+      let w = { members = []; nparams = 0; nstores = 0; ncalls = 0; entry = None; ok = true } in
       Hashtbl.replace webs r.vid w;
       w
   in
@@ -140,9 +148,9 @@ let promote_func (f : func) =
   Hashtbl.iter (fun _ w -> if w.nstores = 0 || w.entry = None then w.ok <- false) webs;
   let member (v : var) = if Hashtbl.mem parent v.vid then Some (web_of v) else None in
   (* every use of a member is an element read, [Length], a store's operand,
-     a jump argument (into the web's own parameter, by construction) or a
-     [Return]; on the way, count the uses of each tensor and note the blocks
-     that pass each member along an edge *)
+     an argument of a pure call, a jump argument (into the web's own
+     parameter, by construction) or a [Return]; on the way, count the uses
+     of each tensor and note the blocks that pass each member along an edge *)
   let uses : (int, int) Hashtbl.t = Hashtbl.create 16 in
   let count = function
     | Ovar v when is_tensor v ->
@@ -161,8 +169,10 @@ let promote_func (f : func) =
                 (fun pos -> function
                    | Ovar v ->
                      (match member v with
-                      | Some w when not (allowed_use base pos dst) -> w.ok <- false
-                      | _ -> ())
+                      | Some _ when pos = 0 && (is_store base || reads base dst) -> ()
+                      | Some w when pure_call base dst -> w.ncalls <- w.ncalls + 1
+                      | Some w -> w.ok <- false
+                      | None -> ())
                    | Oconst _ -> ())
                 args
             | i ->
@@ -277,7 +287,7 @@ let promote_func (f : func) =
       List.map
         (fun w ->
            { pfunc = f.fname; pheader = (if w.nparams > 0 then header w else None);
-             pstores = w.nstores })
+             pstores = w.nstores; pcalls = w.ncalls })
         promoted
     in
     List.iter

@@ -14,7 +14,9 @@
       through single-use [Copy]s in the one block that passes it on;
     - every use of every member is an element read with a scalar result,
       [Length], a store's operand, a jump argument (into the web's own
-      parameter) or [Return]; and
+      parameter), [Return], or an argument of a [Pure] row whose result is
+      a machine scalar ([Integer64], [Real64], [Boolean]) or a [fresh]
+      tensor: such a call can neither keep the array nor return it; and
     - no member other than a store's result is live after that store.
 
     Then every member is replaced by the entry value, the web's block
@@ -37,6 +39,7 @@ type promotion = {
       (** the first block that carried the web as a parameter (a loop
           header); [None] for a web without parameters *)
   pstores : int;         (** the web's stores, now in place *)
+  pcalls : int;          (** the web's uses as a pure call's argument *)
 }
 
 val run : Wir.program -> promotion list

@@ -137,6 +137,7 @@ and un_src op a =
   | "Minus" -> Printf.sprintf "(-%s)" (expr_src a)
   | "SqrtAbs" -> Printf.sprintf "Sqrt[Abs[%s]]" (expr_src a)
   | "Chars" -> Printf.sprintf "ToCharacterCode[%s]" (expr_src a)
+  | "Identity" -> Printf.sprintf "Function[{x}, x][%s]" (expr_src a)
   | _ -> Printf.sprintf "%s[%s]" op (expr_src a)
 
 let rec stmt_src ind s =

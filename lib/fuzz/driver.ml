@@ -38,6 +38,7 @@ type report = {
   promoted_programs : int;
   promoted_stores : int;
   promoted_loop_stores : int;
+  promoted_pure_call_webs : int;
   range_overflow : int;
   range_bounds : int;
   range_versioned : int;
@@ -162,18 +163,19 @@ let describe (f : failure) =
        @ lines fs)
 
 (* What one -O1 compile of the program does: the stores the mutability
-   pass puts in place, as (in loops, in straight-line code), and what the
-   range analysis proves. *)
+   pass puts in place, as (in loops, in straight-line code, promoted webs
+   that reach a pure call), and what the range analysis proves. *)
 let compile_stats (case : Ast.case) =
   match
     Wolf_compiler.Pipeline.compile ~name:"fz" (Parser.parse (Ast.to_source case.Ast.fn))
   with
-  | exception _ -> ((0, 0), Wolf_compiler.Opt_range.tally ())
+  | exception _ -> ((0, 0, 0), Wolf_compiler.Opt_range.tally ())
   | c ->
     ( List.fold_left
-        (fun (l, b) (p : Wolf_compiler.Mutability_pass.promotion) ->
-           if p.pheader = None then (l, b + p.pstores) else (l + p.pstores, b))
-        (0, 0) c.Wolf_compiler.Pipeline.promotions,
+        (fun (l, b, w) (p : Wolf_compiler.Mutability_pass.promotion) ->
+           let w = if p.pcalls > 0 then w + 1 else w in
+           if p.pheader = None then (l, b + p.pstores, w) else (l + p.pstores, b, w))
+        (0, 0, 0) c.Wolf_compiler.Pipeline.promotions,
       c.Wolf_compiler.Pipeline.ranges )
 
 (* Per-program work unit: generate, check, and (on disagreement) shrink.
@@ -212,10 +214,12 @@ let run cfg =
   let written = ref [] in
   let disagreements = ref 0 in
   let promoted_programs = ref 0 and promoted_stores = ref 0 and loop_stores = ref 0 in
+  let pure_call_webs = ref 0 in
   let ranges = Wolf_compiler.Opt_range.tally () in
   Array.iter
-    (fun (_, ((l, b), (r : Wolf_compiler.Opt_range.tally))) ->
+    (fun (_, ((l, b, w), (r : Wolf_compiler.Opt_range.tally))) ->
        if l + b > 0 then incr promoted_programs;
+       pure_call_webs := !pure_call_webs + w;
        promoted_stores := !promoted_stores + l + b;
        loop_stores := !loop_stores + l;
        ranges.overflow <- ranges.overflow + r.overflow;
@@ -252,5 +256,6 @@ let run cfg =
     failures = List.rev !failures; written = List.rev !written;
     par_programs; par_loops; promoted_programs = !promoted_programs;
     promoted_stores = !promoted_stores; promoted_loop_stores = !loop_stores;
+    promoted_pure_call_webs = !pure_call_webs;
     range_overflow = ranges.overflow; range_bounds = ranges.bounds;
     range_versioned = ranges.versioned }

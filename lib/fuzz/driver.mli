@@ -56,6 +56,8 @@ type report = {
           place, compiled once at -O1 whatever the arms *)
   promoted_stores : int;           (** their stores on the in-place row *)
   promoted_loop_stores : int;      (** of those, the stores of loop webs *)
+  promoted_pure_call_webs : int;
+      (** promoted webs whose array is an argument of a pure call *)
   range_overflow : int;
       (** checked arithmetic the range analysis proved in range, in the
           same -O1 compiles *)

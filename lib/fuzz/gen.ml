@@ -18,6 +18,8 @@ type ctx = {
   mutable extra_locals : local list;  (* counters hoisted into the Module *)
   mutable watched : string list;
       (* integers that may end at the top of the machine range *)
+  mutable sinks : string list;
+      (* arrays the (integer) result reads through Total *)
 }
 
 let spend ctx = ctx.fuel <- ctx.fuel - 1
@@ -225,11 +227,41 @@ let par_loop ctx ~depth =
     add_local r TInt (Int 0);
     [ While (c, n, [ Assign (r, TInt, Bin ("+", TInt, Var (r, TInt), value)) ]) ]
   in
+  (* the array after its loop reaches a call and stays the array later
+     code reads: Take, Append and Total are pure with a fresh or scalar
+     result, so the loop's stores stay in place.  The identity closure
+     returns its argument, so the store after it, which changes an
+     element, must keep copy-on-write while its result is live: that
+     result is a local no later statement writes, and the result reads it *)
+  let array_end a =
+    let av = Var (a, TArr) in
+    let index () = Int (Rng.range ctx.rng 0 3) in
+    Rng.weighted ctx.rng
+      [ (2, fun () ->
+            ctx.sinks <- a :: ctx.sinks;
+            [ PartSet (a, index (), Un ("Total", TInt, av)) ]);
+        (2, fun () ->
+            ctx.sinks <- a :: ctx.sinks;
+            [ Assign (a, TArr, Bin ("Take", TArr, av, Int (Rng.range ctx.rng 1 n))) ]);
+        (2, fun () ->
+            ctx.sinks <- a :: ctx.sinks;
+            [ Assign (a, TArr, Bin ("Append", TArr, av, expr ctx TInt 1)) ]);
+        (2, fun () ->
+            let r = fresh_counter ctx "r" in
+            ctx.extra_locals <-
+              ctx.extra_locals @ [ { lname = r; lty = TArr; linit = ConstArr (Int 0, 1) } ];
+            ctx.sinks <- r :: ctx.sinks;
+            let i = index () in
+            [ Assign (r, TArr, Un ("Identity", TArr, av));
+              PartSet (a, i, Bin ("+", TInt, Part (a, i), Int 1)) ]) ]
+      ()
+  in
   let map_safe () =
     let value = int_value () in
     let a = fresh_counter ctx "a" in
     add_local a TArr (ConstArr (Int (Rng.range ctx.rng (-3) 3), n));
-    [ While (c, n, [ PartSetIv (a, c, value) ]) ]
+    While (c, n, [ PartSetIv (a, c, value) ])
+    :: (if Rng.chance ctx.rng 0.75 then array_end a else [])
   in
   let map_unsafe () =
     (* reads the array it writes: a cross-iteration dependency in general,
@@ -413,7 +445,7 @@ let gen_arg rng t =
 let case ?(config = default_config) rng =
   let ctx =
     { rng; cfg = config; fuel = config.max_size; vars = []; mutables = [];
-      counters = 0; extra_locals = []; watched = [] }
+      counters = 0; extra_locals = []; watched = []; sinks = [] }
   in
   let param_ty () =
     Rng.weighted rng
@@ -438,9 +470,9 @@ let case ?(config = default_config) rng =
   let body = stmts ctx ~depth:2 ~count:(Rng.range rng 1 4) in
   let ret =
     (* prefer returning something the body could have mutated; an integer
-       when a watched one must be read *)
+       when a watched integer or a sink array must be read *)
     match ctx.mutables with
-    | _ when ctx.watched <> [] -> TInt
+    | _ when ctx.watched <> [] || ctx.sinks <> [] -> TInt
     | [] -> Rng.weighted rng [ (3, TInt); (2, TReal); (1, TBool); (1, TArr) ]
     | ms -> snd (Rng.pick rng ms)
   in
@@ -452,6 +484,13 @@ let case ?(config = default_config) rng =
     match ctx.watched with
     | c :: _ -> Bin ("+", TInt, result, Bin ("Quotient", TInt, Var (c, TInt), Int 1024))
     | [] -> result
+  in
+  (* and every array a loop wrote before it reached a call, so that the
+     loop and the call are live *)
+  let result =
+    List.fold_left
+      (fun acc a -> Bin ("+", TInt, acc, Un ("Total", TInt, Var (a, TArr))))
+      result ctx.sinks
   in
   let fn =
     { params; withs; locals = locals @ ctx.extra_locals; body; result; ret }

@@ -73,6 +73,17 @@ let comparison name cmp =
         if not !known then None else Some (Expr.bool !ok)
       end)
 
+(* Quotient and Mod of two integers, one of them big: floored, so the
+   remainder takes the sign of the divisor; None for a zero divisor *)
+let floor_divmod a b =
+  let big = function Expr.Int i -> Some (Bignum.of_int i) | Expr.Big x -> Some x | _ -> None in
+  match big a, big b with
+  | Some a, Some b when not (Bignum.is_zero b) ->
+    let q, r = Bignum.divmod a b in
+    if Bignum.is_zero r || Bignum.sign r = Bignum.sign b then Some (q, r)
+    else Some (Bignum.sub q Bignum.one, Bignum.add r b)
+  | _ -> None
+
 let install () =
   Eval.register "Plus"
     ~attrs:[ Attributes.Flat; Attributes.Orderless; Attributes.Listable;
@@ -115,8 +126,9 @@ let install () =
         (match Expr.int_of a, Expr.int_of b with
          | Some x, Some y when y <> 0 -> Some (Expr.Int (Checked.modulo x y))
          | _ ->
-           (match Expr.float_of a, Expr.float_of b with
-            | Some x, Some y when y <> 0.0 ->
+           (match floor_divmod a b, Expr.float_of a, Expr.float_of b with
+            | Some (_, r), _, _ -> Some (Numeric.of_big r)
+            | None, Some x, Some y when y <> 0.0 ->
               let r = Float.rem x y in
               let r = if r <> 0.0 && (r < 0.0) <> (y < 0.0) then r +. y else r in
               Some (Expr.Real r)
@@ -133,7 +145,7 @@ let install () =
            (* Wolfram Quotient is floor division *)
            let q = if (x < 0) <> (y < 0) && x mod y <> 0 then (x / y) - 1 else x / y in
            Some (Expr.Int q)
-         | _ -> None)
+         | _ -> Option.map (fun (q, _) -> Numeric.of_big q) (floor_divmod a b))
       | _ -> None);
   Eval.register "Min" ~attrs:[ Attributes.Flat; Attributes.Orderless ] (fun _ args ->
       if Array.length args = 0 then None
@@ -209,7 +221,7 @@ let install () =
         else Some (Expr.Real (Float.sqrt (float_of_int i)))
       | [| a |] ->
         (match Expr.float_of a with
-         | Some r when r >= 0.0 -> Some (Expr.Real (Float.sqrt r))
+         | Some r when not (r < 0.0) -> Some (Expr.Real (Float.sqrt r))  (* NaN too *)
          | _ -> None)
       | _ -> None);
   real_fn "Sin" sin;

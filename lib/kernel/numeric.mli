@@ -5,6 +5,9 @@
 
 open Wolf_wexpr
 
+val of_big : Wolf_base.Bignum.t -> Expr.t
+(** A machine integer when the value fits, else a big one. *)
+
 val is_numeric : Expr.t -> bool
 (** Machine/big integers, reals and [Complex[re, im]] with numeric parts. *)
 

@@ -250,36 +250,34 @@ let string_byte ~checked name args =
     Int (Char.code s.[if checked then Tensor.part_index (String.length s) i else i - 1])
   | _ -> bad name args
 
+(* Join, Append and Take copy the data array by blit *)
 let array_join name args =
   match args with
-  | [| Tensor a; Tensor b |] when Tensor.is_int a = Tensor.is_int b ->
-    let na = Tensor.flat_length a and nb = Tensor.flat_length b in
-    if Tensor.is_int a then begin
-      let out = Array.make (na + nb) 0 in
-      for i = 0 to na - 1 do out.(i) <- Tensor.get_int a i done;
-      for i = 0 to nb - 1 do out.(na + i) <- Tensor.get_int b i done;
-      Tensor (Tensor.of_int_array out)
-    end
-    else begin
-      let out = Array.make (na + nb) 0.0 in
-      for i = 0 to na - 1 do out.(i) <- Tensor.get_real a i done;
-      for i = 0 to nb - 1 do out.(na + i) <- Tensor.get_real b i done;
-      Tensor (Tensor.of_real_array out)
-    end
+  | [| Tensor { data = Ints a; _ }; Tensor { data = Ints b; _ } |] ->
+    Tensor (Tensor.of_int_array (Array.append a b))
+  | [| Tensor { data = Reals a; _ }; Tensor { data = Reals b; _ } |] ->
+    Tensor (Tensor.of_real_array (Array.append a b))
   | _ -> bad name args
 
 let array_append name args =
   match args with
-  | [| Tensor a; v |] ->
-    let na = Tensor.flat_length a in
-    (match v with
-     | Int x when Tensor.is_int a ->
-       let out = Array.init (na + 1) (fun i -> if i < na then Tensor.get_int a i else x) in
-       Tensor (Tensor.of_int_array out)
-     | _ ->
-       let xv = real v in
-       let out = Array.init (na + 1) (fun i -> if i < na then Tensor.get_real a i else xv) in
-       Tensor (Tensor.of_real_array out))
+  | [| Tensor { data = Ints a; _ }; Int x |] ->
+    let out = Array.make (Array.length a + 1) x in
+    Array.blit a 0 out 0 (Array.length a);
+    Tensor (Tensor.of_int_array out)
+  | [| Tensor t; v |] ->
+    let a = reals t in
+    let out = Array.make (Array.length a + 1) (real v) in
+    Array.blit a 0 out 0 (Array.length a);
+    Tensor (Tensor.of_real_array out)
+  | _ -> bad name args
+
+let array_take name args =
+  match args with
+  | [| Tensor t; Int k |] when k >= 0 && k <= Tensor.flat_length t ->
+    (match t.data with
+     | Ints a -> Tensor (Tensor.of_int_array (Array.sub a 0 k))
+     | Reals a -> Tensor (Tensor.of_real_array (Array.sub a 0 k)))
   | _ -> bad name args
 
 let dot_vv name args =
@@ -506,13 +504,7 @@ let rows =
         | [| Real v; Int r; Int c |] when r >= 0 && c >= 0 ->
           Tensor (Tensor.create_real [| r; c |] (Array.make (r * c) v))
         | _ -> bad n args);
-    row "array_take" 2 ~fails:May_fail ~fresh:true (fun n args ->
-        match args with
-        | [| Tensor t; Int k |] when k >= 0 && k <= Tensor.flat_length t ->
-          if Tensor.is_int t then
-            Tensor (Tensor.of_int_array (Array.init k (fun i -> Tensor.get_int t i)))
-          else Tensor (Tensor.of_real_array (Array.init k (fun i -> Tensor.get_real t i)))
-        | _ -> bad n args);
+    row "array_take" 2 ~fails:May_fail ~fresh:true array_take;
     row "string_length" 1 (fun n args ->
         match args with [| Str s |] -> Int (String.length s) | _ -> bad n args);
     row "string_join" 2 (fun n args ->

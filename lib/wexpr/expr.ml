@@ -127,7 +127,7 @@ and equal a b =
   | Int x, Int y -> x = y
   | Big x, Big y -> Wolf_base.Bignum.equal x y
   | Int x, Big y | Big y, Int x -> Wolf_base.Bignum.equal y (Wolf_base.Bignum.of_int x)
-  | Real x, Real y -> x = y
+  | Real x, Real y -> Float.equal x y  (* a NaN is the same as itself *)
   | Str x, Str y -> String.equal x y
   | Sym x, Sym y -> Symbol.equal x y
   | Tensor x, Tensor y -> Tensor.equal x y

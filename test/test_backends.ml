@@ -211,6 +211,22 @@ let test_part_error_soft_failure () =
     Alcotest.(check bool) "not a bogus number" true
       (match v with Expr.Int _ -> false | _ -> true)
 
+(* an overflowed a*a reruns in the interpreter, whose Mod and Quotient
+   of the big product are exact *)
+let test_mod_quotient_after_fallback () =
+  Wolfram.init ();
+  B.Compiled_function.quiet := true;
+  List.iter
+    (fun (body, expected) ->
+       let src = Printf.sprintf {|Function[{Typed[a, "MachineInteger"]}, %s]|} body in
+       List.iter
+         (fun target ->
+            let cf = Wolfram.function_compile ~target ~name:"bigmod" (parse src) in
+            Alcotest.check expr body (parse expected)
+              (Wolfram.call cf [ Expr.Int 1099511627776 ]))
+         [ Wolfram.Threaded; (if Lazy.force jit_on then Wolfram.Jit else Wolfram.Threaded) ])
+    [ ("Mod[a*a + 1, 7]", "5"); ("Quotient[a*a, 1024]", "1180591620717411303424") ]
+
 (* the row raises Runtime_error on an empty range, so the call reruns in
    the interpreter, which leaves it unevaluated *)
 let test_random_integer_empty_range () =
@@ -1060,6 +1076,8 @@ let tests =
     Alcotest.test_case "recursion" `Quick test_recursion;
     Alcotest.test_case "soft numerical failure (F2)" `Quick test_soft_failure_both_backends;
     Alcotest.test_case "part-error soft failure" `Quick test_part_error_soft_failure;
+    Alcotest.test_case "Mod and Quotient of a product after the fallback" `Quick
+      test_mod_quotient_after_fallback;
     Alcotest.test_case "RandomInteger of an empty range falls back" `Quick
       test_random_integer_empty_range;
     Alcotest.test_case "abortable compiled loops (F3)" `Quick test_abort_compiled;

@@ -55,32 +55,74 @@ let test_regressions_on_par () =
 let test_regressions_on_binary () =
   List.iter (check_clean ~arms:(arms "binary") ~levels:[ 0; 2 ]) (regressions ())
 
-(* the aliasing shapes whose loop stores must keep copy-on-write, replayed
-   on every arm, each with its campaign setup (the serve arm's daemon) *)
-let test_alias_regressions_on_every_arm () =
-  let alias =
+(* the [count] corpus programs whose file name starts with [prefix],
+   replayed on every arm, each with its campaign setup (the serve arm's
+   daemon) *)
+let replay_on_every_arm ~prefix ~count what =
+  let shapes =
     List.filter
-      (fun e -> String.starts_with ~prefix:"regress-alias" (Filename.basename e.Driver.ce_path))
+      (fun e -> String.starts_with ~prefix (Filename.basename e.Driver.ce_path))
       (Lazy.force entries)
   in
-  Alcotest.(check int) "five alias shapes" 5 (List.length alias);
+  Alcotest.(check int) what count (List.length shapes);
   let teardowns = List.map (fun a -> a.Oracle.setup ignore) Oracle.arms in
   Fun.protect ~finally:(fun () -> List.iter (fun t -> t ()) teardowns) @@ fun () ->
-  List.iter (check_clean ~arms:Oracle.arms) alias
+  List.iter (check_clean ~arms:Oracle.arms) shapes
+
+(* the aliasing shapes: the loop stores of all but the call-in-loop one (a
+   pure call with a scalar result) must keep copy-on-write *)
+let test_alias_regressions_on_every_arm () =
+  replay_on_every_arm ~prefix:"regress-alias" ~count:5 "five alias shapes"
+
+(* loop stores run in place although the array reaches a pure call (Take,
+   Append, Total after the loop, Total in the loop before the store) *)
+let test_pure_call_regressions_on_every_arm () =
+  replay_on_every_arm ~prefix:"regress-inplace-pure-call" ~count:4 "four pure-call shapes"
+
+(* a compiled a*b at the bounds of the checked multiply's fast path and
+   of the machine range, on the threaded, jit, wvm and c arms, and
+   Take/Append/Join on both element kinds at k = 0, k = Length and on empty
+   operands, there and as built binaries (the c arm runs scalar results
+   only), against the interpreter *)
+let test_mul_and_blit_edges_on_arms () =
+  let open Wolf_wexpr in
+  let check ?(names = "threaded,jit,wvm,c") src args =
+    match
+      Oracle.check ~arms:(arms names) ~levels:[ 0; 1 ] (Parser.parse src) (Array.of_list args)
+    with
+    | [] -> ()
+    | fs -> Alcotest.failf "%s: %s" src (String.concat "; " (List.map failure_str fs))
+  in
+  let t30 = 1 lsl 30 and t31 = 1 lsl 31 in
+  let operands =
+    [ 0; 1; -1; t30; -t30; t30 + 1; t30 - 1; -t30 + 1; -t30 - 1; t31; -t31; max_int; min_int ]
+  in
+  let mul = {|Function[{Typed[a, "MachineInteger"], Typed[b, "MachineInteger"]}, a*b]|} in
+  List.iter
+    (fun (a, b) -> check mul [ Expr.Int a; Expr.Int b ])
+    ((List.map (fun a -> (a, a)) operands)
+     @ [ (t30, -t30); (-t31, t31); (min_int, -1); (min_int, 1); (max_int, 1); (max_int, 2);
+         (t30 - 1, -t30); (-t30, -t30) ]);
+  let ints = Parser.parse "{4, 5, 6}" and reals = Parser.parse "{0.5, 1.5, 2.5}" in
+  List.iter
+    (fun (ty, v, x) ->
+       let fn body =
+         Printf.sprintf
+           {|Function[{Typed[v, "PackedArray"["%s", 1]], Typed[k, "MachineInteger"]}, %s]|} ty body
+       in
+       List.iter
+         (fun k ->
+            List.iter
+              (fun body -> check ~names:"threaded,jit,wvm,c,binary" (fn body) [ v; Expr.Int k ])
+              [ "Take[v, k]"; "Append[Take[v, k], " ^ x ^ "]"; "Join[Take[v, k], v]";
+                "Join[v, Take[v, k]]"; "Join[Take[v, k], Take[v, k]]" ])
+         [ 0; 1; 3 ])
+    [ ("Integer64", ints, "7"); ("Real64", reals, "7.5") ]
 
 (* the range analysis's proofs and versioned nests: reads proved in range,
-   checks that must stay, and both copies of a versioned Blur, replayed on
-   every arm *)
+   checks that must stay, and both copies of a versioned Blur *)
 let test_range_regressions_on_every_arm () =
-  let range =
-    List.filter
-      (fun e -> String.starts_with ~prefix:"regress-range" (Filename.basename e.Driver.ce_path))
-      (Lazy.force entries)
-  in
-  Alcotest.(check int) "five range shapes" 5 (List.length range);
-  let teardowns = List.map (fun a -> a.Oracle.setup ignore) Oracle.arms in
-  Fun.protect ~finally:(fun () -> List.iter (fun t -> t ()) teardowns) @@ fun () ->
-  List.iter (check_clean ~arms:Oracle.arms) range
+  replay_on_every_arm ~prefix:"regress-range" ~count:5 "five range shapes"
 
 (* ---- the arm table ----------------------------------------------------- *)
 
@@ -247,6 +289,10 @@ let tests =
       test_regressions_on_binary;
     Alcotest.test_case "alias regressions on every arm" `Slow
       test_alias_regressions_on_every_arm;
+    Alcotest.test_case "pure-call regressions on every arm" `Slow
+      test_pure_call_regressions_on_every_arm;
+    Alcotest.test_case "multiply and blit edges on the compiled arms" `Slow
+      test_mul_and_blit_edges_on_arms;
     Alcotest.test_case "arm names round-trip through --backends" `Quick
       test_arm_names_roundtrip;
     Alcotest.test_case "an unknown arm lists every arm" `Quick

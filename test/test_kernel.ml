@@ -34,6 +34,25 @@ let arithmetic =
       ("quotient floors", "Quotient[-7, 2]", "-4");
       ("quotient of the minimum by -1 promotes", "Quotient[-4611686018427387903 - 1, -1]",
        "4611686018427387904");
+      ("mod of a big integer", "Mod[2^70 + 1, 7]", "3");
+      ("mod of a negative big integer", "Mod[-2^70 - 1, 7]", "4");
+      ("mod of a big integer by a negative divisor", "Mod[2^70 + 1, -7]", "-4");
+      ("mod by a big divisor", "Mod[-7, 2^70]", "1180591620717411303417");
+      ("mod of a big integer that divides", "Mod[2^70, 2^35]", "0");
+      ("quotient of a big integer fits a machine integer", "Quotient[2^70, 1024]",
+       "1152921504606846976");
+      ("quotient of a negative big integer floors", "Quotient[-2^70 - 1, 7]",
+       "-168655945816773043347");
+      ("quotient of a big integer by a negative divisor floors", "Quotient[2^70 + 1, -7]",
+       "-168655945816773043347");
+      ("quotient by a big divisor floors", "Quotient[-7, 2^70]", "-1");
+      ("mod of a big integer by zero stays", "Mod[2^70, 0]", "Mod[1180591620717411303424, 0]");
+      ("a list holding NaN reaches its fixpoint",
+       "Module[{m = 3.625}, Do[m = m*m, {i, 30}]; Length[{m - m, 1}] ]", "2");
+      ("NaN is the same as itself",
+       "Module[{m = 3.625}, Do[m = m*m, {i, 30}]; SameQ[m - m, m - m] ]", "True");
+      ("Sqrt of NaN evaluates", "Module[{m = 3.625}, Do[m = m*m, {i, 30}]; Sqrt[Abs[m - m] ] ]",
+       "nan");
       ("abs", "Abs[-9]", "9");
       ("abs real", "Abs[-2.5]", "2.5");
       ("min flattens lists", "Min[{3, 1, 2}]", "1");

@@ -1080,9 +1080,13 @@ type hist_variant =
   | Plain
   | Copied_before_loop   (* k = Copy a in b0, read in b3 *)
   | Captured             (* a closure in b2 captures p *)
-  | Call_in_loop         (* t = Total[p] in b2 *)
+  | Call_in_loop         (* t = Total[p] in b2: a pure row, scalar result *)
   | Pooled_literal       (* a = Copy of a constant array *)
   | Old_value_kept       (* p read after the store in b2 *)
+  | Program_call         (* a program function g takes p in b2 *)
+  | Closure_call         (* a closure value takes p in b2 *)
+  | Calls_row            (* a row with the Calls effect takes p in b2 *)
+  | Expr_result          (* Total[p] in b2 typed as an Expression *)
 
 let hist_twir variant =
   let pa = Types.packed Types.int64 1 in
@@ -1107,6 +1111,17 @@ let hist_twir variant =
     match variant with
     | Captured -> ([ Wir.New_closure { dst = extra; fname = "g"; captured = [| v p |] } ], [])
     | Call_in_loop -> ([ prim "array_total" "array_total_PA_I64_1" extra [| v p |] ], [])
+    | Program_call -> ([ Wir.Call { dst = extra; callee = Wir.Func "g"; args = [| v p |] } ], [])
+    | Closure_call ->
+      let g = Wir.fresh_var ~ty:(Types.fn [ pa ] Types.int64) () in
+      ([ Wir.New_closure { dst = g; fname = "g"; captured = [||] };
+         Wir.Call { dst = extra; callee = Wir.Indirect (v g); args = [| v p |] } ], [])
+    | Calls_row ->
+      ([ prim "parallel_reduce" "parallel_reduce" extra
+           [| cint 0; v p; cint 1; v n; cint 0; cint 0 |] ], [])
+    | Expr_result ->
+      let e = Wir.fresh_var ~ty:Types.expression () in
+      ([ prim "array_total" "array_total_PA_I64_1" e [| v p |] ], [])
     | Old_value_kept ->
       ([], [ prim "part_get_1" "part_get_1_PA_I64_1_I64" extra [| v p; cint 1 |] ])
     | Plain | Copied_before_loop | Pooled_literal -> ([], [])
@@ -1135,20 +1150,28 @@ let hist_twir variant =
         (goto 1 ~args:[| v r; v i1 |]);
       block 3 b3_instrs (Wir.Return (v p)) ]
 
+(* the plain shape, and a pure call in the loop that can neither keep p
+   nor return it *)
 let test_mutability_hist_promoted () =
-  let f = hist_twir Plain in
-  let promoted = Mutability_pass.run { Wir.funcs = [ f ]; pmeta = [] } in
-  Alcotest.(check (list string)) "the store is in place" [ "part_set_1_inplace" ] (stores_of f);
-  Alcotest.(check (list (pair (option int) int))) "one loop web, one store" [ (Some 1, 1) ]
-    (List.map (fun p -> (p.Mutability_pass.pheader, p.Mutability_pass.pstores)) promoted);
-  Alcotest.(check int) "the header carries only i" 1
-    (Array.length (Wir.find_block f 1).Wir.bparams);
-  (match (Wir.find_block f 0).Wir.term with
-   | Wir.Jump { jargs; _ } -> Alcotest.(check int) "the entry passes only i" 1 (Array.length jargs)
-   | _ -> Alcotest.fail "b0 no longer jumps");
-  match Wir_verify.check_func f with
-  | Ok () -> ()
-  | Error es -> Alcotest.failf "verifier: %s" (String.concat "; " es)
+  List.iter
+    (fun (what, variant) ->
+       let f = hist_twir variant in
+       let promoted = Mutability_pass.run { Wir.funcs = [ f ]; pmeta = [] } in
+       Alcotest.(check (list string)) (what ^ ": the store is in place") [ "part_set_1_inplace" ]
+         (stores_of f);
+       Alcotest.(check (list (pair (option int) int))) (what ^ ": one loop web, one store")
+         [ (Some 1, 1) ]
+         (List.map (fun p -> (p.Mutability_pass.pheader, p.Mutability_pass.pstores)) promoted);
+       Alcotest.(check int) (what ^ ": the header carries only i") 1
+         (Array.length (Wir.find_block f 1).Wir.bparams);
+       (match (Wir.find_block f 0).Wir.term with
+        | Wir.Jump { jargs; _ } ->
+          Alcotest.(check int) (what ^ ": the entry passes only i") 1 (Array.length jargs)
+        | _ -> Alcotest.fail "b0 no longer jumps");
+       match Wir_verify.check_func f with
+       | Ok () -> ()
+       | Error es -> Alcotest.failf "%s: verifier: %s" what (String.concat "; " es))
+    [ ("plain", Plain); ("passed to a pure call in the loop", Call_in_loop) ]
 
 let test_mutability_alias_rows () =
   List.iter
@@ -1161,9 +1184,53 @@ let test_mutability_alias_rows () =
          (Array.length (Wir.find_block f 1).Wir.bparams))
     [ ("copied before the loop", Copied_before_loop);
       ("captured by a closure", Captured);
-      ("passed to a call in the loop", Call_in_loop);
       ("a pooled literal", Pooled_literal);
-      ("the old value read after the store", Old_value_kept) ]
+      ("the old value read after the store", Old_value_kept);
+      ("passed to a program function", Program_call);
+      ("passed to a closure", Closure_call);
+      ("passed to a Calls row", Calls_row);
+      ("passed to a call with an Expression result", Expr_result) ]
+
+(* QSort's partition loop: Take after the loop is a pure call with a fresh
+   result, so both stores run in place and no loop header carries a tensor *)
+let test_mutability_qsort_in_place () =
+  let module P = Bench_support.Programs in
+  let c = compile ~type_env:(P.qsort_type_env ()) P.qsort_driver_src in
+  let f =
+    List.find
+      (fun (f : Wir.func) -> List.exists (String.starts_with ~prefix:"part_set") (stores_of f))
+      c.Pipeline.program.Wir.funcs
+  in
+  Alcotest.(check (list string)) "both stores in place"
+    [ "part_set_1_inplace"; "part_set_1_inplace" ] (stores_of f);
+  let cfg = Analysis.build_cfg f in
+  let headers = Analysis.loop_headers f cfg in
+  Alcotest.(check bool) "a loop" true (headers <> []);
+  List.iter
+    (fun h ->
+       let tensor (p : Wir.var) =
+         match Option.map Types.repr p.Wir.vty with
+         | Some (Types.Con ("PackedArray", _)) -> true
+         | _ -> false
+       in
+       Alcotest.(check bool) (Printf.sprintf "b%d carries no tensor" h) false
+         (Array.exists tensor (Wir.find_block f h).Wir.bparams))
+    headers
+
+(* the array is read in the loop and passed to Append after it *)
+let test_mutability_append_after_loop () =
+  let c =
+    compile
+      {|Function[{Typed[n, "MachineInteger"]},
+         Module[{bins = ConstantArray[0, 3], s = 0},
+          Do[bins[[Mod[i, 3] + 1]] = bins[[Mod[i, 3] + 1]] + i; s = s + bins[[1]], {i, n}];
+          Append[bins, s]]]|}
+  in
+  Alcotest.(check int) "one in-place store" 1 (Pipeline.inplace_updates c);
+  let cf = Wolf_backends.Native.compile c in
+  Alcotest.(check string) "the result at n = 10" (Expr.to_string (parse "{18, 22, 15, 72}"))
+    (Expr.to_string
+       (Wolf_runtime.Rtval.to_expr (cf.Wolf_runtime.Rtval.call [| Wolf_runtime.Rtval.Int 10 |])))
 
 let test_user_pass_injection () =
   (* §4.7: users can inject passes into the pipeline *)
@@ -1418,6 +1485,9 @@ let tests =
       test_mutability_hist_promoted;
     Alcotest.test_case "aliased loop-carried arrays stay checked" `Quick
       test_mutability_alias_rows;
+    Alcotest.test_case "QSort's stores run in place" `Quick test_mutability_qsort_in_place;
+    Alcotest.test_case "a store before Append after its loop runs in place" `Quick
+      test_mutability_append_after_loop;
     Alcotest.test_case "user pass injection (§4.7)" `Quick test_user_pass_injection;
     Alcotest.test_case "range facts: FNV1a" `Quick test_range_fnv1a;
     Alcotest.test_case "range facts: Blur versioned" `Quick test_range_blur_versioned;

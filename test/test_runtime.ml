@@ -208,6 +208,81 @@ let test_real_array_ops_unboxed () =
     [ ("array_scalar_times", [| Rtval.Tensor t; Rtval.Real 0.5 |], 3.5);
       ("array_unary_sin", [| Rtval.Tensor t |], sin 7.0) ]
 
+(* operands at and around the bounds of the checked multiply's fast path
+   ([-2^30, 2^30)) and of the machine range *)
+let mul_operands =
+  let t30 = 1 lsl 30 and t31 = 1 lsl 31 in
+  [ 0; 1; -1; 2; t30; -t30; t30 + 1; t30 - 1; -t30 + 1; -t30 - 1; t31; -t31; max_int; min_int ]
+
+(* the division-based test the fast path guards *)
+let mul_reference a b =
+  let p = a * b in
+  if a <> 0 && b <> 0 && (p / b <> a || (a = -1 && b = min_int) || (b = -1 && a = min_int))
+  then None
+  else Some p
+
+let test_checked_mul_table () =
+  let show = function Some p -> string_of_int p | None -> "overflow" in
+  let raising a b =
+    match Checked.mul a b with
+    | p -> Some p
+    | exception Errors.Runtime_error Errors.Integer_overflow -> None
+  in
+  List.iter
+    (fun a ->
+       List.iter
+         (fun b ->
+            let what = Printf.sprintf "%d * %d" a b in
+            Alcotest.(check string) what (show (mul_reference a b)) (show (raising a b));
+            Alcotest.(check string) (what ^ " (option)") (show (mul_reference a b))
+              (show (Checked.mul_opt a b)))
+         mul_operands)
+    mul_operands;
+  let t31 = 1 lsl 31 in
+  Alcotest.(check string) "2^31 * 2^31 overflows" "overflow" (show (raising t31 t31));
+  Alcotest.(check string) "-2^31 * 2^31 is min_int" (show (Some min_int)) (show (raising (-t31) t31));
+  Alcotest.(check string) "min_int * -1 overflows" "overflow" (show (raising min_int (-1)));
+  Alcotest.(check string) "min_int * 1" (show (Some min_int)) (show (raising min_int 1));
+  Alcotest.(check string) "max_int * 1" (show (Some max_int)) (show (raising max_int 1));
+  Alcotest.(check string) "max_int * 2 overflows" "overflow" (show (raising max_int 2))
+
+(* Take, Append and Join copy by blit: the same elements, kind and length
+   as an element-wise copy, at k = 0, k = Length and on empty operands;
+   Take past the end and a mixed-kind Join still fail softly *)
+let test_array_blit_rows () =
+  let ints a = Rtval.Tensor (Tensor.of_int_array a) in
+  let reals a = Rtval.Tensor (Tensor.of_real_array a) in
+  let i k = Rtval.Int k and r x = Rtval.Real x in
+  let cases =
+    [ ("array_take", [| ints [| 1; 2; 3 |]; i 0 |], ints [||]);
+      ("array_take", [| ints [| 1; 2; 3 |]; i 3 |], ints [| 1; 2; 3 |]);
+      ("array_take", [| reals [| 1.5; 2.5 |]; i 1 |], reals [| 1.5 |]);
+      ("array_take", [| reals [| 1.5; 2.5 |]; i 2 |], reals [| 1.5; 2.5 |]);
+      ("array_append", [| ints [||]; i 7 |], ints [| 7 |]);
+      ("array_append", [| ints [| 1; 2 |]; i 7 |], ints [| 1; 2; 7 |]);
+      ("array_append", [| ints [| 1; 2 |]; r 0.5 |], reals [| 1.0; 2.0; 0.5 |]);
+      ("array_append", [| reals [| 1.5 |]; i 2 |], reals [| 1.5; 2.0 |]);
+      ("array_join", [| ints [||]; ints [||] |], ints [||]);
+      ("array_join", [| ints [| 1 |]; ints [||] |], ints [| 1 |]);
+      ("array_join", [| ints [| 1; 2 |]; ints [| 3 |] |], ints [| 1; 2; 3 |]);
+      ("array_join", [| reals [||]; reals [| 2.5 |] |], reals [| 2.5 |]) ]
+  in
+  List.iter
+    (fun (base, args, expected) ->
+       let got = (Prims.find base).impl args in
+       Alcotest.(check bool) (base ^ ": the same elements") true (Rtval.equal expected got);
+       Alcotest.(check bool) (base ^ ": the same kind") true
+         (Tensor.is_int (Rtval.as_tensor expected) = Tensor.is_int (Rtval.as_tensor got)))
+    cases;
+  List.iter
+    (fun (base, args) ->
+       match (Prims.find base).impl args with
+       | _ -> Alcotest.failf "%s accepted bad operands" base
+       | exception Errors.Runtime_error (Errors.Invalid_runtime_argument _) -> ())
+    [ ("array_take", [| ints [| 1; 2 |]; i 3 |]);
+      ("array_take", [| reals [| 1.5 |]; i (-1) |]);
+      ("array_join", [| ints [| 1 |]; reals [| 2.5 |] |]) ]
+
 let tests =
   [ Alcotest.test_case "boxing roundtrip" `Quick test_boxing_roundtrip;
     Alcotest.test_case "unboxing shapes" `Quick test_unboxing_shapes;
@@ -215,6 +290,9 @@ let tests =
     Alcotest.test_case "primitive dispatch" `Quick test_prims_dispatch;
     Alcotest.test_case "scalar forms match their boxed rows" `Quick test_scalar_forms_match_impl;
     Alcotest.test_case "checked arithmetic edges" `Quick test_checked_arithmetic_edges;
+    Alcotest.test_case "checked multiply agrees with the division test" `Quick
+      test_checked_mul_table;
+    Alcotest.test_case "Take, Append and Join copy by blit" `Quick test_array_blit_rows;
     Alcotest.test_case "PRNG determinism" `Quick test_rand_determinism;
     Alcotest.test_case "kernel hook" `Quick test_hooks_default;
     Alcotest.test_case "Real64 array ops box no element" `Quick test_real_array_ops_unboxed;
