@@ -55,8 +55,9 @@ smoke: build
 # verifier after every pass (failing if the mutability pass put no loop
 # store in place, a drift guard), then 100 more through the ocamlopt JIT (the
 # backend whose generated code inlines the abort check; ~30 s), which fails
-# if the emitter turned zero loops into while loops (drift guard, like
-# par-loop-smoke's), declined a module, or wrote a module ocamlopt rejected
+# if the emitter turned zero loops into while loops or wrote no guard
+# loop (drift guards, like par-loop-smoke's), declined a module, or wrote
+# a module ocamlopt rejected
 # (either one runs on the threaded backend); deterministic, so a failure
 # here is replayable with the same seed (see EXPERIMENTS.md "Fuzz triage")
 fuzz-smoke: build

@@ -158,6 +158,205 @@ let secs = function
     else Printf.sprintf "%.2fs" s
 
 (* ------------------------------------------------------------------ *)
+(* Instructions per inner loop                                         *)
+
+(* The innermost loop of a function in ocamlopt's assembly: the shortest
+   range from a label to a jump back to it.  [instrs] counts the
+   instructions in it, jump included, but not those that allocate and
+   raise an exception (a cold path ocamlopt lays out in line); [taken] its
+   unconditional jumps, plus the closing jump when that one is conditional
+   (taken on every iteration): a static count of the jumps one iteration
+   takes. *)
+type asm_loop = { instrs : int; taken : int }
+
+(* the lines of the function whose symbol is caml<Module>.<name>_<digits> *)
+let asm_function asm name =
+  let is_entry l =
+    String.starts_with ~prefix:"caml" l && String.ends_with ~suffix:":" l
+    &&
+    match String.rindex_opt l '.' with
+    | Some i ->
+      let p = name ^ "_" and f = String.sub l (i + 1) (String.length l - i - 2) in
+      String.starts_with ~prefix:p f
+      && String.length f > String.length p
+      && String.for_all (fun c -> c >= '0' && c <= '9')
+           (String.sub f (String.length p) (String.length f - String.length p))
+    | None -> false
+  in
+  let rec drop = function [] -> [] | l :: rest -> if is_entry l then rest else drop rest in
+  let rec take acc = function
+    | [] -> List.rev acc
+    | l :: rest -> if String.trim l = ".cfi_endproc" then List.rev acc else take (String.trim l :: acc) rest
+  in
+  take [] (drop (String.split_on_char '\n' asm))
+
+let innermost_loop lines =
+  let is_label l = String.ends_with ~suffix:":" l in
+  (* labels and instructions; no directives *)
+  let lines =
+    Array.of_list
+      (List.filter (fun l -> l <> "" && (is_label l || not (String.starts_with ~prefix:"." l))) lines)
+  in
+  let label_at = Hashtbl.create 16 in
+  Array.iteri
+    (fun i l -> if is_label l then Hashtbl.replace label_at (String.sub l 0 (String.length l - 1)) i)
+    lines;
+  let jump l =
+    match
+      String.split_on_char '\t' l |> List.concat_map (String.split_on_char ' ') |> List.filter (( <> ) "")
+    with
+    | [ op; target ] when op.[0] = 'j' && target.[0] = '.' -> Some (op, target)
+    | _ -> None
+  in
+  let is_instr l = not (is_label l) in
+  (* [range] without its raises: each from the exception's allocation
+     ([subq $n, %r15], its GC test and the GC's return label) to the
+     indirect jump to the handler *)
+  let rec hot = function
+    | l :: rest when String.starts_with ~prefix:"subq\t$" l && String.ends_with ~suffix:", %r15" l ->
+      let rec raise_end labels jumps = function
+        | "jmp\t*%r11" :: after -> Some after
+        | m :: after when not (is_instr m) -> if labels = 0 then raise_end 1 jumps after else None
+        | m :: after when m.[0] = 'j' -> if jumps = 0 then raise_end labels 1 after else None
+        | m :: after
+          when not (String.starts_with ~prefix:"call" m || String.starts_with ~prefix:"ret" m) ->
+          raise_end labels jumps after
+        | _ -> None
+      in
+      (match raise_end 0 0 rest with Some after -> hot after | None -> l :: hot rest)
+    | l :: rest -> l :: hot rest
+    | [] -> []
+  in
+  (* the jump back from a GC poll's out-of-line call closes no loop *)
+  let gc_stub i =
+    let rec prev k = if k < 0 || is_instr lines.(k) then k else prev (k - 1) in
+    let k = prev (i - 1) in
+    k >= 0 && String.starts_with ~prefix:"call\tcaml_call_gc" lines.(k)
+  in
+  let best = ref None in
+  Array.iteri
+    (fun i l ->
+       match jump l with
+       | Some (op, target) when not (gc_stub i) ->
+         (match Hashtbl.find_opt label_at target with
+          | Some s when s < i ->
+            let range = Array.sub lines s (i - s + 1) |> Array.to_list |> hot in
+            let instrs = List.length (List.filter is_instr range) in
+            let jmps =
+              List.length
+                (List.filter (fun l -> match jump l with Some ("jmp", _) -> true | _ -> false) range)
+            in
+            let taken = if op = "jmp" then jmps else jmps + 1 in
+            (match !best with
+             | Some b when b.instrs <= instrs -> ()
+             | _ -> best := Some { instrs; taken })
+          | _ -> ())
+       | _ -> ())
+    lines;
+  !best
+
+(* Each Figure-2 kernel with a loop: its program, the emitted function that
+   holds the hot loop, and the perfbench hand function of the same shape *)
+let loop_kernels () =
+  [ ("fnv1a", "fn_fnv1a", "fnv1a", fun () -> compile_pipeline ~name:"fnv1a" (`Src P.fnv1a_src));
+    ("mandelbrot", "fn_mandel", "mandelbrot",
+     fun () -> compile_pipeline ~name:"mandel" (`Src P.mandelbrot_src));
+    ("blur", "fn_blur", "blur", fun () -> compile_pipeline ~name:"blur" (`Src P.blur_src));
+    ("histogram", "fn_hist", "histogram",
+     fun () -> compile_pipeline ~name:"hist" (`Src P.histogram_src));
+    ("primeq", "fn_PowerMod64", "powmod",
+     fun () -> compile_pipeline ~type_env:(P.primeq_type_env ()) ~name:"primeq" (`Expr (P.primeq_expr ())));
+    ("qsort", "fn_QSortI64", "qsort",
+     fun () ->
+       compile_pipeline ~type_env:(P.qsort_type_env ()) ~name:"qsortmain" (`Src P.qsort_driver_src)) ]
+
+(* the emitted function whose name starts with [prefix]: the symbol
+   carries the sanitized name and a suffix ocamlopt adds *)
+let emitted_fn source prefix =
+  List.find_map
+    (fun l ->
+       match String.split_on_char ' ' l with
+       | ("let" :: "rec" :: n :: _ | "and" :: n :: _) when String.starts_with ~prefix n -> Some n
+       | _ -> None)
+    (String.split_on_char '\n' source)
+
+(* loops the JIT emitter writes in each form over a batch of emits *)
+let loop_forms emit_all =
+  let count form = Wolf_obs.Metrics.counter_value (B.Ocaml_emit.loop_forms_counter form) in
+  let w0 = count "while" and g0 = count "guard" in
+  emit_all ();
+  let g = count "guard" - g0 in
+  (g, count "while" - w0 - g)
+
+let loop_asm () =
+  let rows = ref [] and metrics = ref [] in
+  let add name v unit = metrics := (name, float_of_int v, unit) :: !metrics in
+  let hand =
+    match In_channel.with_open_bin "perfbench/pb_hand.ml" In_channel.input_all with
+    | src -> (match B.Jit.assembly ~args:"-I +unix" ~file:"pb_hand.ml" src with Ok s -> Some s | Error _ -> None)
+    | exception Sys_error _ -> None
+  in
+  if hand = None then print_endline "no hand loops: run from the repository root (perfbench/pb_hand.ml)";
+  let fig2_forms = ref (0, 0) in
+  List.iter
+    (fun (name, fn, hand_fn, compile) ->
+       let c = compile () in
+       let src = ref None in
+       let g, s =
+         loop_forms (fun () ->
+             match B.Ocaml_emit.emit ~module_name:("Loopasm_" ^ name) c with
+             | Ok e -> src := Some e.B.Ocaml_emit.source
+             | Error _ -> ())
+       in
+       fig2_forms := (fst !fig2_forms + g, snd !fig2_forms + s);
+       let jit =
+         Option.bind !src (fun source ->
+             Option.bind (emitted_fn source fn) (fun f ->
+                 match B.Jit.assembly ~file:("loopasm_" ^ name ^ ".ml") source with
+                 | Ok asm -> innermost_loop (asm_function asm f)
+                 | Error _ -> None))
+       in
+       let hand = Option.bind hand (fun asm -> innermost_loop (asm_function asm hand_fn)) in
+       let cell = function Some l -> (string_of_int l.instrs, string_of_int l.taken) | None -> ("-", "-") in
+       let ji, jt = cell jit and hi, ht = cell hand in
+       rows := (name, [ ji; jt; hi; ht; string_of_int g; string_of_int s ]) :: !rows;
+       Option.iter (fun l -> add (name ^ ".compiled_loop_instrs") l.instrs "count";
+                     add (name ^ ".compiled_loop_taken_jumps") l.taken "count") jit;
+       Option.iter (fun l -> add (name ^ ".hand_loop_instrs") l.instrs "count";
+                     add (name ^ ".hand_loop_taken_jumps") l.taken "count") hand;
+       add (name ^ ".guard_loops") g "count";
+       add (name ^ ".state_loops") s "count")
+    (loop_kernels ());
+  print_table ~title:"Innermost loop: instructions and taken jumps (ocamlopt -S, the JIT's flags)"
+    ~columns:[ "instrs"; "taken jmps"; "hand instrs"; "hand taken"; "guard loops"; "state loops" ]
+    (List.rev !rows);
+  (* the loop forms over the benchmark corpus, as wolfc twir-digest compiles it *)
+  (match Wolf_fuzz.Twir_digest.read_corpus "perfbench/corpus.txt" with
+   | programs ->
+     List.iter
+       (fun (cname, options) ->
+          let g, s =
+            loop_forms (fun () ->
+                List.iter
+                  (fun fexpr ->
+                     match Pipeline.compile ~options ~name:"p" fexpr with
+                     | c -> ignore (B.Ocaml_emit.emit ~module_name:"Loopforms" c)
+                     | exception _ -> ())
+                  programs)
+          in
+          Printf.printf "corpus %s: %d guard loop(s), %d state loop(s)\n" cname g s;
+          add ("corpus." ^ cname ^ ".guard_loops") g "count";
+          add ("corpus." ^ cname ^ ".state_loops") s "count")
+       Wolf_fuzz.Twir_digest.configs
+   | exception Sys_error _ -> print_endline "no corpus: run from the repository root");
+  Printf.printf "Figure-2 programs: %d guard loop(s), %d state loop(s)\n%!" (fst !fig2_forms)
+    (snd !fig2_forms);
+  write_record "loop_asm"
+    ~info:[ ("innermost_loop", "shortest label-to-backward-jump range of the function");
+            ("taken_jumps", "unconditional jumps in it, plus its closing jump when conditional") ]
+    (List.rev !metrics)
+
+(* ------------------------------------------------------------------ *)
 (* Figure 2                                                            *)
 
 type fig2_row = {
@@ -1112,9 +1311,9 @@ let usage () =
   print_endline
     "usage: main.exe [all|fig2|table1|fig1|findroot|ablation-inline|\n\
     \                 ablation-abort|ablation-consts|compile-time|tier|\n\
-    \                 parloop|build|smoke]\n\
+    \                 parloop|build|loop-asm|smoke]\n\
     \                [--quick|--paper] [--json] [--jobs=N]\n\
-    \                (--json: fig2, tier, parloop and build each write\n\
+    \                (--json: fig2, tier, parloop, build and loop-asm each write\n\
     \                 BENCH_<command>.json, one bench record of named\n\
     \                 metrics with units, the shape wolfc obs-check checks;\n\
     \                 --jobs=N: compile benchmark arms on N domains, 0 = cores)"
@@ -1167,6 +1366,7 @@ let () =
     | "parloop" -> parloop_bench ()
     | "build" -> build_bench ()
     | "smoke" -> smoke ()
+    | "loop-asm" -> loop_asm ()
     | "all" ->
       table1 ();
       fig2 ();

@@ -573,21 +573,23 @@ let fuzz_cmd =
     let jit_loops form =
       Wolf_obs.Metrics.counter_value (Wolf_backends.Ocaml_emit.loop_forms_counter form)
     in
-    let whiles_before = jit_loops "while" and declined_before = jit_loops "declined" in
+    let whiles_before = jit_loops "while" and guards_before = jit_loops "guard" in
+    let declined_before = jit_loops "declined" in
     let rejected_before = Wolf_backends.Jit.rejected () in
     let mismatches () = Wolf_obs.Metrics.counter_value Wolf_runtime.Prims.view_mismatches in
     let mismatches_before = mismatches () in
     let report = Driver.run cfg in
     let jit_selected = List.exists (fun a -> a.Oracle.name = "jit") arms in
     let jit_whiles = jit_loops "while" - whiles_before in
+    let jit_guards = jit_loops "guard" - guards_before in
     let jit_declined = jit_loops "declined" - declined_before in
     let jit_rejected = Wolf_backends.Jit.rejected () - rejected_before in
     let jit_mismatches = mismatches () - mismatches_before in
     if jit_selected then
       Printf.printf
-        "fuzz: jit arm emitted %d while loop(s), declined %d module(s); \
-         ocamlopt rejected %d module(s); %d view mismatch(es)\n"
-        jit_whiles jit_declined jit_rejected jit_mismatches;
+        "fuzz: jit arm emitted %d while loop(s), %d of them guard loop(s), declined %d \
+         module(s); ocamlopt rejected %d module(s); %d view mismatch(es)\n"
+        jit_whiles jit_guards jit_declined jit_rejected jit_mismatches;
     Printf.printf "fuzz: %d programs, %d disagreement(s)\n" report.generated
       report.disagreements;
     Printf.printf
@@ -660,6 +662,12 @@ let fuzz_cmd =
       (* the same guard for the JIT emitter: a campaign in which no loop
          became a while loop means the emitter rejects every loop *)
       prerr_endline "fuzz: jit arm emitted zero while loops in a >=100-program campaign";
+      1
+    end
+    else if jit_selected && count >= 100 && jit_guards = 0 then begin
+      (* and for the guard-exit form: none in a sizeable campaign means
+         every loop fell back to the exit-state form *)
+      prerr_endline "fuzz: jit arm emitted zero guard loops in a >=100-program campaign";
       1
     end
     else 0

@@ -79,6 +79,32 @@ let remove_products ~keep_source ml =
     ((if keep_source then [] else [ ml; ml ^ ".log" ])
      @ List.map (( ^ ) base) [ ".cmi"; ".cmx"; ".o"; ".cmxs" ])
 
+(* Run ocamlopt with the JIT's flags and [args] on [ml], its output in
+   [log]; -O2 only exists under flambda, so a failure retries without it *)
+let run_ocamlopt compiler dirs args ml log =
+  let includes = String.concat " " (List.map (Printf.sprintf "-I %s") dirs) in
+  let run o2 =
+    Sys.command
+      (Printf.sprintf "%s -w -a%s %s %s %s >%s 2>&1" compiler (if o2 then " -O2" else "") includes
+         args (Filename.quote ml) (Filename.quote log))
+    = 0
+  in
+  run true || run false
+
+let assembly ?(args = "") ~file source =
+  match include_dirs (), ocamlopt () with
+  | None, _ -> Error "JIT unavailable: cannot locate the dune build tree (.cmi files)"
+  | _, None -> Error "JIT unavailable: no ocamlopt on PATH"
+  | Some dirs, Some compiler ->
+    let ml = Filename.concat (sessions_dir ()) file in
+    Out_channel.with_open_bin ml (fun oc -> output_string oc source);
+    let base = Filename.remove_extension ml in
+    let ok = run_ocamlopt compiler dirs ("-S -c " ^ args) ml (ml ^ ".log") in
+    let s = if ok then Some (In_channel.with_open_bin (base ^ ".s") In_channel.input_all) else None in
+    List.iter (fun f -> try Sys.remove f with Sys_error _ -> ())
+      (ml :: (ml ^ ".log") :: List.map (( ^ ) base) [ ".s"; ".cmi"; ".cmx"; ".o" ]);
+    Option.to_result ~none:("ocamlopt failed on " ^ file) s
+
 let compile_to_cmxs (c : Wolf_compiler.Pipeline.compiled) =
   Wolf_obs.Trace.with_span ~cat:"codegen" "jit-codegen" @@ fun () ->
   match include_dirs (), ocamlopt () with
@@ -94,25 +120,9 @@ let compile_to_cmxs (c : Wolf_compiler.Pipeline.compiled) =
     let oc = open_out ml in
     output_string oc emitted.source;
     close_out oc;
-    let includes = String.concat " " (List.map (Printf.sprintf "-I %s") dirs) in
     let log = ml ^ ".log" in
-    let cmd =
-      Printf.sprintf "%s -w -a -O2 %s -shared -o %s %s >%s 2>&1" compiler includes
-        (Filename.quote cmxs) (Filename.quote ml) (Filename.quote log)
-    in
-    let cmd =
-      (* -O2 only exists under flambda; retry without it on failure *)
-      if Sys.command cmd = 0 then None
-      else begin
-        let cmd2 =
-          Printf.sprintf "%s -w -a %s -shared -o %s %s >%s 2>&1" compiler includes
-            (Filename.quote cmxs) (Filename.quote ml) (Filename.quote log)
-        in
-        if Sys.command cmd2 = 0 then None else Some cmd2
-      end
-    in
-    (match cmd with
-     | Some _ ->
+    (match run_ocamlopt compiler dirs ("-shared -o " ^ Filename.quote cmxs) ml log with
+     | false ->
        let diag =
          try
            let ic = open_in log in
@@ -126,7 +136,7 @@ let compile_to_cmxs (c : Wolf_compiler.Pipeline.compiled) =
        (* a rejected module keeps its source and diagnostic for the report *)
        remove_products ~keep_source:true ml;
        Error (Printf.sprintf "ocamlopt failed:\n%s" diag)
-     | None -> Ok (emitted, ml, cmxs))
+     | true -> Ok (emitted, ml, cmxs))
 
 (* Everything needed to relink a compiled module in another process of the
    same build: the .cmxs on disk plus the host-side state its entry needs.

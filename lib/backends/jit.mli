@@ -54,6 +54,12 @@ val export_library : Wolf_compiler.Pipeline.compiled -> path:string -> (string, 
     object at [path] and return the entry symbol; the object can be loaded
     into a later session with [Dynlink]. *)
 
+val assembly : ?args:string -> file:string -> string -> (string, string) result
+(** [assembly ~file source]: the assembly ocamlopt makes of [source],
+    saved as [file] in {!sessions_dir}, with the JIT's own flags plus
+    [args] ([-S -c]; nothing is linked).  The files it leaves there are
+    deleted. *)
+
 val sessions_dir : unit -> string
 (** Scratch directory for each module's source and build products while it
     compiles. *)

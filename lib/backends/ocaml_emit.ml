@@ -538,22 +538,28 @@ let boxed_prim_call ctx ~base ~args ~dst_ty =
 
 (* A natural loop, emitted as an OCaml [while] inside its header's code.
    ocamlopt boxes every float argument of a local function that is not a
-   static handler; a [while] over local refs keeps them in registers. *)
+   static handler; a [while] over local refs keeps them in registers.  A
+   guard loop is [while <header> do <body> done] followed by its exit's
+   code; any other loop tests an exit-state ref on every iteration. *)
 type wloop = {
   w_hdr : int;
   w_body : (int, unit) Hashtbl.t;
   w_size : int;
   w_defs : (int, unit) Hashtbl.t;   (* Analysis.loop_defs *)
-  w_exits : exit_target list;       (* numbered 1.. in the exit state *)
+  w_exits : int list;
+      (* the blocks its exit edges enter, numbered 1.. in the exit state.
+         No block of a natural loop returns: each reaches a latch *)
   w_fixed : (int, unit) Hashtbl.t;
       (* header parameters every back edge passes unchanged: bound once,
          before the loop, and never a ref *)
+  w_guard : bool;
+      (* the loop's only exit edge leaves from its header's Branch, and
+         nothing the header defines is used past that Branch *)
 }
-
-and exit_target = Ex_block of int | Ex_return
 
 type plan = {
   cfg : Analysis.cfg;
+  live_in : (int, (int, unit) Hashtbl.t) Hashtbl.t;
   whiles : (int, wloop) Hashtbl.t;         (* header label -> loop *)
   fwd : (int, int) Hashtbl.t;              (* forward in-edges per label *)
   children : (int, int list) Hashtbl.t;    (* dominator-tree children, in RPO *)
@@ -561,8 +567,36 @@ type plan = {
 
 let loop_forms_counter form =
   Wolf_obs.Metrics.counter ~labels:[ ("form", form) ]
-    ~help:"loops the OCaml JIT emitter wrote as while loops (form=while), and modules it declined for an irreducible CFG (form=declined)"
+    ~help:"loops the OCaml JIT emitter wrote as while loops (form=while), those of them in the guard-exit form (form=guard), and modules it declined for an irreducible CFG (form=declined)"
     "jit_loops_total"
+
+(* the targets of a terminator's edges, one per edge *)
+let edge_targets = function
+  | Jump j -> [ j.target ]
+  | Branch { if_true; if_false; _ } -> [ if_true.target; if_false.target ]
+  | Return _ | Unreachable -> []
+
+(* Whether loop [l] is a guard loop: its one exit edge is an arm of its
+   header's Branch, and the values the header's instructions define are
+   used only in the header, so they can live in the [while] condition. *)
+let guard_exit f live_in (l : Analysis.loop) body =
+  let blocks = List.map (Wir.find_block f) l.lbody in
+  let exits =
+    List.concat_map
+      (fun bl -> List.filter (fun v -> not (Hashtbl.mem body v)) (edge_targets bl.term))
+      blocks
+  in
+  let hb = Wir.find_block f l.lheader in
+  match hb.term, exits with
+  | Branch { if_true; if_false; _ }, [ y ] when y = if_true.target || y = if_false.target ->
+    let defs = List.concat_map Wir.instr_defs hb.instrs in
+    let defined = function Ovar v -> List.exists (fun d -> d.vid = v.vid) defs | Oconst _ -> false in
+    List.for_all
+      (fun (j : jump) ->
+         not (Array.exists defined j.jargs)
+         && List.for_all (fun d -> not (Hashtbl.mem (Hashtbl.find live_in j.target) d.vid)) defs)
+      [ if_true; if_false ]
+  | _ -> false
 
 (* The loops of [f], or Error when its CFG is irreducible: a retreating
    edge whose target does not dominate its source enters a cycle that is
@@ -581,6 +615,7 @@ let plan_loops (f : func) =
   match !retreating with
   | Some v -> Error (Printf.sprintf "irreducible loop b%d in %s" v f.fname)
   | None ->
+    let live_in = Analysis.live_in f in
     let rpo_sorted labels = List.sort (fun a b -> compare (num a) (num b)) labels in
     let whiles = Hashtbl.create 8 in
     List.iter
@@ -591,11 +626,9 @@ let plan_loops (f : func) =
          let add e = if not (List.mem e !exits) then exits := e :: !exits in
          List.iter
            (fun u ->
-              let bl = Wir.find_block f u in
-              (match bl.term with Return _ -> add Ex_return | _ -> ());
               List.iter
-                (fun v -> if not (Hashtbl.mem body v) then add (Ex_block v))
-                (Wir.successors bl.term))
+                (fun v -> if not (Hashtbl.mem body v) then add v)
+                (Wir.successors (Wir.find_block f u).term))
            (rpo_sorted l.lbody);
          let h = l.lheader in
          let fixed = Hashtbl.create 4 in
@@ -610,7 +643,8 @@ let plan_loops (f : func) =
            (Wir.find_block f h).bparams;
          Hashtbl.replace whiles h
            { w_hdr = h; w_body = body; w_size = List.length l.lbody;
-             w_defs = Analysis.loop_defs f l; w_exits = List.rev !exits; w_fixed = fixed })
+             w_defs = Analysis.loop_defs f l; w_exits = List.rev !exits; w_fixed = fixed;
+             w_guard = guard_exit f live_in l body })
       (Analysis.natural_loops f cfg);
     let fwd = Hashtbl.create 16 and children = Hashtbl.create 16 in
     for i = 0 to cfg.Analysis.nreach - 1 do
@@ -626,7 +660,7 @@ let plan_loops (f : func) =
       end
     done;
     Hashtbl.filter_map_inplace (fun _ cs -> Some (rpo_sorted cs)) children;
-    Ok { cfg; whiles; fwd; children }
+    Ok { cfg; live_in; whiles; fwd; children }
 
 (* ------------------------------------------------------------------ *)
 (* Emission                                                            *)
@@ -655,6 +689,11 @@ let is_access base =
   || (match base with
       | "part_get_1" | "part_get_1_unchecked" | "part_get_2" | "part_get_2_unchecked" -> true
       | _ -> false)
+
+let is_comparison = function
+  | "binary_less" | "binary_greater" | "binary_less_equal" | "binary_greater_equal"
+  | "binary_equal" | "binary_unequal" -> true
+  | _ -> false
 
 (* the rank an access indexes, and whether a range proof dropped its test *)
 let access_rank base =
@@ -943,10 +982,15 @@ let dummy ty =
    natural loop is a [while] in its header's code. *)
 let emit_func ctx (f : func) plan ~first =
   let b = ctx.buf in
-  let live_in = Analysis.live_in f in
+  let live_in = plan.live_in in
   let fname = fn_ocaml_name ctx f.fname in
   let loops = List.sort compare (List.of_seq (Hashtbl.to_seq_keys plan.whiles)) in
-  List.iter (fun h -> Buffer.add_string b (Printf.sprintf "(* %s: loop b%d: while *)\n" fname h)) loops;
+  let guard h = (Hashtbl.find plan.whiles h).w_guard in
+  List.iter
+    (fun h ->
+       Buffer.add_string b
+         (Printf.sprintf "(* %s: loop b%d: while%s *)\n" fname h (if guard h then " guard" else "")))
+    loops;
   let viewed = viewed_vars ctx f in
   (* the blocks with an element access on each variable *)
   let accesses = Hashtbl.create 8 in
@@ -959,6 +1003,26 @@ let emit_func ctx (f : func) plan ~first =
            | _ -> ())
          bl.instrs)
     f.blocks;
+  (* uses of each variable *)
+  let uses = Hashtbl.create 64 in
+  let use = function
+    | Ovar v -> Hashtbl.replace uses v.vid (1 + Option.value ~default:0 (Hashtbl.find_opt uses v.vid))
+    | Oconst _ -> ()
+  in
+  List.iter (fun bl -> List.iter (Wir.iter_instr_uses use) bl.instrs; Wir.iter_term_uses use bl.term) f.blocks;
+  (* The comparison a block's Branch tests, when the Branch is its only use:
+     written into the [if] or [while] condition, with no bool binding *)
+  let folded (bl : block) =
+    match bl.term with
+    | Branch { cond = Ovar c; _ } when ctx.einline && Hashtbl.find_opt uses c.vid = Some 1 ->
+      List.find_map
+        (function
+          | Call { dst; callee = Resolved { base; _ }; args } when dst.vid = c.vid && is_comparison base ->
+            Option.map (fun e -> (dst.vid, e)) (prim_expr ctx ~base ~args ~dst_ty:(var_ty dst))
+          | _ -> None)
+        bl.instrs
+    | _ -> None
+  in
   let block = Wir.find_block f in
   let typed v = Printf.sprintf "(v%d : %s)" v.vid (ocaml_ty (var_ty v)) in
   let num = Analysis.number plan.cfg in
@@ -986,10 +1050,7 @@ let emit_func ctx (f : func) plan ~first =
   (* variables a block's join point takes besides its parameters: those
      defined in the loop whose exit it follows *)
   let join_extra y = match owner y with None -> [] | Some w -> loop_live w y in
-  let carried w = function
-    | Ex_return -> []
-    | Ex_block y -> Array.to_list (block y).bparams @ loop_live w y
-  in
+  let carried w y = Array.to_list (block y).bparams @ loop_live w y in
   let exit_index w e =
     let rec go k = function
       | [] -> invalid_arg "ocaml_emit: unknown loop exit"
@@ -1020,13 +1081,7 @@ let emit_func ctx (f : func) plan ~first =
     | Some sh -> let env, t = view_of ctx b env sh a in (env, with_view p t)
     | None -> (env, [ operand_expr ctx a ])
   in
-  let rec do_return env e =
-    match env.opens with
-    | [] -> line env "%s" e
-    | w :: _ ->
-      line env "x%d_ret := %s;" w.w_hdr e;
-      line env "st%d := %d" w.w_hdr (exit_index w Ex_return)
-  and do_branch env (j : jump) =
+  let rec do_branch env (j : jump) =
     let y = j.target in
     match env.opens with
     | w :: _ when y = w.w_hdr ->
@@ -1056,8 +1111,8 @@ let emit_func ctx (f : func) plan ~first =
              | None -> Printf.sprintf "v%d" v.vid
            in
            line env "x%d_%d := %s;" w.w_hdr v.vid value)
-        (carried w (Ex_block y));
-      line env "st%d := %d" w.w_hdr (exit_index w (Ex_block y))
+        (carried w y);
+      line env "st%d := %d" w.w_hdr (exit_index w y)
     | _ ->
       if fwd y >= 2 then join_call env y (Array.to_list j.jargs)
       else do_tree (bind_params env (block y).bparams j.jargs) y
@@ -1104,41 +1159,101 @@ let emit_func ctx (f : func) plan ~first =
     in
     do_tree body y;
     line env "in"
-  and node_within env x =
-    let bl = block x in
-    let env = List.fold_left (fun env i -> emit_instr ctx b ~viewed env i) env bl.instrs in
-    (* merge points dominated by [x] and inside the same loops, placed so
-       that every jump to one is a tail call in its scope: ocamlopt turns
-       such a local function into a static handler (no closure, unboxed
-       float arguments) *)
+  (* [x]'s instructions, all but the comparison [fold] writes into its
+     Branch *)
+  and instrs_of env x fold =
+    List.fold_left
+      (fun env i ->
+         match i, fold with
+         | Call { dst; _ }, Some (vid, _) when dst.vid = vid -> env
+         | _ -> emit_instr ctx b ~viewed env i)
+      env (block x).instrs
+  (* merge points dominated by [x] and inside the same loops, placed so
+     that every jump to one is a tail call in its scope: ocamlopt turns
+     such a local function into a static handler (no closure, unboxed
+     float arguments) *)
+  and inner_joins env x =
     List.iter
       (fun c -> if fwd c >= 2 && owner c = None then define_join env c)
-      (List.rev (Option.value ~default:[] (Hashtbl.find_opt plan.children x)));
+      (List.rev (Option.value ~default:[] (Hashtbl.find_opt plan.children x)))
+  and cond_expr fold cond = match fold with Some (_, e) -> e | None -> operand_expr ctx cond
+  and node_within env x =
+    let bl = block x in
+    let fold = folded bl in
+    let env = instrs_of env x fold in
+    inner_joins env x;
     match bl.term with
-    | Return op -> do_return env (operand_expr ctx op)
+    | Return op -> line env "%s" (operand_expr ctx op)
     | Jump j -> do_branch env j
     | Branch { cond; if_true; if_false } ->
-      line env "if %s then begin" (operand_expr ctx cond);
+      line env "if %s then begin" (cond_expr fold cond);
       do_branch (indent env) if_true;
       line env "end else begin";
       do_branch (indent env) if_false;
       line env "end"
     | Unreachable -> line env "assert false"
-  and loop_form env w =
+  (* [w]'s header parameters that change in the loop *)
+  and loop_params w =
+    List.filter (fun p -> not (Hashtbl.mem w.w_fixed p.vid)) (Array.to_list (block w.w_hdr).bparams)
+  (* a ref for each of them and its view's locals, holding the entry values *)
+  and bind_refs env w =
+    List.fold_left
+      (fun env p ->
+         let env, es = arg_of env p (Ovar p) in
+         List.iter2 (fun r e -> line env "let %s = ref %s in" r e)
+           (with_view p (Printf.sprintf "rp%d" p.vid)) es;
+         env)
+      env (loop_params w)
+  (* the parameters' current values, read from their refs *)
+  and read_refs env w =
+    List.fold_left
+      (fun env p ->
+         line env "let v%d : %s = !rp%d in" p.vid (ocaml_ty (var_ty p)) p.vid;
+         match pview p with
+         | Some sh ->
+           List.iter2 (fun x r -> line env "let %s = !%s in" x r)
+             (view_locals sh (Printf.sprintf "v%d" p.vid)) (view_locals sh (Printf.sprintf "rp%d" p.vid));
+           { env with views = IS.add p.vid env.views }
+         | None -> env)
+      env (loop_params w)
+  (* after the loop: the merges that follow its exits, latest first *)
+  and exit_joins env w =
+    List.init plan.cfg.Analysis.nreach (fun i -> plan.cfg.Analysis.nodes.(i).label)
+    |> List.filter (fun y -> fwd y >= 2 && owned_by w y)
+    |> List.rev
+    |> List.iter (define_join env)
+  and loop_form env w = if w.w_guard then guard_form env w else state_form env w
+  (* [while <header> do <body> done], then the exit's code: the header's
+     instructions and its comparison are the condition, and the code after
+     the loop reads the header parameters once *)
+  and guard_form env w =
     let h = w.w_hdr in
-    let ps =
-      Array.of_list
-        (List.filter (fun p -> not (Hashtbl.mem w.w_fixed p.vid)) (Array.to_list (block h).bparams))
-    in
-    let env =
-      Array.fold_left
-        (fun env p ->
-           let env, es = arg_of env p (Ovar p) in
-           List.iter2 (fun r e -> line env "let %s = ref %s in" r e)
-             (with_view p (Printf.sprintf "rp%d" p.vid)) es;
-           env)
-        env ps
-    in
+    let bl = block h in
+    let fold = folded bl in
+    match bl.term with
+    | Branch { cond; if_true; if_false } ->
+      let stay, leave, test =
+        if Hashtbl.mem w.w_body if_true.target then (if_true, if_false, cond_expr fold cond)
+        else (if_false, if_true, Printf.sprintf "not (%s)" (cond_expr fold cond))
+      in
+      let env = bind_refs env w in
+      let inside = { (indent env) with opens = w :: env.opens; checked = [] } in
+      line env "while";
+      let g = instrs_of (read_refs inside w) h fold in
+      line g "%s" test;
+      line env "do";
+      let body = read_refs inside w in
+      inner_joins body h;
+      do_branch body stay;
+      line env "done;";
+      exit_joins env w;
+      do_branch (read_refs { env with checked = [] } w) leave
+    | _ -> invalid_arg "ocaml_emit: guard loop without a Branch"
+  (* any other loop: an exit-state ref, tested on every iteration, then a
+     match on the exit taken *)
+  and state_form env w =
+    let h = w.w_hdr in
+    let env = bind_refs env w in
     let all_carried =
       List.concat_map (carried w) w.w_exits
       |> List.sort_uniq (fun a b -> compare a.vid b.vid)
@@ -1147,61 +1262,33 @@ let emit_func ctx (f : func) plan ~first =
       (fun v ->
          line env "let x%d_%d : %s ref = ref %s in" h v.vid (ocaml_ty (var_ty v)) (dummy (var_ty v)))
       all_carried;
-    if List.mem Ex_return w.w_exits then begin
-      let rt = match f.ret_ty with Some t -> t | None -> Types.expression in
-      line env "let x%d_ret : %s ref = ref %s in" h (ocaml_ty rt) (dummy rt)
-    end;
     line env "let st%d = ref 0 in" h;
     line env "while !st%d = 0 do" h;
-    let body = { (indent env) with opens = w :: env.opens; checked = [] } in
-    let body =
-      Array.fold_left
-        (fun env p ->
-           line env "let v%d : %s = !rp%d in" p.vid (ocaml_ty (var_ty p)) p.vid;
-           match pview p with
-           | Some sh ->
-             List.iter2 (fun x r -> line env "let %s = !%s in" x r)
-               (view_locals sh (Printf.sprintf "v%d" p.vid)) (view_locals sh (Printf.sprintf "rp%d" p.vid));
-             { env with views = IS.add p.vid env.views }
-           | None -> env)
-        body ps
-    in
-    node_within body h;
+    node_within (read_refs { (indent env) with opens = w :: env.opens; checked = [] } w) h;
     line env "done;";
-    (* after the loop: the merges that follow its exits, latest first, and
-       the exits *)
-    List.init plan.cfg.Analysis.nreach (fun i -> plan.cfg.Analysis.nodes.(i).label)
-    |> List.filter (fun y -> fwd y >= 2 && owned_by w y)
-    |> List.rev
-    |> List.iter (define_join env);
+    exit_joins env w;
     line env "begin match !st%d with" h;
     List.iteri
-      (fun k e ->
+      (fun k y ->
          line env "| %d ->" (k + 1);
-         let arm = { (indent env) with checked = [] } in
-         match e with
-         | Ex_return ->
-           line arm "let r%d = !x%d_ret in" h h;
-           do_return arm (Printf.sprintf "r%d" h)
-         | Ex_block y ->
-           let arm =
-             List.fold_left
-               (fun env v ->
-                  line env "let v%d : %s = !x%d_%d in" v.vid (ocaml_ty (var_ty v)) h v.vid;
-                  (* a header parameter's view bound before the loop is of
-                     its first value.  The new one is projected here if an
-                     access after the loop needs it; a jump that passes
-                     the tensor on projects it there *)
-                  let env = { env with views = IS.remove v.vid env.views } in
-                  if List.exists (fun l -> not (Hashtbl.mem w.w_body l)) (Hashtbl.find_all accesses v.vid)
-                  then project b ~viewed env v
-                  else env)
-               arm (carried w e)
-           in
-           let jargs = Array.map (fun p -> Ovar p) (block y).bparams in
-           if not (owned_by w y) then do_branch arm { target = y; jargs }
-           else if fwd y >= 2 then join_call arm y (Array.to_list jargs)
-           else do_tree arm y)
+         let arm =
+           List.fold_left
+             (fun env v ->
+                line env "let v%d : %s = !x%d_%d in" v.vid (ocaml_ty (var_ty v)) h v.vid;
+                (* a header parameter's view bound before the loop is of
+                   its first value.  The new one is projected here if an
+                   access after the loop needs it; a jump that passes
+                   the tensor on projects it there *)
+                let env = { env with views = IS.remove v.vid env.views } in
+                if List.exists (fun l -> not (Hashtbl.mem w.w_body l)) (Hashtbl.find_all accesses v.vid)
+                then project b ~viewed env v
+                else env)
+             { (indent env) with checked = [] } (carried w y)
+         in
+         let jargs = Array.map (fun p -> Ovar p) (block y).bparams in
+         if not (owned_by w y) then do_branch arm { target = y; jargs }
+         else if fwd y >= 2 then join_call arm y (Array.to_list jargs)
+         else do_tree arm y)
       w.w_exits;
     line env "| _ -> assert false end"
   in
@@ -1217,7 +1304,7 @@ let emit_func ctx (f : func) plan ~first =
   in
   do_tree env0 (Wir.entry f).label;
   Buffer.add_char b '\n';
-  loops
+  List.map (fun h -> (h, guard h)) loops
 
 let emit_module ~module_name (c : Pipeline.compiled) plans =
   let prog = c.Pipeline.program in
@@ -1244,10 +1331,15 @@ let emit_module ~module_name (c : Pipeline.compiled) plans =
   let loops =
     List.concat
       (List.mapi
-         (fun i (f, plan) -> List.map (fun h -> (f.fname, h)) (emit_func fctx f plan ~first:(i = 0)))
+         (fun i (f, plan) -> List.map (fun (h, g) -> ((f.fname, h), g)) (emit_func fctx f plan ~first:(i = 0)))
          plans)
   in
-  List.iter (fun _ -> Wolf_obs.Metrics.incr (loop_forms_counter "while")) loops;
+  List.iter
+    (fun (_, g) ->
+       Wolf_obs.Metrics.incr (loop_forms_counter "while");
+       if g then Wolf_obs.Metrics.incr (loop_forms_counter "guard"))
+    loops;
+  let loops = List.map fst loops in
   ctx.consts <- fctx.consts;
   ctx.const_count <- fctx.const_count;
   ctx.polls <- fctx.polls;

@@ -8,13 +8,16 @@
     local function defined in its immediate dominator's code (every jump to
     it a tail call, which ocamlopt compiles as a static handler), and a
     natural loop is a [while] loop over local refs inside its header's
-    code.  SSA dominance maps onto lexical scope, so no variable is
+    code: [while <header> do <body> done] when its only exit is its
+    header's Branch, else a loop on an exit-state ref.  A comparison only
+    its block's Branch uses is written into the condition.  SSA dominance maps onto lexical scope, so no variable is
     threaded through a call.  Machine numbers stay unboxed; packed arrays
     of machine numbers are read and written through typed views, a
     parameter's projected once per call; open-coded primitives mirror
     {!Native}'s fast paths; anything else dispatches through
     [Wolf_runtime.Prims].  Each emit counts the loops in the metric
-    [jit_loops_total{form="while"}], and each declined module (the first
+    [jit_loops_total{form="while"}], the guard loops among them in
+    [{form="guard"}], and each declined module (the first
     irreducible function declines the whole module) in
     [jit_loops_total{form="declined"}]. *)
 
@@ -34,5 +37,5 @@ val emit : module_name:string -> Wolf_compiler.Pipeline.compiled -> (emitted, st
     program runs on the threaded backend, which takes any CFG. *)
 
 val loop_forms_counter : string -> Wolf_obs.Metrics.counter
-(** [jit_loops_total{form}] for [form] = ["while"] (loops) or ["declined"]
-    (modules). *)
+(** [jit_loops_total{form}] for [form] = ["while"] (loops), ["guard"]
+    (the loops written [while <header> do]) or ["declined"] (modules). *)

@@ -71,8 +71,8 @@ let run (p : program) =
        (* The copy [dst] of [u] takes over [u]'s claim, opening no second
           reference, when [u] is such a fresh array with no other use, in
           the copy's block, and [dst] is never written copy-on-write nor
-          passed on: its uses read it, store into it in place, copy it the
-          same way or return it.  A copy in another block can run more than
+          passed on: its uses read it, pass it to a pure call, store into
+          it in place, copy it the same way or return it.  A copy in another block can run more than
           once per allocation (in a loop); a copy-on-write store relies on a
           live operand's second claim; a parameter or a call's result may be
           held elsewhere. *)
@@ -84,6 +84,8 @@ let run (p : program) =
          Hashtbl.find_opt term_use v.vid <> Some false
          && List.for_all
               (function
+                | Call { dst; callee = Resolved { base; _ }; _ } when Mutability_pass.pure_call base dst ->
+                  true
                 | Call { dst; callee = Resolved { base; _ }; args }
                   when Mutability_pass.reads base dst || Mutability_pass.is_in_place_store base ->
                   Array.for_all (function Ovar u -> u.vid <> v.vid | Oconst _ -> true)

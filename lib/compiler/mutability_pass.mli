@@ -29,6 +29,11 @@ val reads : string -> Wir.var -> bool
     array argument without keeping it: an element read with a scalar
     result, or [Length]. *)
 
+val pure_call : string -> Wir.var -> bool
+(** [pure_call base dst]: [base] is a pure row whose result [dst] is a
+    machine scalar or a fresh tensor, so it neither keeps an array
+    argument nor hands it back. *)
+
 val is_in_place_store : string -> bool
 (** [part_set_{1,2}_inplace], with or without a range proof's
     [_unchecked]. *)

@@ -4,6 +4,12 @@ let p = Parser.parse
 
 let build () =
   let env = Type_env.create ~parent:(Type_env.builtin ()) "stdlib" in
+  (* Min and Max of two Integer64 are the builtin rows, declared here ahead
+     of the polymorphic form: a row is one value the range analysis and the
+     abort stride read, where the inlined If is a join *)
+  let i64_pair = Types.mono (Types.fn [ Types.int64; Types.int64 ] Types.int64) in
+  Type_env.declare env "Min" i64_pair (Type_env.Prim "binary_min");
+  Type_env.declare env "Max" i64_pair (Type_env.Prim "binary_max");
   (* the paper's Min, verbatim modulo surface syntax (§4.4):
        tyEnv["declareFunction", Min,
          Typed[TypeForAll[{"a"}, {"a" ∈ "Ordered"}, {"a","a"} -> "a"]]@

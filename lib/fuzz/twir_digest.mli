@@ -7,6 +7,10 @@ val read_corpus : string -> Wolf_wexpr.Expr.t list
 (** The programs of a corpus file, whose records are separated by
     ["%% <args>"] lines. *)
 
+val configs : (string * Wolf_compiler.Options.t) list
+(** The option sets, named: -O1, and -O2 with parallel loops, both without
+    the compile cache. *)
+
 val renumber : string -> string
 (** Number the [%N] variables of printed IR by first appearance, so the
     same program compiled anywhere in a process prints the same text. *)

@@ -769,6 +769,115 @@ let test_jit_view_after_loop () =
           If[(0 == 3), Null, While[c5 <= 1, m2 = {0}; c5 = c5 + 1]];
           m2[[1 + Mod[7, Length[m2]]]]]]|} ]
 
+(* ---------------- JIT loop forms ---------------- *)
+
+let lead l = String.length l - String.length (String.trim l)
+
+let has_sub s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+(* Each guard loop of an emitted module, outermost first: its lines from
+   [while] to its [done;], and the lines after it. *)
+let guard_loops source =
+  let rec go acc = function
+    | [] -> List.rev acc
+    | l :: rest when String.trim l = "while" ->
+      let rec take body = function
+        | m :: after when lead m = lead l && String.trim m = "done;" -> (List.rev body, after)
+        | m :: after -> take (m :: body) after
+        | [] -> Alcotest.fail "guard loop without its done;"
+      in
+      go (take [] rest :: acc) rest
+    | _ :: rest -> go acc rest
+  in
+  go [] (String.split_on_char '\n' source)
+
+let emitted_source ?(options = Options.default) name src =
+  Wolfram.init ();
+  match B.Ocaml_emit.emit ~module_name:("Forms_" ^ name) (Pipeline.compile ~options ~name (parse src)) with
+  | Ok e -> e.B.Ocaml_emit.source
+  | Error e -> Alcotest.failf "%s: emit declined: %s" name e
+
+(* FNV1a's and Histogram's strip loops are [while <comparison> do]: no
+   exit-state ref and no bool binding in the loop or its guard *)
+let test_jit_guard_loop_fig2 () =
+  let module P = Bench_support.Programs in
+  List.iter
+    (fun (name, src, args) ->
+       (match guard_loops (emitted_source name src) with
+        | [ (body, _) ] ->
+          Alcotest.(check (list string)) (name ^ ": no exit-state ref") []
+            (List.filter (fun l -> has_sub l "!st" || has_sub l "let st") body);
+          Alcotest.(check (list string)) (name ^ ": no bool binding") []
+            (List.filter (fun l -> has_sub l ": bool =") body)
+        | loops -> Alcotest.failf "%s: %d guard loops, want the strip loop" name (List.length loops));
+       List.iteri (fun i a -> differential ~wvm:false (Printf.sprintf "%s %d" name i) src [ a ]) args)
+    [ ("fnv1a", P.fnv1a_src, [ Expr.Str ""; Expr.Str "hello, world" ]);
+      ("histogram", P.histogram_src, [ parse "{0, 3, 255, 3}"; parse "{7}" ]) ]
+
+(* PowerMod64's loop: the header polls, in the guard, and the code after
+   the loop reads a header parameter (the result) from its ref *)
+let test_jit_guard_loop_polls () =
+  let src =
+    {|Function[{Typed[b0, "MachineInteger"], Typed[e0, "MachineInteger"], Typed[m, "MachineInteger"]},
+       Module[{result = 1, b = Mod[b0, m], e = e0},
+        While[e > 0,
+         If[Mod[e, 2] == 1, result = Mod[result*b, m]];
+         b = Mod[b*b, m];
+         e = Quotient[e, 2]];
+        result]]|}
+  in
+  (match guard_loops (emitted_source "powmod" src) with
+   | [ (body, after) ] ->
+     let rec guard = function m :: rest when String.trim m <> "do" -> m :: guard rest | _ -> [] in
+     let guard = guard body in
+     Alcotest.(check bool) "the guard polls" true (List.exists (fun l -> has_sub l "wolf_poll") guard);
+     Alcotest.(check bool) "the exit reads a parameter" true
+       (List.exists (fun l -> has_sub l "= !rp") after)
+   | loops -> Alcotest.failf "powmod: %d guard loops, want 1" (List.length loops));
+  List.iter
+    (fun (b, e, m) ->
+       differential ~wvm:false (Printf.sprintf "powmod %d %d %d" b e m) src
+         [ Expr.Int b; Expr.Int e; Expr.Int m ])
+    [ (3, 200, 1000003); (2, 0, 7); (5, 1 lsl 40, 97); (-4, 3, 11) ]
+
+(* At -O0 the loop carries the array: the guard loop keeps its view in
+   refs, and the reads after the loop go through the view read from them *)
+let test_jit_guard_loop_tensor_view () =
+  let options = { Options.default with Options.opt_level = 0 } in
+  let src =
+    {|Function[{Typed[n, "MachineInteger"]},
+       Module[{a = ConstantArray[0, 5], b = {1}, i = 1},
+        b = a;
+        While[i <= n, a[[Mod[i, 5] + 1]] = i; i = i + 1];
+        a[[2]] + a[[3]] + b[[1]]]]|}
+  in
+  (match guard_loops (emitted_source ~options "tview" src) with
+   | [ (_, after) ] ->
+     Alcotest.(check bool) "view read from its ref" true
+       (List.exists (fun l -> has_sub l "_a = !rp") after)
+   | loops -> Alcotest.failf "tview: %d guard loops, want 1" (List.length loops));
+  List.iter
+    (fun n -> differential ~options ~wvm:false (Printf.sprintf "tview %d" n) src [ Expr.Int n ])
+    [ 0; 1; 7 ]
+
+(* A loop with a second exit in its body (the && test) keeps the
+   exit-state form.  No loop body returns: every block of a natural loop
+   reaches its latch. *)
+let test_jit_body_exit_state_form () =
+  let src =
+    {|Function[{Typed[n, "MachineInteger"]},
+       Module[{i = 1, s = 0}, While[i <= n && s < 50, s = s + i; i = i + 1]; s - i]]|}
+  in
+  let source = emitted_source "bodyexit" src in
+  Alcotest.(check int) "no guard loop" 0 (List.length (guard_loops source));
+  Alcotest.(check bool) "an exit-state ref" true (has_sub source "while !st");
+  List.iter
+    (fun n -> differential ~wvm:false (Printf.sprintf "bodyexit %d" n) src [ Expr.Int n ])
+    [ 0; 5; 100 ]
+
 (* A loop whose header is the entry block (the verifier rejects a jump to
    the entry, so only a hand-built TWIR has one) is a [while] too.  Its
    state is the first element of the argument, stored in place. *)
@@ -1100,6 +1209,10 @@ let tests =
     Alcotest.test_case "jit function is one walk from its entry" `Quick test_jit_one_walk;
     Alcotest.test_case "jit loop headed by the entry block" `Quick test_jit_entry_loop_header;
     Alcotest.test_case "jit view of a tensor after its loop" `Quick test_jit_view_after_loop;
+    Alcotest.test_case "jit guard loops of FNV1a and Histogram" `Quick test_jit_guard_loop_fig2;
+    Alcotest.test_case "jit guard loop that polls" `Quick test_jit_guard_loop_polls;
+    Alcotest.test_case "jit guard loop carrying a tensor" `Quick test_jit_guard_loop_tensor_view;
+    Alcotest.test_case "jit loop exiting from its body" `Quick test_jit_body_exit_state_form;
     Alcotest.test_case "jit declines an irreducible CFG" `Quick test_jit_declines_irreducible_cfg;
     QCheck_alcotest.to_alcotest prop_differential;
     QCheck_alcotest.to_alcotest prop_options_semantics_preserving ]

@@ -79,6 +79,11 @@ let test_alias_regressions_on_every_arm () =
 let test_pure_call_regressions_on_every_arm () =
   replay_on_every_arm ~prefix:"regress-inplace-pure-call" ~count:4 "four pure-call shapes"
 
+(* Min and Max of two machine integers as rows: a strip-mined loop bound
+   and scalar results *)
+let test_min_row_regression_on_every_arm () =
+  replay_on_every_arm ~prefix:"regress-min-row" ~count:1 "the Min-row shape"
+
 (* a compiled a*b at the bounds of the checked multiply's fast path and
    of the machine range, on the threaded, jit, wvm and c arms, and
    Take/Append/Join on both element kinds at k = 0, k = Length and on empty
@@ -291,6 +296,8 @@ let tests =
       test_alias_regressions_on_every_arm;
     Alcotest.test_case "pure-call regressions on every arm" `Slow
       test_pure_call_regressions_on_every_arm;
+    Alcotest.test_case "Min-row regression on every arm" `Slow
+      test_min_row_regression_on_every_arm;
     Alcotest.test_case "multiply and blit edges on the compiled arms" `Slow
       test_mul_and_blit_edges_on_arms;
     Alcotest.test_case "arm names round-trip through --backends" `Quick

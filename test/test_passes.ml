@@ -1191,6 +1191,45 @@ let test_mutability_alias_rows () =
       ("passed to a Calls row", Calls_row);
       ("passed to a call with an Expression result", Expr_result) ]
 
+(* Min and Max of two Integer64 resolve to the rows, so a loop bounded by
+   Min[w, Length[a]] is strip-mined and its read proved in range; Real64
+   keeps the paper's polymorphic declaration, inlined as an If *)
+let test_integer_min_max_rows () =
+  let c =
+    compile
+      {|Function[{Typed[a, "PackedArray"["Integer64", 1]], Typed[w, "MachineInteger"]},
+         Module[{c = 1, s = 0}, While[c <= Min[w, Length[a]], s = s + a[[c]]; c = c + 1];
+          s + Max[w, 0]]]|}
+  in
+  let p = c.Pipeline.program in
+  let calls base = count_instrs (is_call base) p in
+  Alcotest.(check (list string)) "one function" [ "p" ]
+    (List.map (fun (f : Wir.func) -> f.Wir.fname) p.Wir.funcs);
+  Alcotest.(check bool) "Min and Max rows" true (calls "binary_min" >= 1 && calls "binary_max" = 1);
+  Alcotest.(check int) "no abort poll" 0
+    (count_instrs (function Wir.Abort_poll _ -> true | _ -> false) p);
+  Alcotest.(check (pair int int)) "read proved" (1, 0)
+    (calls "part_get_1_unchecked", calls "part_get_1");
+  let r =
+    compile {|Function[{Typed[x, "Real64"], Typed[y, "Real64"]}, Min[x, y] + Max[x, y]]|}
+  in
+  Alcotest.(check int) "Real64 Min/Max inlined, no row" 0
+    (count_instrs (is_call "binary_min") r.Pipeline.program
+     + count_instrs (is_call "binary_max") r.Pipeline.program)
+
+(* QSort as a self-recursive function: Take reads left and right without
+   keeping them, so their copies open no second reference *)
+let test_memory_pass_pure_call_reads () =
+  let module P = Bench_support.Programs in
+  let options = { Options.default with Options.self_name = Some "qsort" } in
+  let c = compile ~options P.qsort_src in
+  Alcotest.(check int) "Take reads its argument" 2
+    (count_instrs (is_call "array_take") c.Pipeline.program);
+  Alcotest.(check int) "no acquire or release" 0
+    (count_instrs
+       (function Wir.Mem_acquire _ | Wir.Mem_release _ -> true | _ -> false)
+       c.Pipeline.program)
+
 (* QSort's partition loop: Take after the loop is a pure call with a fresh
    result, so both stores run in place and no loop header carries a tensor *)
 let test_mutability_qsort_in_place () =
@@ -1486,6 +1525,8 @@ let tests =
     Alcotest.test_case "aliased loop-carried arrays stay checked" `Quick
       test_mutability_alias_rows;
     Alcotest.test_case "QSort's stores run in place" `Quick test_mutability_qsort_in_place;
+    Alcotest.test_case "integer Min and Max are rows" `Quick test_integer_min_max_rows;
+    Alcotest.test_case "memory pass: a pure call reads" `Quick test_memory_pass_pure_call_reads;
     Alcotest.test_case "a store before Append after its loop runs in place" `Quick
       test_mutability_append_after_loop;
     Alcotest.test_case "user pass injection (§4.7)" `Quick test_user_pass_injection;

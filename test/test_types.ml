@@ -106,16 +106,18 @@ let test_speculation_path_compression () =
 let test_redeclare_polymorphic () =
   let env = Stdlib_decls.env () in
   let before = List.length (Type_env.lookup env "Min") in
-  Alcotest.(check int) "stdlib Min overloads" 4 before;
+  (* stdlib's Integer64 row, the polymorphic form and the container form,
+     then the builtin Integer64 and Real64 rows *)
+  Alcotest.(check int) "stdlib Min overloads" 5 before;
   Type_env.declare_wolfram env "Min"
     ~spec:(parse {|TypeForAll[{"a"}, {Element["a", "Ordered"]}, {"a", "a"} -> "a"]|})
     ~body:(parse "Function[{e1, e2}, If[e1 < e2, e1, e2]]");
-  Alcotest.(check int) "replaced, not appended" 4 (List.length (Type_env.lookup env "Min"));
+  Alcotest.(check int) "replaced, not appended" before (List.length (Type_env.lookup env "Min"));
   (* a different qualifier is a different scheme *)
   Type_env.declare_wolfram env "Min"
     ~spec:(parse {|TypeForAll[{"a"}, {Element["a", "Number"]}, {"a", "a"} -> "a"]|})
     ~body:(parse "Function[{e1, e2}, If[e1 < e2, e1, e2]]");
-  Alcotest.(check int) "other qualifier appended" 5 (List.length (Type_env.lookup env "Min"))
+  Alcotest.(check int) "other qualifier appended" (before + 1) (List.length (Type_env.lookup env "Min"))
 
 (* A message names its type variables by first appearance, whatever ids the
    process drew before. *)
