@@ -130,8 +130,9 @@ obs-smoke: build
 # service-layer smoke (DESIGN.md "Service layer"): load-test an embedded
 # wolfd daemon — 4 concurrent clients, a mixed eval/compile workload, zero
 # errors required — then replay a fixed-seed fuzz slice through the daemon
-# (the serve oracle arm: byte-identical replies required), and validate the
-# daemon trace (client track + worker tracks, balanced spans) and metrics
+# (the serve oracle arm: replies equal up to Module-symbol numbering), and
+# validate the daemon trace (client track + worker tracks, balanced spans)
+# and metrics
 serve-smoke: build
 	$(WOLFC) bench serve --clients 4 --requests 200 \
 	  --json /tmp/wolf_serve_bench.json \

@@ -44,21 +44,15 @@ let rec box ty expr =
   | Types.Con ("Void", _) -> Printf.sprintf "(ignore (%s); Wolf_runtime.Rtval.Unit)" expr
   | Types.Fun (args, ret) ->
     (* typed closure -> boxed closure for the Rtval boundary *)
-    let params = Array.to_list (Array.mapi (fun i _ -> Printf.sprintf "_p%d" i) args) in
     let unboxed =
-      List.mapi (fun i a -> unbox_fwd a (Printf.sprintf "_a.(%d)" i))
+      List.mapi (fun i a -> unbox a (Printf.sprintf "_a.(%d)" i))
         (Array.to_list args)
     in
-    ignore params;
     Printf.sprintf
       "(Wolf_runtime.Rtval.Fun { arity = %d; call = (fun _a -> %s) })"
       (Array.length args)
-      (box_ret ret (Printf.sprintf "(%s) %s" expr (String.concat " " unboxed)))
+      (box ret (Printf.sprintf "(%s) %s" expr (String.concat " " unboxed)))
   | _ -> Printf.sprintf "(%s)" expr
-
-and box_ret ty expr = box ty expr
-
-and unbox_fwd ty expr = unbox ty expr
 
 and unbox ty expr =
   match Types.repr ty with
@@ -121,7 +115,7 @@ let const_name ctx (rt : Rtval.t) ty =
   (name, key)
 
 (* operand -> OCaml expression of the operand's own type *)
-let rec operand_expr ctx op =
+let operand_expr ctx op =
   match op with
   | Ovar v -> Printf.sprintf "v%d" v.vid
   | Oconst Cvoid -> "()"
@@ -129,12 +123,7 @@ let rec operand_expr ctx op =
   | Oconst (Creal r) -> float_lit r
   | Oconst (Cbool b) -> string_of_bool b
   | Oconst (Cstr s) -> Printf.sprintf "%S" s
-  | Oconst (Cexpr e) ->
-    let rt = Rtval.of_expr e in
-    let name, _key = const_named ctx rt (Wir.const_ty (Cexpr e)) in
-    name
-
-and const_named ctx rt ty = const_name ctx rt ty
+  | Oconst (Cexpr e) -> fst (const_name ctx (Rtval.of_expr e) (Wir.const_ty (Cexpr e)))
 
 let op_ty_of op =
   match op with
@@ -210,136 +199,96 @@ let add_const x c =
       "(let m_ = %s in if m_ < %s then raise (Wolf_rt Wolf_base.Errors.Integer_overflow) else m_ + %s)"
       x (int_lit (min_int - c)) (int_lit c)
 
-(* Open-coded primitive call; None falls back to the boxed dispatcher. *)
-let prim_expr ctx ~base ~(args : operand array) ~dst_ty : string option =
+(* A row's op, open-coded on the operand kinds and literal operands of one
+   call; None falls back to the boxed dispatcher. *)
+let prim_expr ctx (op : Prims.op) ~(args : operand array) ~dst_ty : string option =
   let a i = operand_expr ctx args.(i) in
   let ri i = as_real_expr ctx args.(i) in
   let ii i = as_int_expr ctx args.(i) in
-  let all_int =
-    Array.for_all
-      (fun o -> match Types.repr (op_ty_of o) with
-         | Types.Con ("Integer64", _) -> true | _ -> false)
-      args
-  in
-  let dst_is name =
-    match Types.repr dst_ty with Types.Con (n, _) -> n = name | _ -> false
-  in
-  match base with
-  | "checked_binary_plus" when all_int ->
+  let name t = match Types.repr t with Types.Con (n, _) -> n | _ -> "" in
+  let kind o = name (op_ty_of o) in
+  let all_int = Array.for_all (fun o -> kind o = "Integer64") args in
+  let real = name dst_ty = "Real64" and complex = name dst_ty = "ComplexReal64" in
+  let sp = Printf.sprintf in
+  let infix = function Prims.Add -> "+" | Sub -> "-" | _ -> "*" in
+  let min_max f = if f = Prims.Min then "min" else "max" in
+  let pair f = sp "(let (ar_, ai_) = %s in let (br_, bi_) = %s in %s)" (a 0) (a 1) f in
+  match op with
+  | Checked Add when all_int ->
     (match args.(0), args.(1) with
      | _, Oconst (Cint c) -> Some (add_const (a 0) c)
      | Oconst (Cint c), _ -> Some (add_const (a 1) c)
-     | _ -> Some (Printf.sprintf "wolf_add %s %s" (a 0) (a 1)))
-  | "checked_binary_subtract" when all_int ->
+     | _ -> Some (sp "wolf_add %s %s" (a 0) (a 1)))
+  | Checked Sub when all_int ->
     (match args.(1) with
      | Oconst (Cint c) when c <> min_int -> Some (add_const (a 0) (-c))
-     | _ -> Some (Printf.sprintf "wolf_sub %s %s" (a 0) (a 1)))
-  | "checked_binary_times" when all_int ->
+     | _ -> Some (sp "wolf_sub %s %s" (a 0) (a 1)))
+  | Checked Mul when all_int ->
     (match args.(0), args.(1) with
      | _, Oconst (Cint c) -> Some (mul_const (a 0) c)
      | Oconst (Cint c), _ -> Some (mul_const (a 1) c)
-     | _ -> Some (Printf.sprintf "wolf_mul %s %s" (a 0) (a 1)))
-  | "checked_binary_mod" when all_int -> Some (Printf.sprintf "wolf_mod %s %s" (a 0) (a 1))
-  | "checked_binary_quotient" when all_int -> Some (Printf.sprintf "wolf_quotient %s %s" (a 0) (a 1))
-  | "checked_binary_power" when all_int -> Some (Printf.sprintf "wolf_ipow %s %s" (a 0) (a 1))
-  | "checked_unary_minus" -> Some (Printf.sprintf "wolf_neg %s" (a 0))
-  | "checked_unary_abs" -> Some (Printf.sprintf "wolf_abs %s" (a 0))
+     | _ -> Some (sp "wolf_mul %s %s" (a 0) (a 1)))
+  | Checked Mod when all_int -> Some (sp "wolf_mod %s %s" (a 0) (a 1))
+  | Checked Quotient when all_int -> Some (sp "wolf_quotient %s %s" (a 0) (a 1))
+  | Checked Pow when all_int -> Some (sp "Wolf_base.Checked.pow %s %s" (a 0) (a 1))
+  | Checked Neg -> Some (sp "wolf_neg %s" (a 0))
+  | Checked Abs -> Some (sp "wolf_abs %s" (a 0))
   (* a checked op the range analysis proved in range *)
-  | "binary_plus" when all_int -> Some (Printf.sprintf "%s + %s" (a 0) (a 1))
-  | "binary_subtract" when all_int -> Some (Printf.sprintf "%s - %s" (a 0) (a 1))
-  | "binary_times" when all_int -> Some (Printf.sprintf "%s * %s" (a 0) (a 1))
-  | "binary_plus" when dst_is "Real64" -> Some (Printf.sprintf "%s +. %s" (ri 0) (ri 1))
-  | "binary_subtract" when dst_is "Real64" -> Some (Printf.sprintf "%s -. %s" (ri 0) (ri 1))
-  | "binary_times" when dst_is "Real64" -> Some (Printf.sprintf "%s *. %s" (ri 0) (ri 1))
-  | "binary_divide" when dst_is "Real64" ->
+  | Machine (Add | Sub | Mul as f) when all_int -> Some (sp "%s %s %s" (a 0) (infix f) (a 1))
+  | Machine (Add | Sub | Mul as f) when real -> Some (sp "%s %s. %s" (ri 0) (infix f) (ri 1))
+  | Machine Div when real ->
     (* the row raises on a zero divisor; a non-zero literal needs no test *)
     (match args.(1) with
-     | Oconst (Creal d) when d <> 0.0 -> Some (Printf.sprintf "%s /. %s" (ri 0) (ri 1))
-     | Oconst (Cint c) when c <> 0 -> Some (Printf.sprintf "%s /. %s" (ri 0) (ri 1))
-     | _ -> Some (Printf.sprintf "wolf_fdiv %s %s" (ri 0) (ri 1)))
-  | "binary_power" when dst_is "Real64" -> Some (Printf.sprintf "Float.pow %s %s" (ri 0) (ri 1))
-  | "binary_power_ri" when dst_is "Real64" ->
+     | Oconst (Creal d) when d <> 0.0 -> Some (sp "%s /. %s" (ri 0) (ri 1))
+     | Oconst (Cint c) when c <> 0 -> Some (sp "%s /. %s" (ri 0) (ri 1))
+     | _ -> Some (sp "wolf_fdiv %s %s" (ri 0) (ri 1)))
+  | Machine Pow when real -> Some (sp "Float.pow %s %s" (ri 0) (ri 1))
+  | Machine Neg when real -> Some (sp "-. %s" (ri 0))
+  | Machine Abs when real -> Some (sp "Float.abs %s" (ri 0))
+  | Machine (Min | Max as f) when all_int -> Some (sp "wolf_i%s %s %s" (min_max f) (a 0) (a 1))
+  | Machine (Min | Max as f) when real -> Some (sp "Float.%s %s %s" (min_max f) (ri 0) (ri 1))
+  | Power_ri when real ->
     (match args.(1) with
-     | Oconst (Cint 2) -> Some (Printf.sprintf "(let x_ = %s in x_ *. x_)" (ri 0))
-     | _ -> Some (Printf.sprintf "wolf_pow_ri %s %s" (ri 0) (ii 1)))
-  | "unary_minus" when dst_is "Real64" -> Some (Printf.sprintf "-. %s" (ri 0))
-  | "complex_binary_plus" when dst_is "ComplexReal64" ->
-    Some (Printf.sprintf
-            "(let (ar_, ai_) = %s in let (br_, bi_) = %s in (ar_ +. br_, ai_ +. bi_))"
-            (a 0) (a 1))
-  | "complex_binary_subtract" when dst_is "ComplexReal64" ->
-    Some (Printf.sprintf
-            "(let (ar_, ai_) = %s in let (br_, bi_) = %s in (ar_ -. br_, ai_ -. bi_))"
-            (a 0) (a 1))
-  | "complex_binary_times" when dst_is "ComplexReal64" ->
-    Some (Printf.sprintf
-            "(let (ar_, ai_) = %s in let (br_, bi_) = %s in \
-             ((ar_ *. br_) -. (ai_ *. bi_), (ar_ *. bi_) +. (ai_ *. br_)))"
-            (a 0) (a 1))
-  | "complex_binary_power" when dst_is "ComplexReal64" ->
-    (match args.(1) with
-     | Oconst (Cint 2) ->
-       Some (Printf.sprintf
-               "(let (r_, i_) = %s in ((r_ *. r_) -. (i_ *. i_), 2.0 *. r_ *. i_))"
-               (a 0))
+     | Oconst (Cint 2) -> Some (sp "(let x_ = %s in x_ *. x_)" (ri 0))
+     | _ -> Some (sp "Wolf_runtime.Prims.pow_ri %s %s" (ri 0) (ii 1)))
+  | Complex_arith (Add | Sub as f) when complex ->
+    Some (pair (sp "(ar_ %s. br_, ai_ %s. bi_)" (infix f) (infix f)))
+  | Complex_arith Mul when complex ->
+    Some (pair "((ar_ *. br_) -. (ai_ *. bi_), (ar_ *. bi_) +. (ai_ *. br_))")
+  | Complex_arith Pow when complex && args.(1) = Oconst (Cint 2) ->
+    Some (sp "(let (r_, i_) = %s in ((r_ *. r_) -. (i_ *. i_), 2.0 *. r_ *. i_))" (a 0))
+  | Complex_arith Abs when real -> Some (sp "(let (r_, i_) = %s in Float.hypot r_ i_)" (a 0))
+  | Re when real -> Some (sp "(fst %s)" (a 0))
+  | Im when real -> Some (sp "(snd %s)" (a 0))
+  | Make_complex when complex -> Some (sp "(%s, %s)" (ri 0) (ri 1))
+  | Cmp c ->
+    let o = match c with Lt -> "<" | Gt -> ">" | Le -> "<=" | Ge -> ">=" | Eq -> "=" | Ne -> "<>" in
+    (match kind args.(0), kind args.(1) with
+     | ("Integer64" | "Real64" | "Boolean" | "String" as k0), k1 when k0 = k1 ->
+       Some (sp "%s %s %s" (a 0) o (a 1))
+     | ("Integer64" | "Real64"), ("Integer64" | "Real64") -> Some (sp "%s %s %s" (ri 0) o (ri 1))
      | _ -> None)
-  | "complex_abs" when dst_is "Real64" ->
-    Some (Printf.sprintf "(let (r_, i_) = %s in Float.hypot r_ i_)" (a 0))
-  | "complex_re" when dst_is "Real64" -> Some (Printf.sprintf "(fst %s)" (a 0))
-  | "complex_im" when dst_is "Real64" -> Some (Printf.sprintf "(snd %s)" (a 0))
-  | "complex_make" when dst_is "ComplexReal64" ->
-    Some (Printf.sprintf "(%s, %s)" (ri 0) (ri 1))
-  | "unary_abs" when dst_is "Real64" -> Some (Printf.sprintf "Float.abs %s" (ri 0))
-  | "binary_less" | "binary_greater" | "binary_less_equal" | "binary_greater_equal"
-  | "binary_equal" | "binary_unequal" ->
-    let op = match base with
-      | "binary_less" -> "<" | "binary_greater" -> ">"
-      | "binary_less_equal" -> "<=" | "binary_greater_equal" -> ">="
-      | "binary_equal" -> "=" | _ -> "<>"
-    in
-    let t0 = Types.repr (op_ty_of args.(0)) and t1 = Types.repr (op_ty_of args.(1)) in
-    (match t0, t1 with
-     | Types.Con ("Integer64", _), Types.Con ("Integer64", _)
-     | Types.Con ("Real64", _), Types.Con ("Real64", _)
-     | Types.Con ("Boolean", _), Types.Con ("Boolean", _)
-     | Types.Con ("String", _), Types.Con ("String", _) ->
-       Some (Printf.sprintf "%s %s %s" (a 0) op (a 1))
-     | (Types.Con (("Integer64" | "Real64"), _)), (Types.Con (("Integer64" | "Real64"), _)) ->
-       Some (Printf.sprintf "%s %s %s" (ri 0) op (ri 1))
-     | _ -> None)
-  | "unary_not" -> Some (Printf.sprintf "not %s" (a 0))
-  | "binary_bitand" -> Some (Printf.sprintf "%s land %s" (a 0) (a 1))
-  | "binary_bitor" -> Some (Printf.sprintf "%s lor %s" (a 0) (a 1))
-  | "binary_bitxor" -> Some (Printf.sprintf "%s lxor %s" (a 0) (a 1))
-  | "binary_shiftleft" -> Some (Printf.sprintf "%s lsl %s" (a 0) (a 1))
-  | "binary_shiftright" -> Some (Printf.sprintf "%s asr %s" (a 0) (a 1))
-  | "unary_sin" -> Some (Printf.sprintf "sin %s" (ri 0))
-  | "unary_cos" -> Some (Printf.sprintf "cos %s" (ri 0))
-  | "unary_tan" -> Some (Printf.sprintf "tan %s" (ri 0))
-  | "unary_exp" -> Some (Printf.sprintf "exp %s" (ri 0))
-  | "unary_log" -> Some (Printf.sprintf "log %s" (ri 0))
-  | "unary_sqrt" -> Some (Printf.sprintf "sqrt %s" (ri 0))
-  | "unary_floor" -> Some (Printf.sprintf "int_of_float (Float.floor %s)" (ri 0))
-  | "unary_ceiling" -> Some (Printf.sprintf "int_of_float (Float.ceil %s)" (ri 0))
-  | "unary_round" -> Some (Printf.sprintf "Wolf_base.Checked.round_half_even %s" (ri 0))
-  | "unary_truncate" -> Some (Printf.sprintf "int_of_float (Float.trunc %s)" (ri 0))
-  | "int_to_real" -> Some (Printf.sprintf "float_of_int %s" (a 0))
-  | "unary_identity_int" | "unary_identity_real" -> Some (a 0)
-  | "binary_min" when all_int -> Some (Printf.sprintf "wolf_imin %s %s" (a 0) (a 1))
-  | "binary_max" when all_int -> Some (Printf.sprintf "wolf_imax %s %s" (a 0) (a 1))
-  | "binary_min" when dst_is "Real64" -> Some (Printf.sprintf "Float.min %s %s" (ri 0) (ri 1))
-  | "binary_max" when dst_is "Real64" -> Some (Printf.sprintf "Float.max %s %s" (ri 0) (ri 1))
-  | "unary_evenq" -> Some (Printf.sprintf "(%s land 1 = 0)" (a 0))
-  | "unary_oddq" -> Some (Printf.sprintf "(%s land 1 = 1)" (a 0))
-  | "unary_boole" -> Some (Printf.sprintf "(if %s then 1 else 0)" (a 0))
-  | "string_length" -> Some (Printf.sprintf "String.length %s" (a 0))
-  | "string_byte" -> Some (Printf.sprintf "wolf_string_byte %s %s" (a 0) (ii 1))
-  | "string_byte_unchecked" ->
-    Some (Printf.sprintf "Char.code (String.unsafe_get %s (%s - 1))" (a 0) (ii 1))
-  | "string_join" -> Some (Printf.sprintf "%s ^ %s" (a 0) (a 1))
-  | "array_length" -> Some (Printf.sprintf "(Wolf_wexpr.Tensor.dims %s).(0)" (a 0))
-  | "array_dim" -> Some (Printf.sprintf "(Wolf_wexpr.Tensor.dims %s).(%s - 1)" (a 0) (ii 1))
-  | _ -> None
+  | Not -> Some (sp "not %s" (a 0))
+  | Bit b ->
+    let o = match b with And -> "land" | Or -> "lor" | Xor -> "lxor" | Shift_left -> "lsl" | Shift_right -> "asr" in
+    Some (sp "%s %s %s" (a 0) o (a 1))
+  | Libm f -> Some (sp "%s %s" (Prims.libm_name f) (ri 0))
+  | To_int f -> Some (sp "int_of_float (Float.%s %s)" (Prims.libm_name f) (ri 0))
+  | Round -> Some (sp "Wolf_base.Checked.round_half_even %s" (ri 0))
+  | To_real -> Some (sp "float_of_int %s" (a 0))
+  | Identity -> Some (a 0)
+  | Even -> Some (sp "(%s land 1 = 0)" (a 0))
+  | Odd -> Some (sp "(%s land 1 = 1)" (a 0))
+  | Boole -> Some (sp "(if %s then 1 else 0)" (a 0))
+  | String_length -> Some (sp "String.length %s" (a 0))
+  | String_byte { checked = true } -> Some (sp "wolf_string_byte %s %s" (a 0) (ii 1))
+  | String_byte { checked = false } -> Some (sp "Char.code (String.unsafe_get %s (%s - 1))" (a 0) (ii 1))
+  | String_join -> Some (sp "%s ^ %s" (a 0) (a 1))
+  | Length -> Some (sp "(Wolf_wexpr.Tensor.dims %s).(0)" (a 0))
+  | Dim -> Some (sp "(Wolf_wexpr.Tensor.dims %s).(%s - 1)" (a 0) (ii 1))
+  | Checked _ | Machine _ | Power_ri | Complex_arith _ | Re | Im | Make_complex | Part_get _
+  | Part_set _ | Total | Reverse | Take | Append | Join | Range | Constant_array | To_codes ->
+    None
 
 let prelude = {|
 (* generated by the Wolfram compiler OCaml backend *)
@@ -400,14 +349,6 @@ let[@inline always] wolf_neg a =
 
 let[@inline always] wolf_abs a =
   if a = min_int then raise (Wolf_rt Wolf_base.Errors.Integer_overflow) else abs a
-
-let wolf_ipow b e = Wolf_base.Checked.pow b e
-
-let wolf_pow_ri x e =
-  let rec go acc x e =
-    if e = 0 then acc else go (if e land 1 = 1 then acc *. x else acc) (x *. x) (e lsr 1)
-  in
-  if e >= 0 then go 1.0 x e else 1.0 /. go 1.0 x (-e)
 
 let[@inline always] wolf_string_byte s i =
   let n = String.length s in
@@ -681,27 +622,9 @@ let add_line b env s =
 
 let indent env = { env with ind = env.ind + 2 }
 
-(* every [part_set_*] row: checked or proved, copy-on-write or in place *)
-let is_store base = String.starts_with ~prefix:"part_set_" base
-
+(* element reads and stores, of any rank, checked or proved *)
 let is_access base =
-  is_store base
-  || (match base with
-      | "part_get_1" | "part_get_1_unchecked" | "part_get_2" | "part_get_2_unchecked" -> true
-      | _ -> false)
-
-let is_comparison = function
-  | "binary_less" | "binary_greater" | "binary_less_equal" | "binary_greater_equal"
-  | "binary_equal" | "binary_unequal" -> true
-  | _ -> false
-
-(* the rank an access indexes, and whether a range proof dropped its test *)
-let access_rank base =
-  if String.starts_with ~prefix:"part_get_2" base || String.starts_with ~prefix:"part_set_2" base
-  then 2
-  else 1
-
-let unchecked base = String.ends_with ~suffix:"_unchecked" base
+  match Prims.op_of base with Some (Part_get _ | Part_set _) -> true | _ -> false
 
 (* The tensor variables that get views: operands of element accesses, the
    results of stores (a copy-on-write point is a new SSA value with its own
@@ -719,8 +642,9 @@ let viewed_vars ctx (f : func) =
                (match args.(0) with
                 | Ovar v when view_shape (var_ty v) <> None -> Hashtbl.replace t v.vid ()
                 | _ -> ());
-               if is_store base && view_shape (var_ty dst) <> None then
-                 Hashtbl.replace t dst.vid ()
+               (match Prims.op_of base with
+                | Some (Part_set _) when view_shape (var_ty dst) <> None -> Hashtbl.replace t dst.vid ()
+                | _ -> ())
              | _ -> ())
            bl.instrs)
       f.blocks;
@@ -838,13 +762,12 @@ let elem_kind ty =
 
 (* An element read through a view, or None when the result is not an
    element (a row of a matrix), which is a boxed call. *)
-let view_read ctx b env ~(dst : var) ~base ~(args : operand array) =
-  let rank = access_rank base in
+let view_read ctx b env ~(dst : var) ~rank ~checked ~(args : operand array) =
   match elem_kind (var_ty dst) with
   | Some kind when view_shape (op_ty_of args.(0)) = Some (kind, rank) ->
     let env, t = view_of ctx b env (kind, rank) args.(0) in
     let env, index =
-      view_index ~unchecked:(unchecked base) ctx b env ~dst t (Array.sub args 1 rank)
+      view_index ~unchecked:(not checked) ctx b env ~dst t (Array.sub args 1 rank)
     in
     add_line b env
       (Printf.sprintf "let v%d : %s = Array.unsafe_get %s_a (%s) in"
@@ -855,8 +778,7 @@ let view_read ctx b env ~(dst : var) ~base ~(args : operand array) =
 (* A store through a view: the copy-on-write test, then the view of the
    result, then the checked write.  An in-place store's result is its
    operand, so it lends the operand's view locals. *)
-let view_store ctx b env ~dst ~base ~(args : operand array) =
-  let rank = access_rank base in
+let view_store ctx b env ~dst ~rank ~checked ~inplace ~(args : operand array) =
   let value = args.(rank + 1) in
   match elem_kind (op_ty_of value) with
   | Some kind
@@ -866,7 +788,7 @@ let view_store ctx b env ~dst ~base ~(args : operand array) =
     let env, t = view_of ctx b env shape args.(0) in
     let line fmt = Printf.ksprintf (add_line b env) fmt in
     let d = Printf.sprintf "v%d" dst.vid in
-    if Wolf_compiler.Mutability_pass.is_in_place_store base then begin
+    if inplace then begin
       line "let %s : Wolf_wexpr.Tensor.t = %s in" d t;
       List.iter2 (line "let %s = %s in") (view_locals shape d) (view_locals shape t)
     end
@@ -875,7 +797,7 @@ let view_store ctx b env ~dst ~base ~(args : operand array) =
       bind_parts b env shape d
     end;
     let env, index =
-      view_index ~unchecked:(unchecked base) ctx b env ~dst t (Array.sub args 1 rank)
+      view_index ~unchecked:(not checked) ctx b env ~dst t (Array.sub args 1 rank)
     in
     line "let () = Array.unsafe_set %s_a (%s) %s in" d index (operand_expr ctx value);
     Some { env with views = IS.add dst.vid env.views }
@@ -909,7 +831,7 @@ let emit_instr ctx b ~viewed env i =
      | _ -> ());
     env
   | Kernel_call { dst; head; args } ->
-    let hname, _ = const_named ctx (Rtval.Expr head) Types.expression in
+    let hname, _ = const_name ctx (Rtval.Expr head) Types.expression in
     let arg_exprs =
       Array.to_list args
       |> List.map (fun o ->
@@ -945,20 +867,18 @@ let emit_instr ctx b ~viewed env i =
        else String.concat " " (Array.to_list (Array.map (operand_expr ctx) args)));
     defined dst
   | Call { dst; callee = Resolved { base; _ }; args } ->
+    let op = if ctx.einline then Prims.op_of base else None in
     let stored =
-      if not ctx.einline then None
-      else if is_store base then view_store ctx b env ~dst ~base ~args
-      else if is_access base then view_read ctx b env ~dst ~base ~args
-      else None
+      match op with
+      | Some (Part_set { rank; checked; inplace }) -> view_store ctx b env ~dst ~rank ~checked ~inplace ~args
+      | Some (Part_get { rank; checked }) -> view_read ctx b env ~dst ~rank ~checked ~args
+      | _ -> None
     in
     (match stored with
      | Some env -> env
      | None ->
        let body =
-         match
-           (if ctx.einline then prim_expr ctx ~base ~args ~dst_ty:(var_ty dst)
-            else None)
-         with
+         match Option.bind op (fun op -> prim_expr ctx op ~args ~dst_ty:(var_ty dst)) with
          | Some s -> s
          | None -> boxed_prim_call ctx ~base ~args ~dst_ty:(var_ty dst)
        in
@@ -1017,8 +937,10 @@ let emit_func ctx (f : func) plan ~first =
     | Branch { cond = Ovar c; _ } when ctx.einline && Hashtbl.find_opt uses c.vid = Some 1 ->
       List.find_map
         (function
-          | Call { dst; callee = Resolved { base; _ }; args } when dst.vid = c.vid && is_comparison base ->
-            Option.map (fun e -> (dst.vid, e)) (prim_expr ctx ~base ~args ~dst_ty:(var_ty dst))
+          | Call { dst; callee = Resolved { base; _ }; args } when dst.vid = c.vid ->
+            (match Prims.op_of base with
+             | Some (Cmp _ as op) -> Option.map (fun e -> (dst.vid, e)) (prim_expr ctx op ~args ~dst_ty:(var_ty dst))
+             | _ -> None)
           | _ -> None)
         bl.instrs
     | _ -> None

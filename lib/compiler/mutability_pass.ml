@@ -10,9 +10,11 @@ let promoted_counter form =
 let promoted_block = promoted_counter "block"
 let promoted_loop = promoted_counter "loop"
 
-let is_store = function
-  | "part_set_1" | "part_set_2" | "part_set_1_unchecked" | "part_set_2_unchecked" -> true
-  | _ -> false
+(* [Some inplace] for a store, [None] for any other primitive *)
+let store base =
+  match Wolf_runtime.Prims.op_of base with Some (Part_set { inplace; _ }) -> Some inplace | _ -> None
+
+let is_store base = store base = Some false
 
 (* the in-place row of a store, keeping a range proof's [_unchecked] *)
 let in_place base =
@@ -20,11 +22,7 @@ let in_place base =
     String.sub base 0 (String.length base - 10) ^ "_inplace_unchecked"
   else base ^ "_inplace"
 
-let is_in_place_store = function
-  | "part_set_1_inplace" | "part_set_2_inplace" | "part_set_1_inplace_unchecked"
-  | "part_set_2_inplace_unchecked" ->
-    true
-  | _ -> false
+let is_in_place_store base = store base = Some true
 
 let is_tensor (v : var) =
   match v.vty with
@@ -32,10 +30,8 @@ let is_tensor (v : var) =
   | None -> false
 
 let reads base (dst : var) =
-  match base with
-  | "part_get_1" | "part_get_1_unchecked" | "part_get_2" | "part_get_2_unchecked" | "array_length"
-  | "array_dim" ->
-    not (is_tensor dst)
+  match Wolf_runtime.Prims.op_of base with
+  | Some (Part_get _ | Length | Dim) -> not (is_tensor dst)
   | _ -> false
 
 let machine_scalar (v : var) =

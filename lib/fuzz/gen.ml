@@ -20,6 +20,7 @@ type ctx = {
       (* integers that may end at the top of the machine range *)
   mutable sinks : string list;
       (* arrays the (integer) result reads through Total *)
+  mutable compared : string list;  (* the literals strings are compared with *)
 }
 
 let spend ctx = ctx.fuel <- ctx.fuel - 1
@@ -127,18 +128,26 @@ let rec expr ctx t depth =
           (2, fun () -> If (TReal, sub TBool, sub TReal, sub TReal)) ]
         ()
     | TBool ->
+      (* a string against a literal, only for equality: the interpreter
+         leaves an ordering of two strings unevaluated *)
+      let streq () =
+        let l = Rng.pick ctx.rng str_pool in
+        ctx.compared <- l :: ctx.compared;
+        Cmp (Rng.pick ctx.rng [ "=="; "!=" ], TStr, sub TStr, Str l)
+      in
       Rng.weighted ctx.rng
-        [ (2, fun () -> leaf ctx TBool);
-          (5, fun () ->
-              let op = Rng.pick ctx.rng [ "=="; "!="; "<"; "<="; ">"; ">=" ] in
-              Cmp (op, TInt, sub TInt, sub TInt));
-          (2, fun () ->
-              let op = Rng.pick ctx.rng [ "<"; "<="; ">"; ">=" ] in
-              Cmp (op, TReal, sub TReal, sub TReal));
-          (2, fun () -> And (sub TBool, sub TBool));
-          (2, fun () -> Or (sub TBool, sub TBool));
-          (1, fun () -> Un ("Not", TBool, sub TBool));
-          (1, fun () -> Un ("EvenQ", TBool, sub TInt)) ]
+        ([ (2, fun () -> leaf ctx TBool);
+           (5, fun () ->
+               let op = Rng.pick ctx.rng [ "=="; "!="; "<"; "<="; ">"; ">=" ] in
+               Cmp (op, TInt, sub TInt, sub TInt));
+           (2, fun () ->
+               let op = Rng.pick ctx.rng [ "<"; "<="; ">"; ">=" ] in
+               Cmp (op, TReal, sub TReal, sub TReal));
+           (2, fun () -> And (sub TBool, sub TBool));
+           (2, fun () -> Or (sub TBool, sub TBool));
+           (1, fun () -> Un ("Not", TBool, sub TBool));
+           (1, fun () -> Un ("EvenQ", TBool, sub TInt)) ]
+         @ if ctx.cfg.strings && vars_of ctx TStr <> [] then [ (2, streq) ] else [])
         ()
     | TStr ->
       Rng.weighted ctx.rng
@@ -434,18 +443,20 @@ and raw_sum ctx arrs =
 
 (* ---- whole programs -------------------------------------------------- *)
 
-let gen_arg rng t =
+(* a string argument equals one of the literals strings are [compared]
+   with as often as not *)
+let gen_arg ~compared rng t =
   match t with
   | TInt -> Int (Rng.range rng (-9) 9)
   | TReal -> Real (float_of_int (Rng.range rng (-60) 60) /. 8.0)
   | TBool -> Bool (Rng.bool rng)
-  | TStr -> Str (Rng.pick rng str_pool)
+  | TStr -> Str (Rng.pick rng (if compared <> [] && Rng.bool rng then compared else str_pool))
   | TArr -> Arr (List.init (Rng.range rng 1 6) (fun _ -> Rng.range rng (-9) 9))
 
 let case ?(config = default_config) rng =
   let ctx =
     { rng; cfg = config; fuel = config.max_size; vars = []; mutables = [];
-      counters = 0; extra_locals = []; watched = []; sinks = [] }
+      counters = 0; extra_locals = []; watched = []; sinks = []; compared = [] }
   in
   let param_ty () =
     Rng.weighted rng
@@ -495,5 +506,5 @@ let case ?(config = default_config) rng =
   let fn =
     { params; withs; locals = locals @ ctx.extra_locals; body; result; ret }
   in
-  let args = List.map (fun (_, t) -> gen_arg rng t) params in
+  let args = List.map (fun (_, t) -> gen_arg ~compared:ctx.compared rng t) params in
   { fn; args }

@@ -148,6 +148,31 @@ type scalar =
   | Bool1 of (bool -> bool)
   | Bool_to_int of (bool -> int)
 
+type arith = Add | Sub | Mul | Div | Mod | Quotient | Pow | Neg | Abs | Min | Max
+
+type cmp = Lt | Gt | Le | Ge | Eq | Ne
+
+type bit = And | Or | Xor | Shift_left | Shift_right
+
+type libm = Sin | Cos | Tan | Exp | Log | Sqrt | Floor | Ceil | Trunc
+
+type op =
+  | Checked of arith | Machine of arith | Complex_arith of arith | Re | Im | Make_complex | Power_ri
+  | Cmp of cmp | Bit of bit | Not
+  | Libm of libm | To_int of libm | Round | To_real | Identity | Even | Odd | Boole
+  | Part_get of { rank : int; checked : bool }
+  | Part_set of { rank : int; checked : bool; inplace : bool }
+  | Length | Dim | String_length | String_byte of { checked : bool } | String_join
+  | Total | Reverse | Take | Append | Join | Range | Constant_array | To_codes
+
+(* a libm function's name and its OCaml function *)
+let libm = function
+  | Sin -> ("sin", sin) | Cos -> ("cos", cos) | Tan -> ("tan", tan) | Exp -> ("exp", exp)
+  | Log -> ("log", log) | Sqrt -> ("sqrt", sqrt) | Floor -> ("floor", Float.floor)
+  | Ceil -> ("ceil", Float.ceil) | Trunc -> ("trunc", Float.trunc)
+
+let libm_name f = fst (libm f)
+
 type t = {
   name : string;
   arity : int;
@@ -155,14 +180,15 @@ type t = {
   fails : failure;
   fresh : bool;
   specialises : string option;
+  op : op option;
   scalar : scalar option;
   impl : Rtval.t array -> Rtval.t;
 }
 
 (* [impl name] gets the row's own name, for its error messages *)
-let row ?(effect = Pure) ?(fails = Never) ?(fresh = false) ?specialises ?scalar name arity
+let row ?(effect = Pure) ?(fails = Never) ?(fresh = false) ?specialises ?op ?scalar name arity
     impl =
-  { name; arity; effect; fails; fresh; specialises; scalar; impl = impl name }
+  { name; arity; effect; fails; fresh; specialises; op; scalar; impl = impl name }
 
 let num = function Int _ | Real _ -> true | _ -> false
 
@@ -187,14 +213,64 @@ let form_arity = function
   | Int2 _ | Real2 _ | Num2 _ | Cmp2 _ -> 2
   | Int1 _ | Real1 _ | Real_to_int _ | Int_to_real _ | Int_test _ | Bool1 _ | Bool_to_int _ -> 1
 
-(* a row with a scalar form; its [impl] is [boxed form] unless the row
-   accepts boxed shapes the form has no function for *)
-let scalar ?fails ?impl name form =
-  row ?fails ~scalar:form name (form_arity form) (Option.value impl ~default:(boxed form))
+let abs_checked a =
+  if a = min_int then raise (Errors.Runtime_error Errors.Integer_overflow) else abs a
+
+let divide a d = if d = 0.0 then raise (Errors.Runtime_error Errors.Division_by_zero) else a /. d
+
+(* the machine function an op fixes *)
+let scalar_of_op = function
+  | Checked Add -> Some (Int2 Checked.add)
+  | Checked Sub -> Some (Int2 Checked.sub)
+  | Checked Mul -> Some (Int2 Checked.mul)
+  | Checked Mod -> Some (Int2 Checked.modulo)
+  | Checked Quotient -> Some (Int2 Checked.quotient)
+  | Checked Pow -> Some (Int2 Checked.pow)
+  | Checked Neg -> Some (Int1 Checked.neg)
+  | Checked Abs -> Some (Int1 abs_checked)
+  | Machine Add -> Some (Num2 (( + ), ( +. )))
+  | Machine Sub -> Some (Num2 (( - ), ( -. )))
+  | Machine Mul -> Some (Num2 (( * ), ( *. )))
+  | Machine Min -> Some (Num2 (min, Float.min))
+  | Machine Max -> Some (Num2 (max, Float.max))
+  | Machine Div -> Some (Real2 divide)
+  | Machine Pow -> Some (Real2 Float.pow)
+  | Machine Neg -> Some (Real1 Float.neg)
+  | Machine Abs -> Some (Real1 Float.abs)
+  | Cmp Lt -> Some (Cmp2 (( < ), ( < )))
+  | Cmp Gt -> Some (Cmp2 (( > ), ( > )))
+  | Cmp Le -> Some (Cmp2 (( <= ), ( <= )))
+  | Cmp Ge -> Some (Cmp2 (( >= ), ( >= )))
+  | Cmp Eq -> Some (Cmp2 (( = ), ( = )))
+  | Cmp Ne -> Some (Cmp2 (( <> ), ( <> )))
+  | Bit And -> Some (Int2 ( land ))
+  | Bit Or -> Some (Int2 ( lor ))
+  | Bit Xor -> Some (Int2 ( lxor ))
+  | Bit Shift_left -> Some (Int2 ( lsl ))
+  | Bit Shift_right -> Some (Int2 ( asr ))
+  | Not -> Some (Bool1 not)
+  | Libm f -> Some (Real1 (snd (libm f)))
+  | To_int f -> let g = snd (libm f) in Some (Real_to_int (fun x -> int_of_float (g x)))
+  | Round -> Some (Real_to_int Checked.round_half_even)
+  | To_real -> Some (Int_to_real float_of_int)
+  | Even -> Some (Int_test (fun a -> a land 1 = 0))
+  | Odd -> Some (Int_test (fun a -> a land 1 = 1))
+  | Boole -> Some (Bool_to_int Bool.to_int)
+  | Checked (Div | Min | Max) | Machine (Mod | Quotient) | Complex_arith _ | Re | Im | Make_complex
+  | Power_ri | Identity | Part_get _ | Part_set _ | Length | Dim | String_length | String_byte _
+  | String_join | Total | Reverse | Take | Append | Join | Range | Constant_array | To_codes ->
+    None
+
+(* a row with a scalar form, its op's or [form]; its [impl] is [boxed form]
+   unless the row accepts boxed shapes the form has no function for *)
+let scalar ?fails ?impl ?form name op =
+  let form = match form with Some f -> f | None -> Option.get (scalar_of_op op) in
+  row ?fails ~op ~scalar:form name (form_arity form) (Option.value impl ~default:(boxed form))
 
 (* the comparisons also order strings, booleans, expressions and complex
    numbers, by the int comparison of [compare]'s result with 0 *)
-let cmp name fi fr =
+let cmp name c =
+  let fi, fr = match scalar_of_op (Cmp c) with Some (Cmp2 (fi, fr)) -> (fi, fr) | _ -> assert false in
   let impl n args =
     match args with
     | [| Str a; Str b |] -> Bool (fi (String.compare a b) 0)
@@ -203,15 +279,10 @@ let cmp name fi fr =
     | [| Complex (ar, ai); Complex (br, bi) |] -> Bool (fi (compare (ar, ai) (br, bi)) 0)
     | _ -> boxed (Cmp2 (fi, fr)) n args
   in
-  scalar ~impl name (Cmp2 (fi, fr))
+  scalar ~impl name (Cmp c)
 
 (* the identities pass any operand through *)
-let identity name form = scalar ~impl:(fun _ args -> args.(0)) name form
-
-let abs_checked a =
-  if a = min_int then raise (Errors.Runtime_error Errors.Integer_overflow) else abs a
-
-let divide a d = if d = 0.0 then raise (Errors.Runtime_error Errors.Division_by_zero) else a /. d
+let identity name form = scalar ~impl:(fun _ args -> args.(0)) ~form name Identity
 
 let pow_ri x e =
   let rec go acc x e =
@@ -280,6 +351,16 @@ let array_take name args =
      | Reals a -> Tensor (Tensor.of_real_array (Array.sub a 0 k)))
   | _ -> bad name args
 
+(* a store's row, named by its op: its result is its operand, made unique
+   first unless the [_inplace] variant says a pass proved it unaliased *)
+let store rank ~checked ~inplace =
+  let base = Printf.sprintf "part_set_%d" rank in
+  let name = base ^ (if inplace then "_inplace" else "") ^ if checked then "" else "_unchecked" in
+  let specialises = if checked && not inplace then None else Some base in
+  let set = if rank = 1 then part_set_1 else part_set_2 in
+  row name (rank + 2) ~op:(Part_set { rank; checked; inplace }) ~effect:Mutates_arg0 ~fails:May_fail
+    ~fresh:true ?specialises (fun _ -> set ~inplace)
+
 let dot_vv name args =
   match args with
   | [| Tensor a; Tensor b |] ->
@@ -290,43 +371,43 @@ let dot_vv name args =
 (* Every runtime primitive, once.  The facts a row states (prims.mli says
    what each means) are about its boxed implementation on well-typed
    operands; the threaded backend and the WVM run a scalar row's form
-   itself, and the text emitters' open-coded fast paths restate it. *)
+   itself, and the text emitters render its op. *)
 let rows =
-  [ scalar "checked_binary_plus" ~fails:Overflow_only (Int2 Checked.add);
-    scalar "checked_binary_subtract" ~fails:Overflow_only (Int2 Checked.sub);
-    scalar "checked_binary_times" ~fails:Overflow_only (Int2 Checked.mul);
-    scalar "checked_binary_mod" ~fails:May_fail (Int2 Checked.modulo);
-    scalar "checked_binary_quotient" ~fails:May_fail (Int2 Checked.quotient);
-    scalar "checked_binary_power" ~fails:May_fail (Int2 Checked.pow);
-    scalar "checked_unary_minus" ~fails:Overflow_only (Int1 Checked.neg);
-    scalar "checked_unary_abs" ~fails:Overflow_only (Int1 abs_checked);
-    scalar "binary_plus" (Num2 (( + ), ( +. )));
-    scalar "binary_subtract" (Num2 (( - ), ( -. )));
-    scalar "binary_times" (Num2 (( * ), ( *. )));
-    scalar "binary_divide" ~fails:May_fail (Real2 divide);
-    scalar "binary_power" (Real2 Float.pow);
-    row "binary_power_ri" 2 power_ri;
-    scalar "unary_minus" (Real1 Float.neg);
-    scalar "unary_abs" (Real1 Float.abs);
-    row "complex_binary_plus" 2 (fun n ->
+  [ scalar "checked_binary_plus" ~fails:Overflow_only (Checked Add);
+    scalar "checked_binary_subtract" ~fails:Overflow_only (Checked Sub);
+    scalar "checked_binary_times" ~fails:Overflow_only (Checked Mul);
+    scalar "checked_binary_mod" ~fails:May_fail (Checked Mod);
+    scalar "checked_binary_quotient" ~fails:May_fail (Checked Quotient);
+    scalar "checked_binary_power" ~fails:May_fail (Checked Pow);
+    scalar "checked_unary_minus" ~fails:Overflow_only (Checked Neg);
+    scalar "checked_unary_abs" ~fails:Overflow_only (Checked Abs);
+    scalar "binary_plus" (Machine Add);
+    scalar "binary_subtract" (Machine Sub);
+    scalar "binary_times" (Machine Mul);
+    scalar "binary_divide" ~fails:May_fail (Machine Div);
+    scalar "binary_power" (Machine Pow);
+    row "binary_power_ri" 2 ~op:Power_ri power_ri;
+    scalar "unary_minus" (Machine Neg);
+    scalar "unary_abs" (Machine Abs);
+    row "complex_binary_plus" 2 ~op:(Complex_arith Add) (fun n ->
         complex_binary n (fun (ar, ai) (br, bi) -> (ar +. br, ai +. bi)));
-    row "complex_binary_subtract" 2 (fun n ->
+    row "complex_binary_subtract" 2 ~op:(Complex_arith Sub) (fun n ->
         complex_binary n (fun (ar, ai) (br, bi) -> (ar -. br, ai -. bi)));
-    row "complex_binary_times" 2 (fun n ->
+    row "complex_binary_times" 2 ~op:(Complex_arith Mul) (fun n ->
         complex_binary n (fun (ar, ai) (br, bi) ->
             ((ar *. br) -. (ai *. bi), (ar *. bi) +. (ai *. br))));
     row "complex_binary_divide" 2 (fun n ->
         complex_binary n (fun (ar, ai) (br, bi) ->
             let d = (br *. br) +. (bi *. bi) in
             (((ar *. br) +. (ai *. bi)) /. d, ((ai *. br) -. (ar *. bi)) /. d)));
-    row "complex_binary_power" 2 ~fails:May_fail complex_power;
-    row "complex_abs" 1 (fun n args ->
+    row "complex_binary_power" 2 ~op:(Complex_arith Pow) ~fails:May_fail complex_power;
+    row "complex_abs" 1 ~op:(Complex_arith Abs) (fun n args ->
         match args with [| Complex (r, i) |] -> Real (Float.hypot r i) | _ -> bad n args);
-    row "complex_re" 1 (fun n args ->
+    row "complex_re" 1 ~op:Re (fun n args ->
         match args with [| Complex (r, _) |] -> Real r | _ -> bad n args);
-    row "complex_im" 1 (fun n args ->
+    row "complex_im" 1 ~op:Im (fun n args ->
         match args with [| Complex (_, i) |] -> Real i | _ -> bad n args);
-    row "complex_make" 2 (fun n args ->
+    row "complex_make" 2 ~op:Make_complex (fun n args ->
         match args with [| a; b |] -> Complex (real a, real b) | _ -> bad n args);
     row "expr_binary_plus" 2 ~effect:Calls ~fails:May_fail (fun _ -> expr_binary "Plus");
     row "expr_binary_subtract" 2 ~effect:Calls ~fails:May_fail (fun _ -> expr_binary "Subtract");
@@ -347,36 +428,36 @@ let rows =
         | [| Expr (Wolf_wexpr.Expr.Normal (_, items)) |] -> Int (Array.length items)
         | [| Expr _ |] -> Int 0
         | _ -> bad n args);
-    cmp "binary_less" ( < ) ( < );
-    cmp "binary_greater" ( > ) ( > );
-    cmp "binary_less_equal" ( <= ) ( <= );
-    cmp "binary_greater_equal" ( >= ) ( >= );
-    cmp "binary_equal" ( = ) ( = );
-    cmp "binary_unequal" ( <> ) ( <> );
-    scalar "unary_not" (Bool1 not);
-    scalar "binary_bitand" (Int2 ( land ));
-    scalar "binary_bitor" (Int2 ( lor ));
-    scalar "binary_bitxor" (Int2 ( lxor ));
-    scalar "binary_shiftleft" (Int2 ( lsl ));
-    scalar "binary_shiftright" (Int2 ( asr ));
-    scalar "binary_min" (Num2 (min, Float.min));
-    scalar "binary_max" (Num2 (max, Float.max));
-    scalar "unary_sin" (Real1 sin);
-    scalar "unary_cos" (Real1 cos);
-    scalar "unary_tan" (Real1 tan);
-    scalar "unary_exp" (Real1 exp);
-    scalar "unary_log" (Real1 log);
-    scalar "unary_sqrt" (Real1 sqrt);
-    scalar "unary_floor" (Real_to_int (fun x -> int_of_float (Float.floor x)));
-    scalar "unary_ceiling" (Real_to_int (fun x -> int_of_float (Float.ceil x)));
-    scalar "unary_round" (Real_to_int Checked.round_half_even);
-    scalar "unary_truncate" (Real_to_int (fun x -> int_of_float (Float.trunc x)));
+    cmp "binary_less" Lt;
+    cmp "binary_greater" Gt;
+    cmp "binary_less_equal" Le;
+    cmp "binary_greater_equal" Ge;
+    cmp "binary_equal" Eq;
+    cmp "binary_unequal" Ne;
+    scalar "unary_not" Not;
+    scalar "binary_bitand" (Bit And);
+    scalar "binary_bitor" (Bit Or);
+    scalar "binary_bitxor" (Bit Xor);
+    scalar "binary_shiftleft" (Bit Shift_left);
+    scalar "binary_shiftright" (Bit Shift_right);
+    scalar "binary_min" (Machine Min);
+    scalar "binary_max" (Machine Max);
+    scalar "unary_sin" (Libm Sin);
+    scalar "unary_cos" (Libm Cos);
+    scalar "unary_tan" (Libm Tan);
+    scalar "unary_exp" (Libm Exp);
+    scalar "unary_log" (Libm Log);
+    scalar "unary_sqrt" (Libm Sqrt);
+    scalar "unary_floor" (To_int Floor);
+    scalar "unary_ceiling" (To_int Ceil);
+    scalar "unary_round" Round;
+    scalar "unary_truncate" (To_int Trunc);
     identity "unary_identity_int" (Int1 Fun.id);
     identity "unary_identity_real" (Real1 Fun.id);
-    scalar "int_to_real" (Int_to_real float_of_int);
-    scalar "unary_evenq" (Int_test (fun a -> a land 1 = 0));
-    scalar "unary_oddq" (Int_test (fun a -> a land 1 = 1));
-    scalar "unary_boole" (Bool_to_int Bool.to_int);
+    scalar "int_to_real" To_real;
+    scalar "unary_evenq" Even;
+    scalar "unary_oddq" Odd;
+    scalar "unary_boole" Boole;
     row "array_binary_plus" 2 ~fails:May_fail ~fresh:true (fun n ->
         array_binary n ( + ) ( +. ));
     row "array_binary_subtract" 2 ~fails:May_fail ~fresh:true (fun n ->
@@ -416,51 +497,44 @@ let rows =
     row "array_unary_sqrt" 1 ~fresh:true (fun n ->
         array_unary n (fun a out ->
             for i = 0 to Array.length a - 1 do Array.unsafe_set out i (sqrt (Array.unsafe_get a i)) done));
-    row "part_get_1" 2 ~fails:May_fail (part_get_1 ~checked:true);
+    row "part_get_1" 2 ~op:(Part_get { rank = 1; checked = true }) ~fails:May_fail
+      (part_get_1 ~checked:true);
     (* emitted by the loop optimiser where it proved the index in range;
        elsewhere an index may be out of range, so they may fail *)
-    row "part_get_1_unchecked" 2 ~fails:May_fail ~specialises:"part_get_1"
+    row "part_get_1_unchecked" 2 ~op:(Part_get { rank = 1; checked = false }) ~fails:May_fail
+      ~specialises:"part_get_1"
       (part_get_1 ~checked:false);
-    row "part_get_2" 3 ~fails:May_fail part_get_2;
+    row "part_get_2" 3 ~op:(Part_get { rank = 2; checked = true }) ~fails:May_fail part_get_2;
     (* the range analysis's variants of the matrix read and the stores
        keep the checked implementation: only the text emitters drop the
        test *)
-    row "part_get_2_unchecked" 3 ~fails:May_fail ~specialises:"part_get_2" part_get_2;
+    row "part_get_2_unchecked" 3 ~op:(Part_get { rank = 2; checked = false }) ~fails:May_fail
+      ~specialises:"part_get_2" part_get_2;
     row "part_get_row" 2 ~fails:May_fail ~fresh:true (fun n args ->
         match args with
         | [| Tensor t; Int i |] -> Tensor (Tensor.slice t (Tensor.normalize_index t i))
         | _ -> bad n args);
-    (* a store's result is its operand, made unique first unless the
-       [_inplace] variant says a pass proved it unaliased *)
-    row "part_set_1" 3 ~effect:Mutates_arg0 ~fails:May_fail ~fresh:true (fun _ ->
-        part_set_1 ~inplace:false);
-    row "part_set_1_inplace" 3 ~effect:Mutates_arg0 ~fails:May_fail ~fresh:true
-      ~specialises:"part_set_1" (fun _ -> part_set_1 ~inplace:true);
-    row "part_set_2" 4 ~effect:Mutates_arg0 ~fails:May_fail ~fresh:true (fun _ ->
-        part_set_2 ~inplace:false);
-    row "part_set_2_inplace" 4 ~effect:Mutates_arg0 ~fails:May_fail ~fresh:true
-      ~specialises:"part_set_2" (fun _ -> part_set_2 ~inplace:true);
-    row "part_set_1_unchecked" 3 ~effect:Mutates_arg0 ~fails:May_fail ~fresh:true
-      ~specialises:"part_set_1" (fun _ -> part_set_1 ~inplace:false);
-    row "part_set_1_inplace_unchecked" 3 ~effect:Mutates_arg0 ~fails:May_fail ~fresh:true
-      ~specialises:"part_set_1" (fun _ -> part_set_1 ~inplace:true);
-    row "part_set_2_unchecked" 4 ~effect:Mutates_arg0 ~fails:May_fail ~fresh:true
-      ~specialises:"part_set_2" (fun _ -> part_set_2 ~inplace:false);
-    row "part_set_2_inplace_unchecked" 4 ~effect:Mutates_arg0 ~fails:May_fail ~fresh:true
-      ~specialises:"part_set_2" (fun _ -> part_set_2 ~inplace:true);
-    row "array_length" 1 (fun n args ->
+    store 1 ~checked:true ~inplace:false;
+    store 1 ~checked:true ~inplace:true;
+    store 2 ~checked:true ~inplace:false;
+    store 2 ~checked:true ~inplace:true;
+    store 1 ~checked:false ~inplace:false;
+    store 1 ~checked:false ~inplace:true;
+    store 2 ~checked:false ~inplace:false;
+    store 2 ~checked:false ~inplace:true;
+    row "array_length" 1 ~op:Length (fun n args ->
         match args with [| Tensor t |] -> Int (Tensor.dims t).(0) | _ -> bad n args);
     (* [array_dim t k]: the k-th dimension (1-based), made by the range
        analysis's version guards *)
-    row "array_dim" 2 ~fails:May_fail (fun n args ->
+    row "array_dim" 2 ~op:Dim ~fails:May_fail (fun n args ->
         match args with
         | [| Tensor t; Int k |] when k >= 1 && k <= Tensor.rank t -> Int (Tensor.dims t).(k - 1)
         | _ -> bad n args);
-    row "array_total" 1 (fun n args ->
+    row "array_total" 1 ~op:Total (fun n args ->
         match args with
         | [| Tensor t |] -> (match Tensor.total t with `Int i -> Int i | `Real r -> Real r)
         | _ -> bad n args);
-    row "array_reverse" 1 ~fresh:true (fun n args ->
+    row "array_reverse" 1 ~op:Reverse ~fresh:true (fun n args ->
         match args with
         | [| Tensor t |] ->
           let k = Tensor.flat_length t in
@@ -469,15 +543,15 @@ let rows =
           else
             Tensor (Tensor.of_real_array (Array.init k (fun i -> Tensor.get_real t (k - 1 - i))))
         | _ -> bad n args);
-    row "array_join" 2 ~fresh:true array_join;
-    row "array_append" 2 ~fresh:true array_append;
+    row "array_join" 2 ~op:Join ~fresh:true array_join;
+    row "array_append" 2 ~op:Append ~fresh:true array_append;
     row "dot_mm" 2 ~fails:May_fail ~fresh:true (fun n args ->
         match args with [| Tensor a; Tensor b |] -> Tensor (Tensor.dot a b) | _ -> bad n args);
     row "dot_mv" 2 ~fails:May_fail ~fresh:true (fun n args ->
         match args with [| Tensor a; Tensor b |] -> Tensor (Tensor.dot a b) | _ -> bad n args);
     row "dot_vv" 2 ~fails:May_fail dot_vv;
     row "dot_vv_int" 2 ~fails:May_fail dot_vv;
-    row "range" 1 ~fresh:true (fun n args ->
+    row "range" 1 ~op:Range ~fresh:true (fun n args ->
         match args with
         | [| Int k |] -> Tensor (Tensor.of_int_array (Array.init (max k 0) (fun i -> i + 1)))
         | _ -> bad n args);
@@ -486,11 +560,11 @@ let rows =
         | [| Int lo; Int hi |] ->
           Tensor (Tensor.of_int_array (Array.init (max (hi - lo + 1) 0) (fun i -> lo + i)))
         | _ -> bad n args);
-    row "constant_array_int" 2 ~fresh:true (fun n args ->
+    row "constant_array_int" 2 ~op:Constant_array ~fresh:true (fun n args ->
         match args with
         | [| Int v; Int k |] -> Tensor (Tensor.of_int_array (Array.make (max k 0) v))
         | _ -> bad n args);
-    row "constant_array_real" 2 ~fresh:true (fun n args ->
+    row "constant_array_real" 2 ~op:Constant_array ~fresh:true (fun n args ->
         match args with
         | [| Real v; Int k |] -> Tensor (Tensor.of_real_array (Array.make (max k 0) v))
         | _ -> bad n args);
@@ -504,19 +578,21 @@ let rows =
         | [| Real v; Int r; Int c |] when r >= 0 && c >= 0 ->
           Tensor (Tensor.create_real [| r; c |] (Array.make (r * c) v))
         | _ -> bad n args);
-    row "array_take" 2 ~fails:May_fail ~fresh:true array_take;
-    row "string_length" 1 (fun n args ->
+    row "array_take" 2 ~op:Take ~fails:May_fail ~fresh:true array_take;
+    row "string_length" 1 ~op:String_length (fun n args ->
         match args with [| Str s |] -> Int (String.length s) | _ -> bad n args);
-    row "string_join" 2 (fun n args ->
+    row "string_join" 2 ~op:String_join (fun n args ->
         match args with [| Str a; Str b |] -> Str (a ^ b) | _ -> bad n args);
-    row "string_byte" 2 ~fails:May_fail (string_byte ~checked:true);
-    row "string_byte_unchecked" 2 ~fails:May_fail ~specialises:"string_byte"
+    row "string_byte" 2 ~op:(String_byte { checked = true }) ~fails:May_fail
+      (string_byte ~checked:true);
+    row "string_byte_unchecked" 2 ~op:(String_byte { checked = false }) ~fails:May_fail
+      ~specialises:"string_byte"
       (string_byte ~checked:false);
     row "string_take" 2 ~fails:May_fail (fun n args ->
         match args with
         | [| Str s; Int k |] when k >= 0 && k <= String.length s -> Str (String.sub s 0 k)
         | _ -> bad n args);
-    row "to_character_code" 1 ~fresh:true (fun n args ->
+    row "to_character_code" 1 ~op:To_codes ~fresh:true (fun n args ->
         match args with
         | [| Str s |] ->
           Tensor (Tensor.of_int_array (Array.init (String.length s) (fun i -> Char.code s.[i])))
@@ -570,3 +646,5 @@ let find name =
   | None -> invalid_arg ("Prims.find: unknown primitive " ^ name)
 
 let holds base p = match Hashtbl.find_opt table base with Some r -> p r | None -> false
+
+let op_of base = match Hashtbl.find_opt table base with Some r -> r.op | None -> None

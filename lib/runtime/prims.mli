@@ -50,6 +50,48 @@ type scalar =
   | Bool1 of (bool -> bool)
   | Bool_to_int of (bool -> int)
 
+(** The operations of {!op}. *)
+type arith = Add | Sub | Mul | Div | Mod | Quotient | Pow | Neg | Abs | Min | Max
+
+type cmp = Lt | Gt | Le | Ge | Eq | Ne
+
+type bit = And | Or | Xor | Shift_left | Shift_right
+
+(** C math library functions; OCaml's Stdlib names each the same *)
+type libm = Sin | Cos | Tan | Exp | Log | Sqrt | Floor | Ceil | Trunc
+
+(** What a row computes, independent of any target: the text emitters
+    render a row from its [op], one printer each, and the row's [scalar]
+    function is derived from it. *)
+type op =
+  | Checked of arith
+      (** on [Integer64]; raises on overflow and on a zero divisor *)
+  | Machine of arith
+      (** [Add], [Sub], [Mul], [Min], [Max]: two [Integer64] operands give
+          an [Integer64] (the proved variants of the checked rows: a range
+          proof put the result in range), any other numbers a [Real64];
+          [Div], [Pow], [Neg], [Abs]: on [Real64], [Div] raising on a zero
+          divisor *)
+  | Complex_arith of arith | Re | Im | Make_complex  (** on [ComplexReal64] *)
+  | Power_ri                    (** {!pow_ri} *)
+  | Cmp of cmp                  (** of two numbers, booleans or strings *)
+  | Bit of bit | Not            (** on [Integer64]; on [Boolean] *)
+  | Libm of libm                (** on [Real64] *)
+  | To_int of libm              (** a [Real64] function, then truncation *)
+  | Round                       (** to the nearest, a tie to the even one *)
+  | To_real | Identity | Even | Odd | Boole
+  | Part_get of { rank : int; checked : bool }
+      (** an element; [checked = false]: a range proof put the index in range *)
+  | Part_set of { rank : int; checked : bool; inplace : bool }
+      (** a store into a copy unless [inplace] *)
+  | Length | Dim                (** the first dimension; the [k]-th *)
+  | String_length | String_byte of { checked : bool } | String_join
+  | Total | Reverse | Take | Append | Join | Range | Constant_array | To_codes
+      (** [Range]: [1 .. n]; [Constant_array]: of rank 1; [To_codes]:
+          ToCharacterCode *)
+
+val libm_name : libm -> string
+
 type t = {
   name : string;                (** base name, e.g. ["checked_binary_plus"] *)
   arity : int;
@@ -59,9 +101,11 @@ type t = {
   specialises : string option;
       (** a pass-made variant ([_unchecked], [_inplace]) names the primitive
           it stands in for; it has that primitive's types *)
+  op : op option;               (** what the row computes; the text emitters render it *)
   scalar : scalar option;
       (** the machine function of a scalar primitive: the rows of machine
-          arithmetic, comparison, rounding and the predicates *)
+          arithmetic, comparison, rounding and the predicates; the [op]'s,
+          except for the identities *)
   impl : Rtval.t array -> Rtval.t;
       (** dispatches on the runtime shapes of the arguments.
           @raise Wolf_base.Errors.Runtime_error on numerical failure or
@@ -79,6 +123,10 @@ val find_opt : string -> t option
 val holds : string -> (t -> bool) -> bool
 (** [holds base p]: [base] names a row and [p] holds of it.  The question a
     pass asks of a primitive, e.g. [holds base (fun r -> r.effect = Pure)]. *)
+
+val op_of : string -> op option
+(** The op of a base name's row; [None] for an unknown name or a row
+    without one. *)
 
 val set_flat : Wolf_wexpr.Tensor.t -> int -> Rtval.t -> unit
 (** [set_flat t j v] stores the number [v] at flat position [j] of [t], as

@@ -84,6 +84,16 @@ let test_pure_call_regressions_on_every_arm () =
 let test_min_row_regression_on_every_arm () =
   replay_on_every_arm ~prefix:"regress-min-row" ~count:1 "the Min-row shape"
 
+(* a String argument compared with a literal, which standalone C compared
+   by pointer *)
+let test_string_equal_regression_on_every_arm () =
+  replay_on_every_arm ~prefix:"regress-c-string" ~count:1 "the string-equal shape"
+
+(* a result that keeps an unevaluated Module variable, which the serve arm
+   compared by the daemon's numbering of it *)
+let test_module_symbol_regression_on_every_arm () =
+  replay_on_every_arm ~prefix:"regress-serve" ~count:1 "the Module-symbol shape"
+
 (* a compiled a*b at the bounds of the checked multiply's fast path and
    of the machine range, on the threaded, jit, wvm and c arms, and
    Take/Append/Join on both element kinds at k = 0, k = Length and on empty
@@ -168,7 +178,7 @@ let test_wvm_predicate () =
   in
   Alcotest.(check (list string)) "excluded = annotated"
     (base (List.filter annotated (Lazy.force entries))) (base excluded);
-  Alcotest.(check int) "three annotated files" 3 (List.length excluded)
+  Alcotest.(check int) "four annotated files" 4 (List.length excluded)
 
 (* the par arm's coverage counters read each compile's own pipeline, so a
    sharded campaign counts exactly what a sequential one does *)
@@ -298,6 +308,10 @@ let tests =
       test_pure_call_regressions_on_every_arm;
     Alcotest.test_case "Min-row regression on every arm" `Slow
       test_min_row_regression_on_every_arm;
+    Alcotest.test_case "string-equal regression on every arm" `Slow
+      test_string_equal_regression_on_every_arm;
+    Alcotest.test_case "Module-symbol regression on every arm" `Slow
+      test_module_symbol_regression_on_every_arm;
     Alcotest.test_case "multiply and blit edges on the compiled arms" `Slow
       test_mul_and_blit_edges_on_arms;
     Alcotest.test_case "arm names round-trip through --backends" `Quick

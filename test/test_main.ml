@@ -18,6 +18,7 @@ let () =
       ("appendix (A.6)", Test_appendix.tests);
       ("export (F10)", Test_export.tests);
       ("cemit (C backend + wolfc build)", Test_cemit.tests);
+      ("emit rows (op agreement)", Test_emit_rows.tests);
       ("fuzz (differential)", Test_fuzz.tests);
       ("parallel (domain safety)", Test_parallel.tests);
       ("obs (tracing/metrics/profiling)", Test_obs.tests);
